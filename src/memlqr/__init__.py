@@ -12,15 +12,11 @@ from .spectral import (
     SpectralBasis,
     adjoint_AD,
     apply_AD,
-    apply_fractional,
     build_basis,
     dirichlet_map,
-    dual_norm,
-    fractional_norm,
 )
 from .kernels import (
     KernelTable,
-    RegularityConstants,
     TimeGrid,
     Z_oracle,
     eval_E,
@@ -46,11 +42,9 @@ from .forward import (
 from .optimal import (
     OperatorAssembly,
     OptimalSolution,
-    apply_Gamma,
     apply_H,
     apply_Lambda,
     apply_Lambda_star,
-    build_h,
     cost_gradient,
     evaluate_cost,
     solve_optimal,

@@ -15,7 +15,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .config import ExperimentConfig, build_control, build_initial_data
 from .forward import (
@@ -254,7 +253,7 @@ def _suite_optimize(ws: _Workspace, outdir: str) -> SuiteResult:
     # measured spectrum of the normal operator (reported, never asserted);
     # the nontrivial eigenvalues of both normal operators coincide, so the
     # cheap control-side one stands in for the state side
-    evals = sla.eigvalsh(np.eye(2 * (ws.cfg.n_steps + 1)) + asm._B.T @ asm._B)
+    evals = asm.control_normal_eigenvalues()
     rows.append(SummaryRow("normal_operator_condition", float(evals[-1] / evals[0]),
                            float("inf"), True))
     cpath = os.path.join(outdir, "cost_breakdown.csv")

@@ -72,7 +72,7 @@ class StateSnapshot:
         if not isinstance(self.v_hat, ModalVector):
             self.v_hat = ModalVector(_coeffs(self.v_hat))
         if not isinstance(self.y_hat, ModalVector):
-            self.y_hat = ModalVector(_coeffs(self.y_hat), space_tag=-1.0)
+            self.y_hat = ModalVector(_coeffs(self.y_hat))
         self.xi = np.asarray(self.xi, dtype=float)
         n = self.v_hat.coeffs.shape[0]
         if self.xi.shape != (self.tau_index + 1, n):
@@ -94,7 +94,7 @@ class StateSnapshot:
         """State at tau = 0; the history degenerates to the present value."""
         v = _coeffs(v_hat)
         return cls(0, ModalVector(v.copy()), v[None, :].copy(),
-                   ModalVector(_coeffs(y_hat), space_tag=-1.0))
+                   ModalVector(_coeffs(y_hat)))
 
     def is_compatible(self, tol: float = 1e-9) -> bool:
         scale = 1.0 + float(np.max(np.abs(self.v_hat.coeffs)))
@@ -127,9 +127,6 @@ class Trajectory:
     start: int
     values: np.ndarray  # (m+1, n)
 
-    def norm_H(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.values**2, axis=1))
-
 
 @dataclass(frozen=True)
 class SmoothControl:
@@ -153,7 +150,7 @@ def hat_y_from_initial(v0, v1, u_trace, basis: SpectralBasis) -> ModalVector:
     ub = _boundary_array(u_trace)
     c0, c1 = _coeffs(v0), _coeffs(v1)
     lap = basis.eigenvalues * (c0 - basis.dmap_coeffs @ ub)
-    return ModalVector(c1 - c0 - lap, space_tag=-1.0)
+    return ModalVector(c1 - c0 - lap)
 
 
 def memory_functional(xi: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -165,8 +162,7 @@ def memory_functional(xi: np.ndarray, grid: TimeGrid) -> np.ndarray:
     i = xi.shape[0] - 1
     if i == 0:
         return np.zeros(xi.shape[1])
-    w = np.full(i + 1, grid.dt)
-    w[0] = w[-1] = 0.5 * grid.dt
+    w = grid.segment_weights(grid.n_steps - i)  # trapezoid weights on i panels
     decay = np.exp(-(grid.dt * i - grid.nodes[: i + 1]))
     return (w * decay) @ xi
 
@@ -195,8 +191,7 @@ def response_field(state: StateSnapshot, table: KernelTable) -> np.ndarray:
 
 def _ad_samples(u: ControlSignal, table: KernelTable) -> np.ndarray:
     """(m+1, n) samples of A D u(t)."""
-    lam_d = table.basis.eigenvalues[:, None] * table.basis.dmap_coeffs  # (n, 2)
-    return u.samples @ lam_d.T
+    return u.samples @ table.basis.ad_coeffs.T
 
 
 def control_field(u: ControlSignal, table: KernelTable) -> np.ndarray:
@@ -326,12 +321,12 @@ def extend_state(
         raise ValueError("cannot extend backwards")
     if t1_index > table.grid.n_steps:
         raise ValueError("extension target beyond the horizon")
+    if trajectory is not None and trajectory.start != i:
+        raise ValueError("trajectory must start at the state's node")
     if t1_index == i:
         return StateSnapshot(i, state.v_hat.copy(), state.xi.copy(), state.y_hat.copy())
     if trajectory is None:
         trajectory = solve_volterra(state, u, table)
-    if trajectory.start != i:
-        raise ValueError("trajectory must start at the state's node")
     k = t1_index - i
     xi_new = np.vstack([state.xi, trajectory.values[1 : k + 1]])
     decay = np.exp(-(table.grid.dt * k))
@@ -339,5 +334,5 @@ def extend_state(
         t1_index,
         ModalVector(trajectory.values[k].copy()),
         xi_new,
-        ModalVector(decay * state.y_hat.coeffs, space_tag=-1.0),
+        ModalVector(decay * state.y_hat.coeffs),
     )

@@ -39,7 +39,6 @@ from .spectral import ModalVector, SpectralBasis, _boundary_array
 __all__ = [
     "TimeGrid",
     "KernelTable",
-    "RegularityConstants",
     "SeriesReport",
     "eval_E",
     "eval_N",
@@ -98,32 +97,6 @@ class TimeGrid:
         if not (0 <= j <= self.n_steps) or abs(j * self.dt - t) > 1e-9 * max(1.0, self.t_final):
             raise ValueError(f"t={t} is not a grid node")
         return int(j)
-
-
-@dataclass(frozen=True)
-class RegularityConstants:
-    """Documentation record of the sharp exponents; scales no computation."""
-
-    epsilon: float = 0.05
-
-    @property
-    def sigma(self) -> float:
-        return 0.75 + self.epsilon
-
-    @property
-    def p0(self) -> float:
-        return 1.0 + self.epsilon
-
-    @property
-    def r(self) -> float:
-        return 2.0 * self.p0 / (2.0 - self.p0)
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < 0.25:
-            raise ValueError("epsilon out of the documented window")
-        assert 0.75 < self.sigma < 1.0
-        assert 1.0 < self.p0 < 4.0 / 3.0
-        assert self.r > 2.0
 
 
 # ----------------------------------------------------------------------------
@@ -305,7 +278,9 @@ class KernelTable:
 
     Arrays are n_modes x (n_steps+1).  alpha_Z/beta_Z and alpha_E/beta_E are
     the product-integration panel weights of the Z and E kernels; assemblies
-    and both forward solvers draw from these shared tables.
+    and both forward solvers draw from these shared tables.  The two private
+    fields are filled on first use by memlqr.optimal: the input map Lambda on
+    [0, T] and a small cache of per-start assemblies.
     """
 
     basis: SpectralBasis
@@ -322,16 +297,12 @@ class KernelTable:
     alpha_Q: np.ndarray
     beta_Q: np.ndarray
     kernel_overridden: bool = False
+    _Lambda: np.ndarray | None = field(default=None, repr=False)
     _assembly_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_modes(self) -> int:
         return self.basis.n_modes
-
-    def K_samples(self) -> np.ndarray:
-        """(n_steps+1, n_modes, 2) samples of K(t) = Z(t) A D."""
-        lam_d = self.basis.eigenvalues[:, None] * self.basis.dmap_coeffs
-        return self.Z.T[:, :, None] * lam_d[None, :, :]
 
 
 def solve_Z(basis: SpectralBasis, grid: TimeGrid, kernel: np.ndarray | None = None) -> KernelTable:
@@ -446,7 +417,7 @@ def eval_K(table: KernelTable, t_index: int, u) -> ModalVector:
     """K(t) u = Z(t) A D u as a modal vector."""
     ub = _boundary_array(u)
     lam_d = table.basis.eigenvalues * (table.basis.dmap_coeffs @ ub)
-    return ModalVector(table.Z[:, t_index] * lam_d, space_tag=-1.0)
+    return ModalVector(table.Z[:, t_index] * lam_d)
 
 
 def adjoint_K(table: KernelTable, t_index: int, p: ModalVector) -> np.ndarray:

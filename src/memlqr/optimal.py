@@ -5,9 +5,12 @@ The input-to-state map is the block-lower-triangular operator
     (Lambda u)(t) = -int_tau^t K(t-s) u(s) ds,      K(t) = Z(t) A D,
 
 discretized with the shared product-integration weights of the kernel table.
-Adjoints are taken with respect to the trapezoid-weighted inner products, so
-Lambda* is an exact transpose and the normal operator I + Lambda Lambda* is
-symmetric positive definite in the weighted metric.  The optimal pair is
+K depends only on t - s, so the discrete Lambda on [t_j, T] is the leading
+((M-j+1) n) x ((M-j+1) 2) block of the Lambda on [0, T]: it is built once per
+table and the per-start operator is that slice of it.  Adjoints are taken
+with respect to the trapezoid-weighted inner products, so Lambda* is an
+exact transpose and the normal operator I + Lambda Lambda* is symmetric
+positive definite in the weighted metric.  The optimal pair is
 
     v+ = (I + Lambda Lambda*)^-1 h,     u+ = -Lambda* v+,
 
@@ -29,7 +32,6 @@ from .forward import (
     ControlSignal,
     StateSnapshot,
     Trajectory,
-    gamma_field,
     response_field,
     solve_voc,
 )
@@ -39,10 +41,8 @@ __all__ = [
     "OperatorAssembly",
     "OptimalSolution",
     "get_assembly",
-    "apply_Gamma",
     "apply_Lambda",
     "apply_Lambda_star",
-    "build_h",
     "solve_optimal",
     "u_plus_control_side",
     "apply_H",
@@ -54,38 +54,43 @@ __all__ = [
 _CACHE_SIZE = 3
 
 
+def _table_Lambda(table: KernelTable) -> np.ndarray:
+    """Lambda on [0, T], built on first use and kept on the table.
+
+    Rows are stacked as (node, mode) and columns as (node, channel).
+    """
+    if table._Lambda is None:
+        M, n = table.grid.n_steps, table.n_modes
+        ad = table.basis.ad_coeffs
+        blocks = np.empty((M + 1, n, M + 1, 2))
+        for k in range(n):
+            Wk = weight_matrix(table.alpha_Z[k], table.beta_Z[k], M)
+            blocks[:, k, :, :] = -Wk[:, :, None] * ad[k][None, None, :]
+        table._Lambda = blocks.reshape((M + 1) * n, (M + 1) * 2)
+    return table._Lambda
+
+
 class OperatorAssembly:
     """Dense discretization of Lambda on [t_start, T] plus cached factorizations.
 
-    Fields are stacked row-major as (node, mode) and controls as
-    (node, channel).  wV / wU are the trapezoid node weights repeated per
-    component; the scaled matrix B = sqrt(D_V) Lambda sqrt(D_U)^-1 makes the
-    two normal systems I + B B^T (state side) and I + B^T B (control side)
-    plainly symmetric.
+    Lam is the leading block of the table-wide Lambda.  Fields are stacked
+    row-major as (node, mode) and controls as (node, channel).  wV / wU are
+    the trapezoid node weights repeated per component; the scaled matrix
+    B = sqrt(D_V) Lambda sqrt(D_U)^-1 makes the two normal systems
+    I + B B^T (state side) and I + B^T B (control side) plainly symmetric.
+    The assembly keeps no reference to the table, so the table's cache of
+    assemblies forms no reference cycle.
     """
 
     def __init__(self, table: KernelTable, start: int):
-        self.table = table
         self.start = start
-        grid = table.grid
-        self.m = grid.n_steps - start
+        self.m = table.grid.n_steps - start
         self.n = table.n_modes
-        w = grid.segment_weights(start)
-        self.node_w = w
+        w = table.grid.segment_weights(start)
         self.wV = np.repeat(w, self.n)
         self.wU = np.repeat(w, 2)
         self.empty = self.m == 0
-
-        basis = table.basis
-        lam_d = basis.eigenvalues[:, None] * basis.dmap_coeffs  # (n, 2)
-        if self.empty:
-            self.Lam = np.zeros((self.n, 2))
-        else:
-            blocks = np.empty((self.m + 1, self.n, self.m + 1, 2))
-            for k in range(self.n):
-                Wk = weight_matrix(table.alpha_Z[k], table.beta_Z[k], self.m)
-                blocks[:, k, :, :] = -Wk[:, :, None] * lam_d[k][None, None, :]
-            self.Lam = blocks.reshape((self.m + 1) * self.n, (self.m + 1) * 2)
+        self.Lam = _table_Lambda(table)[: (self.m + 1) * self.n, : (self.m + 1) * 2]
 
         self._chol_state = None
         self._chol_control = None
@@ -104,11 +109,17 @@ class OperatorAssembly:
         return (self.Lam @ u.reshape(-1)).reshape(self.m + 1, self.n)
 
     def apply_Lambda_star(self, v: np.ndarray) -> np.ndarray:
-        """Exact weighted transpose; v is (m+1, n), result (m+1, 2)."""
+        """Exact weighted transpose; v is (m+1, n) or a batch (C, m+1, n).
+
+        A batch goes through one matrix-matrix product; the result is
+        (m+1, 2) or (C, m+1, 2).
+        """
+        lead = v.shape[:-2]
         if self.empty:
-            return np.zeros((1, 2))
-        y = self.Lam.T @ (self.wV * v.reshape(-1))
-        return (y / self.wU).reshape(self.m + 1, 2)
+            return np.zeros(lead + (1, 2))
+        flat = v.reshape(-1, self.wV.size)
+        y = (self.Lam.T @ (self.wV * flat).T).T / self.wU
+        return y.reshape(lead + (self.m + 1, 2))
 
     # -- factorizations ----------------------------------------------------------
 
@@ -118,11 +129,17 @@ class OperatorAssembly:
             self._chol_state = sla.cho_factor(A, lower=True)
         return self._chol_state
 
+    def _control_normal(self) -> np.ndarray:
+        return np.eye((self.m + 1) * 2) + self._B.T @ self._B
+
     def _control_factor(self):
         if self._chol_control is None:
-            A = np.eye((self.m + 1) * 2) + self._B.T @ self._B
-            self._chol_control = sla.cho_factor(A, lower=True)
+            self._chol_control = sla.cho_factor(self._control_normal(), lower=True)
         return self._chol_control
+
+    def control_normal_eigenvalues(self) -> np.ndarray:
+        """Ascending spectrum of the weighted control-side normal operator I + B^T B."""
+        return sla.eigvalsh(self._control_normal())
 
     def solve_normal_state(self, g: np.ndarray) -> np.ndarray:
         """(I + Lambda Lambda*)^-1 g by the SPD factorization; g is (m+1, n)."""
@@ -133,12 +150,12 @@ class OperatorAssembly:
         return (sol / self._sV).reshape(self.m + 1, self.n)
 
     def solve_normal_control(self, r: np.ndarray) -> np.ndarray:
-        """(I + Lambda* Lambda)^-1 r on control fields; r is (m+1, 2)."""
+        """(I + Lambda* Lambda)^-1 r on control fields; r is (m+1, 2) or (C, m+1, 2)."""
         if self.empty:
             return r.copy()
-        rhs = self._sU * r.reshape(-1)
-        sol = sla.cho_solve(self._control_factor(), rhs)
-        return (sol / self._sU).reshape(self.m + 1, 2)
+        rhs = self._sU * r.reshape(-1, self._sU.size)
+        sol = sla.cho_solve(self._control_factor(), rhs.T).T
+        return (sol / self._sU).reshape(r.shape)
 
     def solve_decoupled(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Two-field route: phi = g - Lambda Lambda* phi via the block system.
@@ -171,7 +188,11 @@ class OperatorAssembly:
 
 
 def get_assembly(table: KernelTable, start: int) -> OperatorAssembly:
-    """Small keyed cache on the table; scans touch each start transiently."""
+    """The assembly at a start node, from a small FIFO cache on the table.
+
+    Every assembly slices the one table-wide Lambda; the cache keeps the
+    per-start weighted matrix and factorizations for reuse across states.
+    """
     cache = table._assembly_cache
     if start not in cache:
         if len(cache) >= _CACHE_SIZE:
@@ -182,11 +203,6 @@ def get_assembly(table: KernelTable, start: int) -> OperatorAssembly:
 
 # ----------------------------------------------------------------------------
 # spec surface
-
-
-def apply_Gamma(v_hat, xi, table: KernelTable, start: int) -> np.ndarray:
-    """Response of the (present value, history) pair with no forcing seed."""
-    return gamma_field(v_hat, xi, table, start)
 
 
 def apply_Lambda(u: ControlSignal, table: KernelTable) -> np.ndarray:
@@ -203,11 +219,6 @@ def apply_Lambda_star(v: Trajectory | np.ndarray, table: KernelTable, start: int
     return get_assembly(table, start).apply_Lambda_star(values)
 
 
-def build_h(state: StateSnapshot, table: KernelTable) -> np.ndarray:
-    """Affine term of the optimality system: Gamma Xi + forcing response."""
-    return response_field(state, table)
-
-
 @dataclass
 class OptimalSolution:
     u_plus: ControlSignal
@@ -219,7 +230,7 @@ class OptimalSolution:
 def solve_optimal(state: StateSnapshot, table: KernelTable) -> OptimalSolution:
     """Solve the optimality system by the state-side SPD factorization."""
     asm = get_assembly(table, state.tau_index)
-    h = build_h(state, table)
+    h = response_field(state, table)
     vp = asm.solve_normal_state(h)
     up = -asm.apply_Lambda_star(vp)
     W = asm.inner_V(vp, h)
@@ -236,7 +247,7 @@ def solve_optimal(state: StateSnapshot, table: KernelTable) -> OptimalSolution:
 def u_plus_control_side(state: StateSnapshot, table: KernelTable) -> ControlSignal:
     """Second route: u+ = -(I + Lambda* Lambda)^-1 Lambda* h."""
     asm = get_assembly(table, state.tau_index)
-    h = build_h(state, table)
+    h = response_field(state, table)
     rhs = asm.apply_Lambda_star(h)
     return ControlSignal(state.tau_index, -asm.solve_normal_control(rhs))
 
@@ -262,7 +273,7 @@ def evaluate_cost(state: StateSnapshot, u: ControlSignal, table: KernelTable) ->
 def value_function(state: StateSnapshot, table: KernelTable) -> float:
     """Minimum cost-to-go via the decoupled inverse (independent of solve_optimal)."""
     asm = get_assembly(table, state.tau_index)
-    h = build_h(state, table)
+    h = response_field(state, table)
     phi = apply_H(h, table, state.tau_index)
     return asm.inner_V(phi, h)
 
@@ -276,6 +287,6 @@ def cost_gradient(
 ) -> np.ndarray:
     """Frechet gradient 2 (u + Lambda* (h + Lambda u)) in the weighted metric."""
     asm = _asm if _asm is not None else get_assembly(table, state.tau_index)
-    h = _h if _h is not None else build_h(state, table)
+    h = _h if _h is not None else response_field(state, table)
     v = h + asm.apply_Lambda(u.samples)
     return 2.0 * (u.samples + asm.apply_Lambda_star(v))

@@ -28,6 +28,10 @@ The sign of the ||C1 S||^2 term and the seed-decay booking follow from the
 terminal behaviour W_theta ~ (T - theta) ||v_hat||^2 (so P'(T) <= 0) and are
 confirmed numerically by the chain-rule closure and dissipation suites; the
 combination above is the unique one that closes both.
+
+Every scan reaches the per-node operator through optimal.get_assembly, which
+slices the one Lambda built for the whole table; node states along a
+trajectory come from forward.extend_state.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .forward import (
     ControlSignal,
@@ -47,7 +50,7 @@ from .forward import (
     solve_voc,
 )
 from .kernels import KernelTable
-from .optimal import OperatorAssembly, build_h, get_assembly, solve_optimal
+from .optimal import OperatorAssembly, get_assembly, solve_optimal
 from .spectral import ModalVector
 
 __all__ = [
@@ -88,8 +91,7 @@ def state_inner(s1: StateSnapshot, s2: StateSnapshot, table: KernelTable) -> flo
     i = s1.tau_index
     out = float(np.dot(s1.v_hat.coeffs, s2.v_hat.coeffs))
     if i > 0:
-        w = np.full(i + 1, grid.dt)
-        w[0] = w[-1] = 0.5 * grid.dt
+        w = grid.segment_weights(grid.n_steps - i)  # trapezoid weights on i panels
         out += float(np.sum(w[:, None] * s1.xi * s2.xi))
     lam2 = table.basis.eigenvalues**2
     out += float(np.dot(s1.y_hat.coeffs / lam2, s2.y_hat.coeffs))
@@ -208,21 +210,25 @@ def P_cross(state: StateSnapshot, dv, dxi, dy, table: KernelTable, phi: np.ndarr
     return 2.0 * float(np.dot(np.asarray(dv), C) + np.dot(seed, D))
 
 
+def _p_prime_and_phi(state: StateSnapshot, img: GeneratorImage, table: KernelTable):
+    """<P'(theta) S, S> and phi = H h (None on the empty horizon)."""
+    asm = get_assembly(table, state.tau_index)
+    vhat_sq = float(np.dot(state.v_hat.coeffs, state.v_hat.coeffs))
+    if asm.empty:
+        return -vhat_sq, None
+    _, _, phi = _control_side_pieces(asm, response_field(state, table))
+    gain = asm.apply_Lambda_star(phi)[0]
+    cross = P_cross(state, img.dv, img.dxi, img.dy, table, phi=phi)
+    return -vhat_sq + float(np.dot(gain, gain)) - cross, phi
+
+
 def P_prime_form(state: StateSnapshot, table: KernelTable) -> float:
     """Moving-operator derivative <P'(theta) S, S> (see the module docstring).
 
     At theta = T every integral is empty and the form collapses to
     -||v_hat||^2, matching the decay rate of W_theta ~ (T-theta)||v_hat||^2.
     """
-    img = apply_generator(state, table)
-    asm = get_assembly(table, state.tau_index)
-    vhat_sq = float(np.dot(state.v_hat.coeffs, state.v_hat.coeffs))
-    if asm.empty:
-        return -vhat_sq
-    _, _, phi = _control_side_pieces(asm, response_field(state, table))
-    gain = asm.apply_Lambda_star(phi)[0]
-    cross = P_cross(state, img.dv, img.dxi, img.dy, table, phi=phi)
-    return -vhat_sq + float(np.dot(gain, gain)) - cross
+    return _p_prime_and_phi(state, apply_generator(state, table), table)[0]
 
 
 @dataclass
@@ -277,8 +283,8 @@ def _advance_one_step(state: StateSnapshot, u0: np.ndarray, u1: np.ndarray, tabl
     """One implicit step of the Volterra solver (identical scheme, length 1)."""
     grid = table.grid
     i = state.tau_index
-    lam_d = table.basis.eigenvalues[:, None] * table.basis.dmap_coeffs
-    ad0, ad1 = lam_d @ u0, lam_d @ u1
+    ad = table.basis.ad_coeffs
+    ad0, ad1 = ad @ u0, ad @ u1
     seed = state.y_hat.coeffs - memory_functional(state.xi, grid)
     E1, N0, N1 = table.E[:, 1], table.N[:, 0], table.N[:, 1]
     R1 = E1 - N1
@@ -291,7 +297,7 @@ def _advance_one_step(state: StateSnapshot, u0: np.ndarray, u1: np.ndarray, tabl
         i + 1,
         ModalVector(v_next),
         xi_new,
-        ModalVector(np.exp(-grid.dt) * state.y_hat.coeffs, space_tag=-1.0),
+        ModalVector(np.exp(-grid.dt) * state.y_hat.coeffs),
     )
 
 
@@ -312,7 +318,7 @@ def closed_loop_simulate(state0: StateSnapshot, table: KernelTable) -> tuple[Tra
     v_cl[0] = state0.v_hat.coeffs
     cur = state0
     for step, j in enumerate(range(i0, grid.n_steps)):
-        asm = OperatorAssembly(table, j)
+        asm = get_assembly(table, j)
         h = response_field(cur, table)
         u_loc = -asm.solve_normal_control(asm.apply_Lambda_star(h))
         u_cl[step] = u_loc[0]
@@ -353,15 +359,11 @@ def bellman_check(state: StateSnapshot, t0_index: int, table: KernelTable) -> Be
     diff = sol_tail.u_plus.samples - sol.u_plus.samples[k:]
     tail_mismatch = float(np.sqrt(max(asm_tail.inner_U(diff, diff), 0.0)))
 
-    if k == 0:
-        running = 0.0
-    else:
-        w = np.full(k + 1, table.grid.dt)
-        w[0] = w[-1] = 0.5 * table.grid.dt
-        dens = np.sum(sol.v_plus.values[: k + 1] ** 2, axis=1) + np.sum(
-            sol.u_plus.samples[: k + 1] ** 2, axis=1
-        )
-        running = float(np.dot(w, dens))
+    w = table.grid.segment_weights(table.grid.n_steps - k)  # trapezoid weights on k panels
+    dens = np.sum(sol.v_plus.values[: k + 1] ** 2, axis=1) + np.sum(
+        sol.u_plus.samples[: k + 1] ** 2, axis=1
+    )
+    running = float(np.dot(w, dens))
     telescope = abs(sol.W - running - sol_tail.W)
     return BellmanReport(tail_mismatch, telescope, sol.W, sol_tail.W)
 
@@ -371,12 +373,8 @@ def bellman_check(state: StateSnapshot, t0_index: int, table: KernelTable) -> Be
 
 
 def state_along_trajectory(state0: StateSnapshot, traj: Trajectory, j: int, table: KernelTable) -> StateSnapshot:
-    """State reached at node j by riding the given trajectory."""
-    if traj.start != state0.tau_index:
-        raise ValueError("trajectory must start at the state's node")
-    if j < state0.tau_index:
-        raise ValueError("node outside the trajectory")
-    return _slice_state(state0, traj, j, table.grid.dt)
+    """State reached at node j by riding the given trajectory; extend_state validates."""
+    return extend_state(state0, None, j, table, trajectory=traj)
 
 
 @dataclass
@@ -398,47 +396,22 @@ def value_scan_batch(state0: StateSnapshot, controls, table: KernelTable):
     Returns (indices, W[node, control], trajectories).  The per-node
     control-side factorization is built once and shared across controls.
     """
-    grid = table.grid
     i0 = state0.tau_index
-    M = grid.n_steps
+    M = table.grid.n_steps
     C = len(controls)
     trajs = [solve_voc(state0, u, table) for u in controls]
     indices = np.arange(i0, M + 1)
     W = np.zeros((M - i0 + 1, C))
-    dt = grid.dt
-    for pos, j in enumerate(indices):
-        if j == M:
-            break
-        asm = OperatorAssembly(table, j)
+    for pos, j in enumerate(indices[:-1]):
+        asm = get_assembly(table, j)
         H = np.stack(
-            [
-                response_field(_slice_state(state0, trajs[c], j, dt), table)
-                for c in range(C)
-            ]
+            [response_field(extend_state(state0, None, j, table, trajectory=t), table) for t in trajs]
         )  # (C, m+1, n)
-        flat = H.reshape(C, -1)
-        R = (asm.Lam.T @ (asm.wV * flat).T).T / asm.wU[None, :]  # (C, (m+1)*2)
-        rhsU = asm._sU[None, :] * R
-        Zsol = sla.cho_solve(asm._control_factor(), rhsU.T).T / asm._sU[None, :]
+        R = asm.apply_Lambda_star(H)
+        Zsol = asm.solve_normal_control(R)
         for c in range(C):
-            W[pos, c] = float(np.dot(asm.wV * flat[c], flat[c])) - float(
-                np.dot(asm.wU * Zsol[c], R[c])
-            )
+            W[pos, c] = asm.inner_V(H[c], H[c]) - asm.inner_U(Zsol[c], R[c])
     return indices, W, trajs
-
-
-def _slice_state(state0: StateSnapshot, traj: Trajectory, j: int, dt: float) -> StateSnapshot:
-    i0 = state0.tau_index
-    k = j - i0
-    if k == 0:
-        return state0
-    xi_new = np.vstack([state0.xi, traj.values[1 : k + 1]])
-    return StateSnapshot(
-        j,
-        ModalVector(traj.values[k].copy()),
-        xi_new,
-        ModalVector(np.exp(-k * dt) * state0.y_hat.coeffs, space_tag=-1.0),
-    )
 
 
 def _fd_derivative(values: np.ndarray, dt: float) -> np.ndarray:
@@ -501,23 +474,17 @@ def chain_rule_scan(state0: StateSnapshot, u: ControlSignal, table: KernelTable)
     finite difference rides fresh Fredholm solves, the formula rides the
     explicit operator expressions.
     """
-    grid = table.grid
     scan = value_scan(state0, u, table)
-    dW = _fd_derivative(scan.W, grid.dt)
-    lam_d = table.basis.eigenvalues[:, None] * table.basis.dmap_coeffs
+    dW = _fd_derivative(scan.W, table.grid.dt)
     interior = scan.indices[1:-1]
     fd = dW[1:-1]
     formula = np.zeros_like(fd)
     rel = np.zeros_like(fd)
     for pos, j in enumerate(interior):
-        st = _slice_state(state0, scan.trajectory, j, grid.dt)
+        st = extend_state(state0, None, j, table, trajectory=scan.trajectory)
         img = apply_generator(st, table)
-        asm = get_assembly(table, j)
-        _, _, phi = _control_side_pieces(asm, response_field(st, table))
-        gain = asm.apply_Lambda_star(phi)[0]
-        cross_gen = P_cross(st, img.dv, img.dxi, img.dy, table, phi=phi)
-        p_prime = -float(np.dot(st.v_hat.coeffs, st.v_hat.coeffs)) + float(np.dot(gain, gain)) - cross_gen
-        dv_ctrl = img.dv - lam_d @ u.samples[j - state0.tau_index]
+        p_prime, phi = _p_prime_and_phi(st, img, table)
+        dv_ctrl = img.dv - table.basis.ad_coeffs @ u.samples[j - state0.tau_index]
         cross_flow = P_cross(st, dv_ctrl, img.dxi, img.dy, table, phi=phi)
         formula[pos] = p_prime + cross_flow
         rel[pos] = abs(fd[pos] - formula[pos]) / (1.0 + state_norm_sq(st, table))
@@ -547,7 +514,7 @@ def terminal_P_check(table: KernelTable, seed: int = 0) -> TerminalReport:
     def frozen(i):
         xi = np.zeros((i + 1, n))
         xi[-1] = v
-        return StateSnapshot(i, ModalVector(v.copy()), xi, ModalVector(np.zeros(n), space_tag=-1.0))
+        return StateSnapshot(i, ModalVector(v.copy()), xi, ModalVector(np.zeros(n)))
 
     sT = frozen(M)
     val_T = P_form(sT, sT, table)

@@ -25,10 +25,7 @@ __all__ = [
     "build_basis",
     "dirichlet_map",
     "apply_AD",
-    "apply_fractional",
     "adjoint_AD",
-    "fractional_norm",
-    "dual_norm",
 ]
 
 
@@ -38,6 +35,7 @@ class SpectralBasis:
 
     eigenvalues[k] = -(k+1)^2 pi^2 (strictly negative, decreasing).
     dmap_coeffs[k] = (d_n^0, d_n^1) for mode n = k+1.
+    ad_coeffs[k] = lambda_n (d_n^0, d_n^1), the modal matrix of A D.
     """
 
     n_modes: int
@@ -51,6 +49,11 @@ class SpectralBasis:
             raise ValueError("eigenvalues shape mismatch")
         if self.dmap_coeffs.shape != (self.n_modes, 2):
             raise ValueError("dmap_coeffs shape mismatch")
+
+    @property
+    def ad_coeffs(self) -> np.ndarray:
+        """(n_modes, 2) coefficients of A D: column c is A D applied to unit data c."""
+        return self.eigenvalues[:, None] * self.dmap_coeffs
 
 
 @dataclass(frozen=True)
@@ -66,16 +69,9 @@ class BoundaryVector:
 
 @dataclass
 class ModalVector:
-    """Truncated eigencoefficients of an H-valued element.
-
-    space_tag is metadata only: it records the exponent alpha such that the
-    vector models an element of Dom(-A)^alpha (alpha < 0 encodes the dual
-    space).  After truncation every modal vector is finite dimensional, so
-    the tag drives documentation and dual-norm weighting, never enforcement.
-    """
+    """Truncated eigencoefficients of an H-valued element."""
 
     coeffs: np.ndarray
-    space_tag: float = 0.0
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -85,7 +81,7 @@ class ModalVector:
             raise ValueError("ModalVector coefficients must be finite")
 
     def copy(self) -> "ModalVector":
-        return ModalVector(self.coeffs.copy(), self.space_tag)
+        return ModalVector(self.coeffs.copy())
 
 
 def build_basis(n_modes: int) -> SpectralBasis:
@@ -112,24 +108,16 @@ def dirichlet_map(u, basis: SpectralBasis) -> ModalVector:
     """Harmonic extension Du of boundary data, as modal coefficients.
 
     The extension of (u0, u1) is the linear function u0(1-x) + u1 x, so the
-    coefficients are u0 d_n^0 + u1 d_n^1.  The tag is stored as 0; the
-    extension actually lives slightly above H in the fractional scale but the
-    distinction carries no computational weight after truncation.
+    coefficients are u0 d_n^0 + u1 d_n^1.
     """
     ub = _boundary_array(u)
-    return ModalVector(basis.dmap_coeffs @ ub, space_tag=0.0)
+    return ModalVector(basis.dmap_coeffs @ ub)
 
 
 def apply_AD(u, basis: SpectralBasis) -> ModalVector:
     """Control-to-state operator A D u, the distributional image of the lift."""
     ub = _boundary_array(u)
-    return ModalVector(basis.eigenvalues * (basis.dmap_coeffs @ ub), space_tag=-1.0)
-
-
-def apply_fractional(alpha: float, v: ModalVector, basis: SpectralBasis) -> ModalVector:
-    """Apply (-A)^alpha mode by mode; the space tag drops by alpha."""
-    scale = (-basis.eigenvalues) ** alpha
-    return ModalVector(scale * v.coeffs, space_tag=v.space_tag - alpha)
+    return ModalVector(basis.eigenvalues * (basis.dmap_coeffs @ ub))
 
 
 def adjoint_AD(p: ModalVector, basis: SpectralBasis) -> BoundaryVector:
@@ -137,13 +125,3 @@ def adjoint_AD(p: ModalVector, basis: SpectralBasis) -> BoundaryVector:
     comp = basis.dmap_coeffs.T @ (basis.eigenvalues * p.coeffs)
     return BoundaryVector(float(comp[0]), float(comp[1]))
 
-
-def fractional_norm(v: ModalVector, basis: SpectralBasis, alpha: float) -> float:
-    """Norm of v in Dom(-A)^alpha, i.e. (sum (-lambda_n)^(2 alpha) c_n^2)^(1/2)."""
-    w = (-basis.eigenvalues) ** (2.0 * alpha)
-    return float(np.sqrt(np.sum(w * v.coeffs**2)))
-
-
-def dual_norm(v: ModalVector, basis: SpectralBasis) -> float:
-    """Realization of the (Dom A)' norm as ||A^{-1} v||_H."""
-    return fractional_norm(v, basis, -1.0)

@@ -53,7 +53,6 @@ def test_hat_y_examples(basis):
     e1 = np.eye(n)[0]
     out = hat_y_from_initial(np.zeros(n), e1, (0.0, 0.0), basis)
     assert np.allclose(out.coeffs, e1)
-    assert out.space_tag == -1.0
     out = hat_y_from_initial(e1, np.zeros(n), (0.0, 0.0), basis)
     assert out.coeffs[0] == pytest.approx(-1.0 + np.pi**2, rel=1e-14)
 

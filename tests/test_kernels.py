@@ -4,7 +4,6 @@ from scipy.integrate import simpson
 
 from memlqr import (
     ModalVector,
-    RegularityConstants,
     TimeGrid,
     Z_oracle,
     build_basis,
@@ -55,13 +54,6 @@ def test_grid_rejects_bad_sizes():
         TimeGrid(0.0, 10)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
-
-
-def test_regularity_constants_window():
-    rc = RegularityConstants()
-    assert 0.75 < rc.sigma < 1.0
-    assert 1.0 < rc.p0 < 4.0 / 3.0
-    assert rc.r > 2.0
 
 
 # ----------------------------------------------------------------------------

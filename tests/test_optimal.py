@@ -7,10 +7,8 @@ from memlqr import (
     SpectralBasis,
     StateSnapshot,
     TimeGrid,
-    apply_Gamma,
     apply_H,
     build_basis,
-    build_h,
     cost_gradient,
     evaluate_cost,
     solve_Z,
@@ -19,7 +17,7 @@ from memlqr import (
     u_plus_control_side,
     value_function,
 )
-from memlqr.forward import forcing_field
+from memlqr.forward import forcing_field, gamma_field, response_field
 from memlqr.optimal import get_assembly
 from scipy.integrate import simpson
 
@@ -53,13 +51,13 @@ def random_state(rng, n, decay=2.0):
 
 def test_gamma_zero(table, basis):
     n = basis.n_modes
-    out = apply_Gamma(np.zeros(n), np.zeros((1, n)), table, 0)
+    out = gamma_field(np.zeros(n), np.zeros((1, n)), table, 0)
     assert np.all(out == 0.0)
 
 
 def test_gamma_unit_mode_is_Z_column(table, basis):
     n = basis.n_modes
-    out = apply_Gamma(np.eye(n)[0], np.zeros((1, n)), table, 0)
+    out = gamma_field(np.eye(n)[0], np.zeros((1, n)), table, 0)
     assert np.all(out[:, 0] == table.Z[0])
     assert np.all(out[:, 1:] == 0.0)
 
@@ -73,7 +71,7 @@ def test_gamma_matches_voc_without_forcing(table, grid, basis):
     u = ControlSignal(0, 0.3 * np.sin(np.stack([2 * grid.nodes, 3 * grid.nodes], axis=1)))
     mid = extend_state(st0, u, 16, table)
     mid_no_seed = StateSnapshot(16, mid.v_hat, mid.xi, np.zeros(n))
-    gamma = apply_Gamma(mid.v_hat.coeffs, mid.xi, table, 16)
+    gamma = gamma_field(mid.v_hat.coeffs, mid.xi, table, 16)
     voc = solve_voc(mid_no_seed, None, table)
     assert np.max(np.abs(gamma - voc.values)) < 1e-14
 
@@ -97,7 +95,7 @@ def test_forcing_field_scalar_oracle(basis):
 def test_build_h_full_state_equals_voc(table, basis):
     rng = np.random.default_rng(3)
     st = random_state(rng, basis.n_modes)
-    h = build_h(st, table)
+    h = response_field(st, table)
     voc = solve_voc(st, None, table)
     assert np.max(np.abs(h - voc.values)) == 0.0
 
@@ -105,7 +103,7 @@ def test_build_h_full_state_equals_voc(table, basis):
 def test_build_h_zero_state(table, basis):
     n = basis.n_modes
     st = StateSnapshot.initial(np.zeros(n), np.zeros(n))
-    assert np.all(build_h(st, table) == 0.0)
+    assert np.all(response_field(st, table) == 0.0)
 
 
 # ----------------------------------------------------------------------------
@@ -178,7 +176,7 @@ def test_optimal_beats_zero_control(table, grid, basis):
     assert sol.W <= J0
     # J(0) is the uncontrolled energy of h
     asm = get_assembly(table, 0)
-    h = build_h(st, table)
+    h = response_field(st, table)
     assert J0 == pytest.approx(asm.inner_V(h, h), rel=1e-12)
 
 
@@ -194,7 +192,7 @@ def test_gradient_at_zero_control(table, grid, basis):
     st = random_state(rng, basis.n_modes)
     asm = get_assembly(table, 0)
     g = cost_gradient(st, ControlSignal.zeros(grid), table)
-    h = build_h(st, table)
+    h = response_field(st, table)
     assert np.allclose(g, 2.0 * asm.apply_Lambda_star(h), atol=1e-14)
 
 

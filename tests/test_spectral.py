@@ -7,10 +7,8 @@ from memlqr import (
     ModalVector,
     adjoint_AD,
     apply_AD,
-    apply_fractional,
     build_basis,
     dirichlet_map,
-    fractional_norm,
 )
 
 
@@ -68,7 +66,6 @@ def test_dirichlet_map_examples(basis):
 def test_apply_AD_examples(basis):
     v = apply_AD((1.0, 0.0), basis)
     assert v.coeffs[0] == pytest.approx(-np.sqrt(2) * np.pi, rel=1e-12)
-    assert v.space_tag == -1.0
     assert np.all(apply_AD((0.0, 0.0), basis).coeffs == 0.0)
     # right-endpoint input alternates in sign with the mode index
     w = apply_AD((0.0, 1.0), basis).coeffs
@@ -89,35 +86,3 @@ def test_adjoint_identity_random_pairs(basis):
 def test_adjoint_AD_zero(basis):
     out = adjoint_AD(ModalVector(np.zeros(basis.n_modes)), basis)
     assert out.u0 == 0.0 and out.u1 == 0.0
-
-
-def test_fractional_identity_and_roundtrip(basis):
-    rng = np.random.default_rng(0)
-    v = ModalVector(rng.standard_normal(basis.n_modes), space_tag=0.0)
-    same = apply_fractional(0.0, v, basis)
-    assert np.allclose(same.coeffs, v.coeffs, rtol=0, atol=0)
-    back = apply_fractional(-1.0, apply_fractional(1.0, v, basis), basis)
-    assert np.max(np.abs(back.coeffs - v.coeffs)) < 1e-13
-    assert back.space_tag == pytest.approx(v.space_tag)
-
-
-def test_fractional_half_twice_on_first_mode(basis):
-    e1 = ModalVector(np.eye(basis.n_modes)[0])
-    out = apply_fractional(0.5, apply_fractional(0.5, e1, basis), basis)
-    assert out.coeffs[0] == pytest.approx(np.pi**2, rel=1e-13)
-
-
-def test_fractional_composition_elementwise(basis):
-    rng = np.random.default_rng(7)
-    v = ModalVector(rng.standard_normal(basis.n_modes))
-    for a, b in [(0.25, 0.5), (-0.5, 1.0), (0.75, -0.25)]:
-        lhs = apply_fractional(a, apply_fractional(b, v, basis), basis)
-        rhs = apply_fractional(a + b, v, basis)
-        denom = np.maximum(np.abs(rhs.coeffs), 1.0)
-        assert np.max(np.abs(lhs.coeffs - rhs.coeffs) / denom) < 1e-13
-
-
-def test_fractional_norm_tags(basis):
-    e1 = ModalVector(np.eye(basis.n_modes)[0])
-    assert fractional_norm(e1, basis, 0.0) == pytest.approx(1.0)
-    assert fractional_norm(e1, basis, -1.0) == pytest.approx(1.0 / np.pi**2, rel=1e-13)
