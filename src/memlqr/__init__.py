@@ -7,22 +7,15 @@ structure of the optimal control is verified at desk scale on the interval.
 """
 
 from .spectral import (
-    BoundaryVector,
     ModalVector,
     SpectralBasis,
-    adjoint_AD,
-    apply_AD,
     build_basis,
-    dirichlet_map,
 )
 from .kernels import (
     KernelTable,
     TimeGrid,
     Z_oracle,
-    eval_E,
-    eval_K,
     eval_N,
-    eval_Z_prime,
     series_Z_check,
     solve_Z,
     write_kernel_csv,
@@ -43,8 +36,6 @@ from .optimal import (
     OperatorAssembly,
     OptimalSolution,
     apply_H,
-    apply_Lambda,
-    apply_Lambda_star,
     cost_gradient,
     evaluate_cost,
     solve_optimal,
@@ -65,7 +56,6 @@ from .riccati import (
     state_inner,
     state_norm_sq,
     terminal_P_check,
-    value_scan,
     value_scan_batch,
 )
 

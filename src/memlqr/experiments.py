@@ -39,13 +39,13 @@ from .riccati import (
     bellman_check,
     chain_rule_scan,
     closed_loop_simulate,
+    dissipation_residual,
     dissipation_scan,
     feedback_gain,
     riccati_residual,
     state_along_trajectory,
     terminal_P_check,
     value_scan_batch,
-    _fd_derivative,
 )
 from .spectral import build_basis
 
@@ -303,9 +303,7 @@ def _suite_dissipation(ws: _Workspace, outdir: str, n_probe: int = 50) -> SuiteR
     escaped = True
     r_cols = []
     for c, u in enumerate(probes):
-        dW = _fd_derivative(Wmat[:, c], ws.grid.dt)
-        dens = np.sum(trajs[c].values**2, axis=1) + np.sum(u.samples**2, axis=1)
-        r = dens + dW
+        _, r = dissipation_residual(Wmat[:, c], trajs[c], u, ws.grid.dt)
         r_cols.append(r)
         min_r = min(min_r, float(np.min(r)))
         if zero_state and np.all(np.abs(r) < 1e-14):
@@ -317,10 +315,9 @@ def _suite_dissipation(ws: _Workspace, outdir: str, n_probe: int = 50) -> SuiteR
 
     path = os.path.join(outdir, "dissipation.csv")
     header = ["t", "W_optimal", "dW_optimal", "r_optimal", "min_probe_r"]
-    dW_opt = _fd_derivative(rep_opt.W, ws.grid.dt)
     probe_min = np.min(np.stack(r_cols), axis=0) if r_cols else np.zeros_like(rep_opt.r)
     body = [
-        (float(ws.grid.nodes[j]), float(rep_opt.W[j]), float(dW_opt[j]), float(rep_opt.r[j]),
+        (float(ws.grid.nodes[j]), float(rep_opt.W[j]), float(rep_opt.dW[j]), float(rep_opt.r[j]),
          float(probe_min[j]))
         for j in range(len(rep_opt.r))
     ]

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import KernelTable, TimeGrid, conv_product
-from .spectral import ModalVector, SpectralBasis, _boundary_array
+from .spectral import ModalVector, SpectralBasis
 
 __all__ = [
     "StateSnapshot",
@@ -85,9 +85,6 @@ class StateSnapshot:
     @property
     def n_modes(self) -> int:
         return self.v_hat.coeffs.shape[0]
-
-    def tau(self, grid: TimeGrid) -> float:
-        return self.tau_index * grid.dt
 
     @classmethod
     def initial(cls, v_hat, y_hat) -> "StateSnapshot":
@@ -147,7 +144,9 @@ def hat_y_from_initial(v0, v1, u_trace, basis: SpectralBasis) -> ModalVector:
     v0 must represent a field whose boundary trace is u_trace; the lift
     subtraction makes the Laplacian well defined on the trace-free part.
     """
-    ub = _boundary_array(u_trace)
+    ub = np.asarray(u_trace, dtype=float)
+    if ub.shape != (2,):
+        raise ValueError("boundary data must have two components")
     c0, c1 = _coeffs(v0), _coeffs(v1)
     lap = basis.eigenvalues * (c0 - basis.dmap_coeffs @ ub)
     return ModalVector(c1 - c0 - lap)

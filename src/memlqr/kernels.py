@@ -34,21 +34,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import ModalVector, SpectralBasis, _boundary_array
+from .spectral import SpectralBasis
 
 __all__ = [
     "TimeGrid",
     "KernelTable",
     "SeriesReport",
-    "eval_E",
     "eval_N",
     "Z_oracle",
     "oscillator_solution",
     "z_exponential_terms",
     "solve_Z",
-    "eval_Z_prime",
     "series_Z_check",
-    "eval_K",
     "product_weights",
     "conv_product",
     "weight_matrix",
@@ -92,24 +89,9 @@ class TimeGrid:
         w[0] = w[-1] = 0.5 * self.dt
         return w
 
-    def node_index(self, t: float) -> int:
-        j = round(t / self.dt)
-        if not (0 <= j <= self.n_steps) or abs(j * self.dt - t) > 1e-9 * max(1.0, self.t_final):
-            raise ValueError(f"t={t} is not a grid node")
-        return int(j)
-
 
 # ----------------------------------------------------------------------------
 # closed-form kernels and the 2x2 oracle
-
-
-def eval_E(basis: SpectralBasis, n: int, t) -> float | np.ndarray:
-    """Semigroup sample exp(lambda_n t); rejects negative times."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
-    out = np.exp(basis.eigenvalues[n] * t)
-    return float(out) if out.ndim == 0 else out
 
 
 def eval_N(basis: SpectralBasis, n: int, t) -> float | np.ndarray:
@@ -199,6 +181,9 @@ def q_exponential_terms(lam: float) -> list[tuple[complex, complex, int]]:
 # product integration: exact exponential panel moments, piecewise-linear density
 
 
+_LOG_MAX = float(np.log(np.finfo(float).max))  # largest x with exp(x) finite, ~709.78
+
+
 def _panel_moments(mu: complex, dt: float) -> tuple[complex, complex, complex]:
     """m_k = int_0^dt s^k exp(-mu s) ds for k = 0, 1, 2 (series for small mu dt)."""
     z = mu * dt
@@ -276,9 +261,10 @@ def weight_matrix(alpha: np.ndarray, beta: np.ndarray, m: int) -> np.ndarray:
 class KernelTable:
     """Per-mode samples of E, N, Z, Z' and Q on the grid, plus product weights.
 
-    Arrays are n_modes x (n_steps+1).  alpha_Z/beta_Z and alpha_E/beta_E are
-    the product-integration panel weights of the Z and E kernels; assemblies
-    and both forward solvers draw from these shared tables.  The two private
+    Arrays are n_modes x (n_steps+1), all filled by solve_Z.  The alpha/beta
+    pairs are the product-integration panel weights of the Z, E and Q
+    kernels; assemblies, both forward solvers and the riccati kernel
+    pairings draw from these shared tables.  The two private
     fields are filled on first use by memlqr.optimal: the input map Lambda on
     [0, T] and a small cache of per-start assemblies.
     """
@@ -296,7 +282,6 @@ class KernelTable:
     beta_E: np.ndarray
     alpha_Q: np.ndarray
     beta_Q: np.ndarray
-    kernel_overridden: bool = False
     _Lambda: np.ndarray | None = field(default=None, repr=False)
     _assembly_cache: dict = field(default_factory=dict, repr=False)
 
@@ -305,30 +290,31 @@ class KernelTable:
         return self.basis.n_modes
 
 
-def solve_Z(basis: SpectralBasis, grid: TimeGrid, kernel: np.ndarray | None = None) -> KernelTable:
+def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
     """Tabulate the resolvent family by the implicit trapezoid Volterra solve.
 
-    kernel optionally replaces the memory kernel samples (tests force N = 0
-    to collapse Z onto E).  The implicit step divides by 1 - (dt/2) N(0),
-    which vanishes only for dt = 2 / N(0); rejected explicitly.
+    Z is solved on the grid; Z' = (lambda + 1) Z - Q and the product weights
+    of the Z, E and Q kernels are tabulated alongside.  Two grids are
+    rejected explicitly: one where the implicit step coefficient
+    1 - (dt/2) N(0) vanishes (dt = 2 / N(0)), and one where a mode has
+    |lambda| dt > log(DBL_MAX), so that exp(-mu dt) in the panel moments
+    would overflow into NaN product weights.
     """
     M = grid.n_steps
     dt = grid.dt
     t = grid.nodes
     n = basis.n_modes
     E = np.exp(np.outer(basis.eigenvalues, t))
-    if kernel is None:
-        N = np.stack([eval_N(basis, k, t) for k in range(n)])
-        overridden = False
-    else:
-        N = np.asarray(kernel, dtype=float)
-        if N.shape != (n, M + 1):
-            raise ValueError("kernel override shape mismatch")
-        overridden = True
+    N = np.stack([eval_N(basis, k, t) for k in range(n)])
 
     denom = 1.0 - 0.5 * dt * N[:, 0]
     if np.any(np.abs(denom) < 1e-12):
         raise ValueError("implicit step coefficient vanished; dt too large for this kernel")
+    stiff = np.abs(basis.eigenvalues) * dt
+    if np.any(stiff > _LOG_MAX):
+        k = int(np.argmax(stiff > _LOG_MAX))
+        raise ValueError(f"mode {k + 1} has |lambda| dt = {stiff[k]:.1f} > log(DBL_MAX) = {_LOG_MAX:.2f}; "
+                         "its panel moments would overflow (refine the grid or use fewer modes)")
 
     Z = np.zeros_like(E)
     Z[:, 0] = 1.0
@@ -352,25 +338,10 @@ def solve_Z(basis: SpectralBasis, grid: TimeGrid, kernel: np.ndarray | None = No
 
     chi = np.exp(-t)
     Q = np.stack([conv_product(alpha_Z[k], beta_Z[k], chi) for k in range(n)])
+    Zp = (basis.eigenvalues[:, None] + 1.0) * Z - Q
 
-    table = KernelTable(basis, grid, E, N, Z, np.zeros_like(Z), Q,
-                        alpha_Z, beta_Z, alpha_E, beta_E, alpha_Q, beta_Q,
-                        kernel_overridden=overridden)
-    eval_Z_prime(table)
-    return table
-
-
-def eval_Z_prime(table: KernelTable) -> None:
-    """Fill the derivative column, Z' = (lambda + 1) Z - Q.
-
-    With the memory kernel forced to zero the resolvent is the bare
-    semigroup, so the derivative degenerates to lambda Z.
-    """
-    lam = table.basis.eigenvalues[:, None]
-    if table.kernel_overridden and not np.any(table.N):
-        table.Zp[:] = lam * table.Z
-    else:
-        table.Zp[:] = (lam + 1.0) * table.Z - table.Q
+    return KernelTable(basis, grid, E, N, Z, Zp, Q,
+                       alpha_Z, beta_Z, alpha_E, beta_E, alpha_Q, beta_Q)
 
 
 @dataclass(frozen=True)
@@ -411,19 +382,6 @@ def series_Z_check(table: KernelTable, k_max: int) -> SeriesReport:
         total = total + term
         errors.append(np.max(np.abs(total - Z)))
     return SeriesReport(k_max, np.array(errors))
-
-
-def eval_K(table: KernelTable, t_index: int, u) -> ModalVector:
-    """K(t) u = Z(t) A D u as a modal vector."""
-    ub = _boundary_array(u)
-    lam_d = table.basis.eigenvalues * (table.basis.dmap_coeffs @ ub)
-    return ModalVector(table.Z[:, t_index] * lam_d)
-
-
-def adjoint_K(table: KernelTable, t_index: int, p: ModalVector) -> np.ndarray:
-    """K*(t) p = adjoint_AD(Z(t) p); Z is selfadjoint and diagonal."""
-    zp = table.Z[:, t_index] * p.coeffs
-    return table.basis.dmap_coeffs.T @ (table.basis.eigenvalues * zp)
 
 
 def write_kernel_csv(table: KernelTable, path) -> None:

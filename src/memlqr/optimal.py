@@ -41,8 +41,6 @@ __all__ = [
     "OperatorAssembly",
     "OptimalSolution",
     "get_assembly",
-    "apply_Lambda",
-    "apply_Lambda_star",
     "solve_optimal",
     "u_plus_control_side",
     "apply_H",
@@ -199,24 +197,6 @@ def get_assembly(table: KernelTable, start: int) -> OperatorAssembly:
             cache.pop(next(iter(cache)))
         cache[start] = OperatorAssembly(table, start)
     return cache[start]
-
-
-# ----------------------------------------------------------------------------
-# spec surface
-
-
-def apply_Lambda(u: ControlSignal, table: KernelTable) -> np.ndarray:
-    return get_assembly(table, u.start).apply_Lambda(u.samples)
-
-
-def apply_Lambda_star(v: Trajectory | np.ndarray, table: KernelTable, start: int | None = None) -> np.ndarray:
-    if isinstance(v, Trajectory):
-        start, values = v.start, v.values
-    else:
-        values = v
-        if start is None:
-            raise ValueError("start index required for raw arrays")
-    return get_assembly(table, start).apply_Lambda_star(values)
 
 
 @dataclass

@@ -68,8 +68,8 @@ __all__ = [
     "closed_loop_simulate",
     "bellman_check",
     "BellmanReport",
-    "value_scan",
     "value_scan_batch",
+    "dissipation_residual",
     "dissipation_scan",
     "DissipationReport",
     "chain_rule_scan",
@@ -167,9 +167,8 @@ def P_form(s1: StateSnapshot, s2: StateSnapshot, table: KernelTable) -> float:
         return 0.0
     h1 = response_field(s1, table)
     h2 = response_field(s2, table)
-    r1, z1, _ = _control_side_pieces(asm, h1)
-    r2 = asm.apply_Lambda_star(h2)
-    return asm.inner_V(h1, h2) - asm.inner_U(z1, r2)
+    z1 = asm.solve_normal_control(asm.apply_Lambda_star(h1))
+    return asm.inner_V(h1, h2) - asm.inner_U(z1, asm.apply_Lambda_star(h2))
 
 
 def _kernel_pairings(phi: np.ndarray, table: KernelTable, start: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,16 +209,18 @@ def P_cross(state: StateSnapshot, dv, dxi, dy, table: KernelTable, phi: np.ndarr
     return 2.0 * float(np.dot(np.asarray(dv), C) + np.dot(seed, D))
 
 
-def _p_prime_and_phi(state: StateSnapshot, img: GeneratorImage, table: KernelTable):
-    """<P'(theta) S, S> and phi = H h (None on the empty horizon)."""
+def _p_prime_and_cross(state: StateSnapshot, img: GeneratorImage, table: KernelTable,
+                       phi: np.ndarray | None = None) -> tuple[float, float]:
+    """<P'(theta) S, S> and cross(S, A_theta S); phi = H h is solved for unless given."""
     asm = get_assembly(table, state.tau_index)
     vhat_sq = float(np.dot(state.v_hat.coeffs, state.v_hat.coeffs))
     if asm.empty:
-        return -vhat_sq, None
-    _, _, phi = _control_side_pieces(asm, response_field(state, table))
+        return -vhat_sq, 0.0
+    if phi is None:
+        _, _, phi = _control_side_pieces(asm, response_field(state, table))
     gain = asm.apply_Lambda_star(phi)[0]
     cross = P_cross(state, img.dv, img.dxi, img.dy, table, phi=phi)
-    return -vhat_sq + float(np.dot(gain, gain)) - cross, phi
+    return -vhat_sq + float(np.dot(gain, gain)) - cross, cross
 
 
 def P_prime_form(state: StateSnapshot, table: KernelTable) -> float:
@@ -228,7 +229,7 @@ def P_prime_form(state: StateSnapshot, table: KernelTable) -> float:
     At theta = T every integral is empty and the form collapses to
     -||v_hat||^2, matching the decay rate of W_theta ~ (T-theta)||v_hat||^2.
     """
-    return _p_prime_and_phi(state, apply_generator(state, table), table)[0]
+    return _p_prime_and_cross(state, apply_generator(state, table), table)[0]
 
 
 @dataclass
@@ -248,9 +249,7 @@ def riccati_residual(state: StateSnapshot, table: KernelTable) -> RiccatiReport:
     The feedback norm comes from the state-side optimality solve, a separate
     numerical route from the control-side pieces inside P'.
     """
-    img = apply_generator(state, table)
-    p_prime = P_prime_form(state, table)
-    cross = P_cross(state, img.dv, img.dxi, img.dy, table)
+    p_prime, cross = _p_prime_and_cross(state, apply_generator(state, table), table)
     sol = solve_optimal(state, table)
     gain = sol.u_plus.samples[0]
     gain_sq = float(np.dot(gain, gain))
@@ -377,19 +376,6 @@ def state_along_trajectory(state0: StateSnapshot, traj: Trajectory, j: int, tabl
     return extend_state(state0, None, j, table, trajectory=traj)
 
 
-@dataclass
-class ValueScan:
-    indices: np.ndarray
-    W: np.ndarray
-    trajectory: Trajectory
-
-
-def value_scan(state0: StateSnapshot, u: ControlSignal, table: KernelTable) -> ValueScan:
-    """Value function along the controlled trajectory, one restart per node."""
-    scan = value_scan_batch(state0, [u], table)
-    return ValueScan(scan[0], scan[1][:, 0], scan[2][0])
-
-
 def value_scan_batch(state0: StateSnapshot, controls, table: KernelTable):
     """W_theta along the trajectories of several controls from one state.
 
@@ -429,11 +415,20 @@ def _fd_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def dissipation_residual(W: np.ndarray, trajectory: Trajectory, u: ControlSignal,
+                         dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """dW/dtheta and r(theta) = ||v||^2 + ||u||^2 + dW/dtheta along one trajectory."""
+    dW = _fd_derivative(W, dt)
+    dens = np.sum(trajectory.values**2, axis=1) + np.sum(u.samples**2, axis=1)
+    return dW, dens + dW
+
+
 @dataclass
 class DissipationReport:
     indices: np.ndarray
     r: np.ndarray
     W: np.ndarray
+    dW: np.ndarray
 
     @property
     def min_r(self) -> float:
@@ -451,10 +446,9 @@ def dissipation_scan(state: StateSnapshot, u: ControlSignal, table: KernelTable)
     along the optimal one.  dW/dtheta by central differences with the grid
     step, one-sided at the segment ends.
     """
-    scan = value_scan(state, u, table)
-    dW = _fd_derivative(scan.W, table.grid.dt)
-    dens = np.sum(scan.trajectory.values**2, axis=1) + np.sum(u.samples**2, axis=1)
-    return DissipationReport(scan.indices, dens + dW, scan.W)
+    indices, W, trajs = value_scan_batch(state, [u], table)
+    dW, r = dissipation_residual(W[:, 0], trajs[0], u, table.grid.dt)
+    return DissipationReport(indices, r, W[:, 0], dW)
 
 
 @dataclass
@@ -472,23 +466,32 @@ def chain_rule_scan(state0: StateSnapshot, u: ControlSignal, table: KernelTable)
     S' carries the generator image plus the control block, dv -= A D u(theta).
     This is the two-route validation of the moving-operator derivative: the
     finite difference rides fresh Fredholm solves, the formula rides the
-    explicit operator expressions.
+    explicit operator expressions.  One sweep: W, P' and both cross terms at
+    a node share its control-side solve.
     """
-    scan = value_scan(state0, u, table)
-    dW = _fd_derivative(scan.W, table.grid.dt)
-    interior = scan.indices[1:-1]
-    fd = dW[1:-1]
-    formula = np.zeros_like(fd)
-    rel = np.zeros_like(fd)
-    for pos, j in enumerate(interior):
-        st = extend_state(state0, None, j, table, trajectory=scan.trajectory)
+    i0 = state0.tau_index
+    traj = solve_voc(state0, u, table)
+    indices = np.arange(i0, table.grid.n_steps + 1)
+    W = np.zeros(len(indices))
+    formula = np.zeros(len(indices))
+    norm_sq = np.zeros(len(indices))
+    for pos, j in enumerate(indices[:-1]):
+        st = extend_state(state0, None, j, table, trajectory=traj)
+        asm = get_assembly(table, j)
+        h = response_field(st, table)
+        r, z, phi = _control_side_pieces(asm, h)
+        W[pos] = asm.inner_V(h, h) - asm.inner_U(z, r)
+        if pos == 0:
+            continue
         img = apply_generator(st, table)
-        p_prime, phi = _p_prime_and_phi(st, img, table)
-        dv_ctrl = img.dv - table.basis.ad_coeffs @ u.samples[j - state0.tau_index]
-        cross_flow = P_cross(st, dv_ctrl, img.dxi, img.dy, table, phi=phi)
-        formula[pos] = p_prime + cross_flow
-        rel[pos] = abs(fd[pos] - formula[pos]) / (1.0 + state_norm_sq(st, table))
-    return ChainRuleReport(interior, fd, formula, np.abs(fd - formula), rel)
+        p_prime, _ = _p_prime_and_cross(st, img, table, phi=phi)
+        dv_ctrl = img.dv - table.basis.ad_coeffs @ u.samples[pos]
+        formula[pos] = p_prime + P_cross(st, dv_ctrl, img.dxi, img.dy, table, phi=phi)
+        norm_sq[pos] = state_norm_sq(st, table)
+    fd = _fd_derivative(W, table.grid.dt)[1:-1]
+    formula = formula[1:-1]
+    residual = np.abs(fd - formula)
+    return ChainRuleReport(indices[1:-1], fd, formula, residual, residual / (1.0 + norm_sq[1:-1]))
 
 
 @dataclass

@@ -21,11 +21,7 @@ import numpy as np
 __all__ = [
     "SpectralBasis",
     "ModalVector",
-    "BoundaryVector",
     "build_basis",
-    "dirichlet_map",
-    "apply_AD",
-    "adjoint_AD",
 ]
 
 
@@ -56,17 +52,6 @@ class SpectralBasis:
         return self.eigenvalues[:, None] * self.dmap_coeffs
 
 
-@dataclass(frozen=True)
-class BoundaryVector:
-    """Dirichlet data at the two endpoints, an element of U = R^2."""
-
-    u0: float
-    u1: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u0, self.u1], dtype=float)
-
-
 @dataclass
 class ModalVector:
     """Truncated eigencoefficients of an H-valued element."""
@@ -93,35 +78,4 @@ def build_basis(n_modes: int) -> SpectralBasis:
     d0 = np.sqrt(2.0) / (n * np.pi)
     d1 = d0 * (-1.0) ** (n + 1)
     return SpectralBasis(n_modes, eigenvalues, np.stack([d0, d1], axis=1))
-
-
-def _boundary_array(u) -> np.ndarray:
-    if isinstance(u, BoundaryVector):
-        return u.as_array()
-    arr = np.asarray(u, dtype=float)
-    if arr.shape != (2,):
-        raise ValueError("boundary data must have two components")
-    return arr
-
-
-def dirichlet_map(u, basis: SpectralBasis) -> ModalVector:
-    """Harmonic extension Du of boundary data, as modal coefficients.
-
-    The extension of (u0, u1) is the linear function u0(1-x) + u1 x, so the
-    coefficients are u0 d_n^0 + u1 d_n^1.
-    """
-    ub = _boundary_array(u)
-    return ModalVector(basis.dmap_coeffs @ ub)
-
-
-def apply_AD(u, basis: SpectralBasis) -> ModalVector:
-    """Control-to-state operator A D u, the distributional image of the lift."""
-    ub = _boundary_array(u)
-    return ModalVector(basis.eigenvalues * (basis.dmap_coeffs @ ub))
-
-
-def adjoint_AD(p: ModalVector, basis: SpectralBasis) -> BoundaryVector:
-    """Exact transpose of apply_AD: <A D u, p>_H = <u, adjoint_AD(p)>_U."""
-    comp = basis.dmap_coeffs.T @ (basis.eigenvalues * p.coeffs)
-    return BoundaryVector(float(comp[0]), float(comp[1]))
 

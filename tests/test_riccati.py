@@ -26,7 +26,7 @@ from memlqr import (
     terminal_P_check,
     value_function,
 )
-from memlqr.riccati import _advance_one_step, state_along_trajectory
+from memlqr.riccati import _advance_one_step, _fd_derivative, state_along_trajectory, value_scan_batch
 
 
 @pytest.fixture(scope="module")
@@ -430,3 +430,49 @@ def test_cross_pairing_agrees_with_field_pairing(table, interior_state, basis):
     field = generator_response(dv, dxi, dy, table, interior_state.tau_index)
     trap = 2.0 * asm.inner_V(phi, field)
     assert abs(exact - trap) < 5e-4 * (1 + abs(exact))
+
+
+
+@pytest.fixture
+def control_solves(monkeypatch):
+    """Start nodes of every OperatorAssembly.solve_normal_control call."""
+    from memlqr.optimal import OperatorAssembly
+
+    calls = []
+    solve = OperatorAssembly.solve_normal_control
+
+    def counted(self, r):
+        calls.append(self.start)
+        return solve(self, r)
+
+    monkeypatch.setattr(OperatorAssembly, "solve_normal_control", counted)
+    return calls
+
+
+def test_chain_rule_scan_solves_each_node_once(control_solves, table, grid, interior_state):
+    # W, P' and both cross terms at a node share one control-side solve
+    i0 = grid.n_steps - 12
+    warm = extend_state(interior_state, sine_control(grid, 16), i0, table)
+    chain_rule_scan(warm, sine_control(grid, i0), table)
+    assert control_solves == list(range(i0, grid.n_steps))
+
+
+def test_riccati_residual_solves_once(control_solves, table, interior_state):
+    riccati_residual(interior_state, table)
+    assert control_solves == [interior_state.tau_index]
+
+
+def test_chain_rule_scan_matches_the_separate_routes(table, grid, basis, interior_state):
+    # the one-sweep scan returns exactly the numbers of the value scan, P'
+    # and the cross pairing evaluated on their own
+    i0 = grid.n_steps - 8
+    warm = extend_state(interior_state, sine_control(grid, 16), i0, table)
+    u = sine_control(grid, i0)
+    rep = chain_rule_scan(warm, u, table)
+    _, W, trajs = value_scan_batch(warm, [u], table)
+    assert np.array_equal(rep.fd, _fd_derivative(W[:, 0], grid.dt)[1:-1])
+    for pos, j in enumerate(rep.indices):
+        st = state_along_trajectory(warm, trajs[0], j, table)
+        img = apply_generator(st, table)
+        dv_ctrl = img.dv - basis.ad_coeffs @ u.samples[j - i0]
+        assert rep.formula[pos] == P_prime_form(st, table) + P_cross(st, dv_ctrl, img.dxi, img.dy, table)

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from memlqr import (
-    BoundaryVector,
-    ModalVector,
-    adjoint_AD,
-    apply_AD,
-    build_basis,
-    dirichlet_map,
-)
+from memlqr import build_basis
 
 
 @pytest.fixture(scope="module")
@@ -55,34 +48,19 @@ def test_dmap_coeffs_match_quadrature(basis):
 
 
 def test_dirichlet_map_examples(basis):
-    v = dirichlet_map(BoundaryVector(1.0, 0.0), basis)
-    assert v.coeffs[0] == pytest.approx(np.sqrt(2) / np.pi, rel=1e-12)
-    z = dirichlet_map((0.0, 0.0), basis)
-    assert np.all(z.coeffs == 0.0)
-    both = dirichlet_map((1.0, 1.0), basis)
-    assert both.coeffs[1] == pytest.approx(0.0, abs=1e-15)
+    # the lift of (u0, u1) has coefficients u0 d_n^0 + u1 d_n^1
+    v = basis.dmap_coeffs @ np.array([1.0, 0.0])
+    assert v[0] == pytest.approx(np.sqrt(2) / np.pi, rel=1e-12)
+    assert np.all(basis.dmap_coeffs @ np.zeros(2) == 0.0)
+    both = basis.dmap_coeffs @ np.array([1.0, 1.0])
+    assert both[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_apply_AD_examples(basis):
-    v = apply_AD((1.0, 0.0), basis)
-    assert v.coeffs[0] == pytest.approx(-np.sqrt(2) * np.pi, rel=1e-12)
-    assert np.all(apply_AD((0.0, 0.0), basis).coeffs == 0.0)
-    # right-endpoint input alternates in sign with the mode index
-    w = apply_AD((0.0, 1.0), basis).coeffs
+    # A D applied to left-endpoint data is lambda_n d_n^0 = -sqrt(2) n pi
+    ad = basis.ad_coeffs
     n = np.arange(1, basis.n_modes + 1)
-    assert np.all(np.sign(w) == (-1.0) ** n)
-
-
-def test_adjoint_identity_random_pairs(basis):
-    rng = np.random.default_rng(42)
-    for _ in range(100):
-        u = rng.standard_normal(2)
-        p = ModalVector(rng.standard_normal(basis.n_modes))
-        lhs = float(np.dot(apply_AD(u, basis).coeffs, p.coeffs))
-        rhs = float(np.dot(u, adjoint_AD(p, basis).as_array()))
-        assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
-
-
-def test_adjoint_AD_zero(basis):
-    out = adjoint_AD(ModalVector(np.zeros(basis.n_modes)), basis)
-    assert out.u0 == 0.0 and out.u1 == 0.0
+    assert np.allclose(ad[:, 0], -np.sqrt(2) * n * np.pi, rtol=1e-12, atol=0.0)
+    assert np.all(ad @ np.zeros(2) == 0.0)
+    # right-endpoint input alternates in sign with the mode index
+    assert np.all(np.sign(ad[:, 1]) == (-1.0) ** n)
