@@ -15,9 +15,14 @@ Two independent routes compute the same trajectory on [tau, T]:
   solve_voc       -- direct evaluation of the resolvent-family variation of
                      constants formula (no implicit solve).
 
-simulate_damped_wave integrates the original second-order equation per mode
-(lifted by the Dirichlet map, Crank-Nicolson) and is the transformation
-cross-check for both.
+simulate_damped_wave integrates the original second-order equation, all
+modes at once (lifted by the Dirichlet map, Crank-Nicolson), and is the
+transformation cross-check for both.
+
+Every history sum is carried by the exact exponential recurrences of
+memlqr.kernels (volterra_trapezoid, product_convolution), so each route costs
+O(n M) per trajectory.  The routes are causal: extend_state solves only the
+steps it keeps, and the values it keeps are those of the full solve.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelTable, TimeGrid, conv_product
+from .kernels import (KernelTable, TimeGrid, e_exponential_terms, product_convolution,
+                      volterra_trapezoid, z_exponential_terms)
 from .spectral import ModalVector, SpectralBasis
 
 __all__ = [
@@ -196,10 +202,7 @@ def _ad_samples(u: ControlSignal, table: KernelTable) -> np.ndarray:
 def control_field(u: ControlSignal, table: KernelTable) -> np.ndarray:
     """Control response -int_tau^t Z(t-s) A D u(s) ds by product integration."""
     ad = _ad_samples(u, table)
-    out = np.zeros((u.samples.shape[0], table.n_modes))
-    for k in range(table.n_modes):
-        out[:, k] = -conv_product(table.alpha_Z[k], table.beta_Z[k], ad[:, k])
-    return out
+    return -product_convolution(z_exponential_terms, table.basis.eigenvalues, table.grid.dt, ad)
 
 
 def solve_voc(state: StateSnapshot, u: ControlSignal | None, table: KernelTable) -> Trajectory:
@@ -222,42 +225,41 @@ def solve_volterra(state: StateSnapshot, u: ControlSignal | None, table: KernelT
     E-kernel product integration.  The memory term keeps plain trapezoid
     weights; its diagonal coefficient 1 - (dt/2) N(0) is checked.
     """
+    return Trajectory(state.tau_index, _volterra_steps(state, u, table, table.grid.n_steps - state.tau_index))
+
+
+def _volterra_steps(state: StateSnapshot, u: ControlSignal | None, table: KernelTable, k: int) -> np.ndarray:
+    """The first k steps of solve_volterra, values at nodes tau .. tau + k.
+
+    Every stage is causal, so these rows are bitwise those of the full solve.
+    """
     grid = table.grid
     i = state.tau_index
-    m = grid.n_steps - i
-    dt = grid.dt
     n = table.n_modes
 
     I = memory_functional(state.xi, grid)
     seed = state.y_hat.coeffs - I
-    E = table.E[:, : m + 1]
-    N = table.N[:, : m + 1]
+    E = table.E[:, : k + 1]
+    N = table.N[:, : k + 1]
     R = E - N  # exact integral of the exponential forcing kernel
 
     if u is not None:
-        if u.start != i or u.samples.shape[0] != m + 1:
+        if u.start != i or u.samples.shape[0] != grid.n_steps - i + 1:
             raise ValueError("control segment mismatch")
-        ad = _ad_samples(u, table)
-        ctrl = np.zeros((m + 1, n))
-        for k in range(n):
-            ctrl[:, k] = conv_product(table.alpha_E[k], table.beta_E[k], ad[:, k])
+        ad = _ad_samples(u, table)[: k + 1]
+        ctrl = product_convolution(e_exponential_terms, table.basis.eigenvalues, grid.dt, ad)
     else:
-        ctrl = np.zeros((m + 1, n))
+        ctrl = np.zeros((k + 1, n))
 
     F = E.T * state.v_hat.coeffs[None, :] + R.T * seed[None, :] - ctrl
 
-    denom = 1.0 - 0.5 * dt * N[:, 0]
+    denom = 1.0 - 0.5 * grid.dt * N[:, 0]
     if np.any(np.abs(denom) < 1e-12):
         raise ValueError("implicit step coefficient vanished; dt too large")
 
-    v = np.zeros((m + 1, n))
+    v = np.zeros((k + 1, n))
     v[0] = state.v_hat.coeffs
-    for j in range(1, m + 1):
-        s = 0.5 * N[:, j] * v[0]
-        if j > 1:
-            s = s + np.einsum("kl,lk->k", N[:, j - 1 : 0 : -1], v[1:j])
-        v[j] = (F[j] + dt * s) / denom
-    return Trajectory(i, v)
+    return volterra_trapezoid(table.basis.eigenvalues, N, grid.dt, v, F=F)
 
 
 def simulate_damped_wave(v0, v1, control: SmoothControl, table: KernelTable) -> Trajectory:
@@ -286,19 +288,21 @@ def simulate_damped_wave(v0, v1, control: SmoothControl, table: KernelTable) -> 
     w0 = _coeffs(v0) - Du[0]
     w1 = _coeffs(v1) - np.asarray(control.du(0.0), dtype=float) @ d.T
 
+    lam = basis.eigenvalues
+    A = np.zeros((n, 2, 2))
+    A[:, 0, 1] = 1.0
+    A[:, 1, :] = lam[:, None]
+    Am = np.eye(2) - 0.5 * dt * A
+    Ap = np.eye(2) + 0.5 * dt * A
+    solve_step = np.linalg.inv(Am)
     V = np.zeros((M + 1, n))
     V[0] = _coeffs(v0)
-    for k in range(n):
-        lam = basis.eigenvalues[k]
-        A = np.array([[0.0, 1.0], [lam, lam]])
-        Am = np.eye(2) - 0.5 * dt * A
-        Ap = np.eye(2) + 0.5 * dt * A
-        solve_step = np.linalg.inv(Am)
-        x = np.array([w0[k], w1[k]])
-        for j in range(1, M + 1):
-            b = np.array([0.0, -0.5 * (g[j - 1, k] + g[j, k])])
-            x = solve_step @ (Ap @ x + dt * b)
-            V[j, k] = x[0] + Du[j, k]
+    x = np.stack([w0, w1], axis=1)
+    b = np.zeros((n, 2))
+    for j in range(1, M + 1):
+        b[:, 1] = -0.5 * (g[j - 1] + g[j])
+        x = np.einsum("kab,kb->ka", solve_step, np.einsum("kab,kb->ka", Ap, x) + dt * b)
+        V[j] = x[:, 0] + Du[j]
     return Trajectory(0, V)
 
 
@@ -313,7 +317,9 @@ def extend_state(
 
     The new triple is (v(t1), xi ++ v on (tau, t1], exp(-(t1-tau)) y_hat);
     the history concatenation and the seed decay are exact operations, the
-    new present value rides the discrete trajectory.
+    new present value rides the discrete trajectory.  Without a trajectory
+    the Volterra route solves only the t1 - tau steps kept, which gives the
+    same values as slicing solve_volterra on [tau, T].
     """
     i = state.tau_index
     if t1_index < i:
@@ -324,14 +330,13 @@ def extend_state(
         raise ValueError("trajectory must start at the state's node")
     if t1_index == i:
         return StateSnapshot(i, state.v_hat.copy(), state.xi.copy(), state.y_hat.copy())
-    if trajectory is None:
-        trajectory = solve_volterra(state, u, table)
     k = t1_index - i
-    xi_new = np.vstack([state.xi, trajectory.values[1 : k + 1]])
+    values = _volterra_steps(state, u, table, k) if trajectory is None else trajectory.values
+    xi_new = np.vstack([state.xi, values[1 : k + 1]])
     decay = np.exp(-(table.grid.dt * k))
     return StateSnapshot(
         t1_index,
-        ModalVector(trajectory.values[k].copy()),
+        ModalVector(values[k].copy()),
         xi_new,
         ModalVector(decay * state.y_hat.coeffs),
     )

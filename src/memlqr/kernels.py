@@ -25,6 +25,14 @@ interpolated piecewise-linearly and the exponential-sum kernel is integrated
 exactly on each panel.  Plain trapezoid on those convolutions loses three to
 four digits on the stiffest modes (|lambda| dt ~ 1), which the product rule
 avoids at identical cost.
+
+Recursive convolution: every kernel here is a sum of two to four
+exponentials per mode, so each history sum is carried through the time loop
+by one running sum per exponential, S <- r (S + x) with r = exp(mu dt), in
+the manner of Lubich & Schaedle (2002), exact rather than approximate.
+volterra_trapezoid (Z, the series check and the Volterra forward route) and
+product_convolution (Q and the control responses) cost O(n M) instead of
+O(n M^2); conv_product and weight_matrix are kept as the dense references.
 """
 
 from __future__ import annotations
@@ -44,9 +52,12 @@ __all__ = [
     "Z_oracle",
     "oscillator_solution",
     "z_exponential_terms",
+    "e_exponential_terms",
     "solve_Z",
     "series_Z_check",
     "product_weights",
+    "product_convolution",
+    "volterra_trapezoid",
     "conv_product",
     "weight_matrix",
     "write_kernel_csv",
@@ -254,6 +265,80 @@ def weight_matrix(alpha: np.ndarray, beta: np.ndarray, m: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
+# recursive convolution: one running sum per exponential term, O(n M)
+
+
+def product_convolution(kernel_terms, lam: np.ndarray, dt: float, density: np.ndarray) -> np.ndarray:
+    """Per-mode conv_product against product_weights(kernel_terms(lam[k])), by recurrences.
+
+    density is (m+1, n), or (m+1, 1) for one density shared by every mode;
+    the result is (m+1, n) with row 0 zero.  A term c e^{mu t} has the
+    weights alpha[g] = Re(c a_loc rho^g), beta[g] = Re(c b_loc rho^g) with
+    rho = e^{mu dt}, so its left and right panel sums share one carry,
+
+        P_j = rho P_{j-1} + (c rho a_loc) d_{j-1} + (c rho b_loc) d_j,
+
+    and out_j is the sum over terms of Re(P_j).  The carry decays and both
+    coefficients are finite first-panel weights, even for stiff modes.
+    """
+    per_mode = [kernel_terms(float(l)) for l in lam]
+    if any(deg for terms in per_mode for _, _, deg in terms):
+        raise ValueError("recursive convolution needs distinct characteristic roots (lambda != -4)")
+    c = np.array([[t[0] for t in terms] for terms in per_mode])
+    mu = np.array([[t[1] for t in terms] for terms in per_mode])
+    moments = np.vectorize(lambda z: _panel_moments(z, dt), otypes=[complex] * 3)
+    m0, m1, _ = moments(mu)
+    rho = np.exp(mu * dt)
+    w_left = c * rho * ((dt * m0 - m1) / dt)
+    w_right = c * rho * (m1 / dt)
+    d = np.asarray(density, dtype=float)[:, :, None]
+    P = np.zeros(c.shape, dtype=complex)
+    out = np.zeros((d.shape[0], c.shape[0]))
+    for j in range(1, d.shape[0]):
+        P = rho * P + (w_left * d[j - 1] + w_right * d[j])
+        out[j] = P.real.sum(axis=1)
+    return out
+
+
+def volterra_trapezoid(lam: np.ndarray, N: np.ndarray, dt: float, x: np.ndarray,
+                       F: np.ndarray | None = None) -> np.ndarray:
+    """Trapezoid memory term of a second-kind Volterra equation with kernel N.
+
+    N is the (n, >= m+1) table of N = a e^{lam t} + b e^{-t}, a = lam/(lam+1),
+    b = 1/(lam+1); x is (m+1, n), time first.  The history sum
+    sum_{l=1}^{j-1} N_{j-l} x_l is carried by two running sums per mode,
+    S <- r (S + x_j) with r = e^{lam dt} and e^{-dt}; the endpoint terms read
+    the table itself.
+
+    With F, x[0] holds the start value and x[1:] is overwritten with the
+    implicit-trapezoid solution
+
+        x_j = (F_j + dt (N_j x_0 / 2 + sum)) / (1 - (dt/2) N_0);
+
+    without F, x is a given density and the explicit trapezoid convolution
+    dt (N_j x_0 / 2 + N_0 x_j / 2 + sum) is returned, row 0 zero.
+    """
+    m = x.shape[0] - 1
+    a, b = lam / (lam + 1.0), 1.0 / (lam + 1.0)
+    r1, r2 = np.exp(lam * dt), np.exp(-dt)
+    S1 = np.zeros(x.shape[1])
+    S2 = np.zeros(x.shape[1])
+    head = 0.5 * N[:, 1 : m + 1].T * x[0]
+    denom = 1.0 - 0.5 * dt * N[:, 0]
+    out = x if F is not None else np.zeros_like(x)
+    for j in range(1, m + 1):
+        if F is None:
+            out[j] = a * S1 + b * S2
+        else:
+            x[j] = (F[j] + dt * (head[j - 1] + (a * S1 + b * S2))) / denom
+        S1 = r1 * (S1 + x[j])
+        S2 = r2 * (S2 + x[j])
+    if F is None:
+        out[1:] = dt * ((head + 0.5 * N[:, 0] * x[1:]) + out[1:])
+    return out
+
+
+# ----------------------------------------------------------------------------
 # the kernel table
 
 
@@ -316,13 +401,10 @@ def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
         raise ValueError(f"mode {k + 1} has |lambda| dt = {stiff[k]:.1f} > log(DBL_MAX) = {_LOG_MAX:.2f}; "
                          "its panel moments would overflow (refine the grid or use fewer modes)")
 
-    Z = np.zeros_like(E)
-    Z[:, 0] = 1.0
-    for j in range(1, M + 1):
-        s = 0.5 * N[:, j] * Z[:, 0]
-        if j > 1:
-            s = s + np.einsum("kl,kl->k", N[:, j - 1 : 0 : -1], Z[:, 1:j])
-        Z[:, j] = (E[:, j] + dt * s) / denom
+    lam = basis.eigenvalues
+    x = np.zeros((M + 1, n))
+    x[0] = 1.0
+    Z = np.ascontiguousarray(volterra_trapezoid(lam, N, dt, x, F=E.T).T)
 
     alpha_Z = np.zeros((n, M + 1))
     beta_Z = np.zeros((n, M + 1))
@@ -331,14 +413,12 @@ def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
     alpha_Q = np.zeros((n, M + 1))
     beta_Q = np.zeros((n, M + 1))
     for k in range(n):
-        lam = basis.eigenvalues[k]
-        alpha_Z[k], beta_Z[k] = product_weights(z_exponential_terms(lam), grid)
-        alpha_E[k], beta_E[k] = product_weights(e_exponential_terms(lam), grid)
-        alpha_Q[k], beta_Q[k] = product_weights(q_exponential_terms(lam), grid)
+        alpha_Z[k], beta_Z[k] = product_weights(z_exponential_terms(lam[k]), grid)
+        alpha_E[k], beta_E[k] = product_weights(e_exponential_terms(lam[k]), grid)
+        alpha_Q[k], beta_Q[k] = product_weights(q_exponential_terms(lam[k]), grid)
 
-    chi = np.exp(-t)
-    Q = np.stack([conv_product(alpha_Z[k], beta_Z[k], chi) for k in range(n)])
-    Zp = (basis.eigenvalues[:, None] + 1.0) * Z - Q
+    Q = np.ascontiguousarray(product_convolution(z_exponential_terms, lam, dt, np.exp(-t)[:, None]).T)
+    Zp = (lam[:, None] + 1.0) * Z - Q
 
     return KernelTable(basis, grid, E, N, Z, Zp, Q,
                        alpha_Z, beta_Z, alpha_E, beta_E, alpha_Q, beta_Q)
@@ -365,20 +445,13 @@ def series_Z_check(table: KernelTable, k_max: int) -> SeriesReport:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    dt = table.grid.dt
-    N, Z = table.N, table.Z
-    term = table.E.copy()
+    lam, dt = table.basis.eigenvalues, table.grid.dt
+    Z = table.Z.T
+    term = np.ascontiguousarray(table.E.T)
     total = term.copy()
     errors = [np.max(np.abs(total - Z))]
-    M = table.grid.n_steps
     for _ in range(k_max):
-        nxt = np.zeros_like(term)
-        for j in range(1, M + 1):
-            s = 0.5 * N[:, j] * term[:, 0] + 0.5 * N[:, 0] * term[:, j]
-            if j > 1:
-                s = s + np.einsum("kl,kl->k", N[:, j - 1 : 0 : -1], term[:, 1:j])
-            nxt[:, j] = dt * s
-        term = nxt
+        term = volterra_trapezoid(lam, table.N, dt, term)
         total = total + term
         errors.append(np.max(np.abs(total - Z)))
     return SeriesReport(k_max, np.array(errors))

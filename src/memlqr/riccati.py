@@ -178,17 +178,13 @@ def _kernel_pairings(phi: np.ndarray, table: KernelTable, start: int) -> tuple[n
     pairing would lose digits to the unresolved stiff layer of Z.
     """
     m = table.grid.n_steps - start
-    n = table.n_modes
-    C = np.zeros(n)
-    D = np.zeros(n)
-    if m == 0:
-        return C, D
-    rev = phi[::-1]
+    rev = phi[::-1].T
     g = slice(m, 0, -1)
-    for k in range(n):
-        C[k] = np.dot(rev[:m, k], table.alpha_Z[k, g]) + np.dot(rev[1:, k], table.beta_Z[k, g])
-        D[k] = np.dot(rev[:m, k], table.alpha_Q[k, g]) + np.dot(rev[1:, k], table.beta_Q[k, g])
-    return C, D
+
+    def pair(alpha, beta):
+        return np.sum(rev[:, :m] * alpha[:, g] + rev[:, 1:] * beta[:, g], axis=1)
+
+    return pair(table.alpha_Z, table.beta_Z), pair(table.alpha_Q, table.beta_Q)
 
 
 def P_cross(state: StateSnapshot, dv, dxi, dy, table: KernelTable, phi: np.ndarray | None = None) -> float:
@@ -278,28 +274,6 @@ def feedback_gain(state: StateSnapshot, table: KernelTable) -> np.ndarray:
     return -z[0]
 
 
-def _advance_one_step(state: StateSnapshot, u0: np.ndarray, u1: np.ndarray, table: KernelTable) -> StateSnapshot:
-    """One implicit step of the Volterra solver (identical scheme, length 1)."""
-    grid = table.grid
-    i = state.tau_index
-    ad = table.basis.ad_coeffs
-    ad0, ad1 = ad @ u0, ad @ u1
-    seed = state.y_hat.coeffs - memory_functional(state.xi, grid)
-    E1, N0, N1 = table.E[:, 1], table.N[:, 0], table.N[:, 1]
-    R1 = E1 - N1
-    ctrl = table.alpha_E[:, 1] * ad0 + table.beta_E[:, 1] * ad1
-    F = E1 * state.v_hat.coeffs + R1 * seed - ctrl
-    vhat = state.v_hat.coeffs
-    v_next = (F + 0.5 * grid.dt * N1 * vhat) / (1.0 - 0.5 * grid.dt * N0)
-    xi_new = np.vstack([state.xi, v_next[None, :]])
-    return StateSnapshot(
-        i + 1,
-        ModalVector(v_next),
-        xi_new,
-        ModalVector(np.exp(-grid.dt) * state.y_hat.coeffs),
-    )
-
-
 def closed_loop_simulate(state0: StateSnapshot, table: KernelTable) -> tuple[Trajectory, ControlSignal]:
     """Receding-horizon loop: refresh the local optimal control at every node.
 
@@ -321,7 +295,7 @@ def closed_loop_simulate(state0: StateSnapshot, table: KernelTable) -> tuple[Tra
         h = response_field(cur, table)
         u_loc = -asm.solve_normal_control(asm.apply_Lambda_star(h))
         u_cl[step] = u_loc[0]
-        cur = _advance_one_step(cur, u_loc[0], u_loc[1], table)
+        cur = extend_state(cur, ControlSignal(j, u_loc), j + 1, table)
         v_cl[step + 1] = cur.v_hat.coeffs
     # empty horizon at T: zero gain
     return Trajectory(i0, v_cl), ControlSignal(i0, u_cl)

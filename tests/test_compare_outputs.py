@@ -1,0 +1,41 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+def write_run(root, err, status, mode_1):
+    root.mkdir()
+    (root / "summary.csv").write_text(
+        "name,measured,threshold,status\n# seed = 0\n"
+        f"kernel_oracle_max_error,{err},1e-4,pass\n"
+        f"dissipation_equality_band,1e-2,5e-3,{status}\n")
+    (root / "trajectory.csv").write_text(f"t,mode_1\n0.0,1.0\n0.5,{mode_1}\n")
+
+
+def report_lines(capsys, old, new):
+    code = compare_outputs.main([str(old), str(new)])
+    lines = capsys.readouterr().out.splitlines()
+    return code, {line.split()[1]: line.split()[2:] for line in lines[1:-1]}, lines[-1]
+
+
+def test_reports_the_largest_changes_and_the_status_flips(tmp_path, capsys):
+    write_run(tmp_path / "old", "2.0e-07", "FAIL", "0.5")
+    write_run(tmp_path / "new", "2.5e-07", "pass", "0.6")
+    code, rows, last = report_lines(capsys, tmp_path / "old", tmp_path / "new")
+    assert code == 1
+    assert last == "status: summary.csv dissipation_equality_band FAIL -> pass"
+    assert [float(v) for v in rows["kernel_oracle_max_error"]] == [5.0e-08, 0.25, 2.0e-07]
+    assert [float(v) for v in rows["mode_1"]] == [0.1, 0.2, 1.0]
+
+
+def test_identical_runs_report_no_change(tmp_path, capsys):
+    write_run(tmp_path / "old", "2.0e-07", "FAIL", "0.5")
+    write_run(tmp_path / "new", "2.0e-07", "FAIL", "0.5")
+    code, rows, last = report_lines(capsys, tmp_path / "old", tmp_path / "new")
+    assert code == 0
+    assert last == "no pass/fail status differs"
+    assert all(float(v[0]) == 0.0 for v in rows.values())

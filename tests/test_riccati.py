@@ -26,7 +26,7 @@ from memlqr import (
     terminal_P_check,
     value_function,
 )
-from memlqr.riccati import _advance_one_step, _fd_derivative, state_along_trajectory, value_scan_batch
+from memlqr.riccati import _fd_derivative, state_along_trajectory, value_scan_batch
 
 
 @pytest.fixture(scope="module")
@@ -213,8 +213,8 @@ def test_gain_linearity(table, grid, basis):
 def test_one_step_advance_matches_volterra(table, grid, basis, interior_state):
     u = sine_control(grid, interior_state.tau_index)
     traj = solve_volterra(interior_state, u, table)
-    stepped = _advance_one_step(interior_state, u.samples[0], u.samples[1], table)
-    assert np.max(np.abs(stepped.v_hat.coeffs - traj.values[1])) < 1e-15
+    stepped = extend_state(interior_state, u, interior_state.tau_index + 1, table)
+    assert np.all(stepped.v_hat.coeffs == traj.values[1])
     assert stepped.tau_index == interior_state.tau_index + 1
 
 

@@ -1,0 +1,57 @@
+"""Largest change between two `memlqr all` output directories.
+
+    python3 tools/compare_outputs.py OLD_DIR NEW_DIR
+
+Every CSV file under OLD_DIR is paired with the file at the same relative
+path under NEW_DIR, so two trees of per-seed output directories compare as
+well.  Prints, over all file pairs, the largest absolute and relative change
+of each summary.csv row and of each column of the other CSV files, with the
+largest old magnitude beside it; then every summary row whose pass/fail
+status differs.  Exits 1 when a status differs or a file is missing.
+"""
+
+from __future__ import annotations
+
+import csv
+import sys
+from pathlib import Path
+
+
+def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    return rows[0], rows[1:]
+
+
+def main(argv: list[str]) -> int:
+    old_root, new_root = Path(argv[0]), Path(argv[1])
+    worst: dict[str, list[float]] = {}  # key -> [max abs change, max rel change, max |old|]
+    problems = []
+    for old in sorted(old_root.rglob("*.csv")):
+        new = new_root / old.relative_to(old_root)
+        if not new.is_file():
+            problems.append(f"missing: {new}")
+            continue
+        (head, a), (_, b) = read_csv(old), read_csv(new)
+        if old.name == "summary.csv":
+            rows = {r[0]: r for r in b}
+            pairs = [(f"summary {r[0]}", r[1], rows[r[0]][1]) for r in a if r[0] in rows]
+            problems += [f"status: {old.relative_to(old_root)} {r[0]} {r[3]} -> {rows.get(r[0], [None] * 4)[3]}"
+                         for r in a if rows.get(r[0], [None] * 4)[3] != r[3]]
+        else:
+            pairs = [(f"{old.name} {head[c]}", x[c], y[c]) for x, y in zip(a, b) for c in range(len(head))]
+        for key, x, y in pairs:
+            x, y = float(x), float(y)
+            d = abs(x - y)
+            rel = d / abs(x) if x else (0.0 if d == 0 else float("inf"))
+            w = worst.setdefault(key, [0.0, 0.0, 0.0])
+            w[:] = max(w[0], d), max(w[1], rel), max(w[2], abs(x))
+    print(f"{'row / file column':44s} {'max abs change':>15s} {'max rel change':>15s} {'max |old|':>12s}")
+    for key, (d, rel, mag) in worst.items():
+        print(f"{key:44s} {d:15.3e} {rel:15.3e} {mag:12.3e}")
+    print("\n".join(problems) if problems else "no pass/fail status differs")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
