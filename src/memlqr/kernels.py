@@ -349,9 +349,10 @@ class KernelTable:
     Arrays are n_modes x (n_steps+1), all filled by solve_Z.  The alpha/beta
     pairs are the product-integration panel weights of the Z, E and Q
     kernels; assemblies, both forward solvers and the riccati kernel
-    pairings draw from these shared tables.  The two private
-    fields are filled on first use by memlqr.optimal: the input map Lambda on
-    [0, T] and a small cache of per-start assemblies.
+    pairings draw from these shared tables.  The three private fields are
+    filled on first use by memlqr.optimal: the input map Lambda on [0, T], a
+    small cache of per-start assemblies, and the per-node forms that the
+    riccati scans read (optimal.NodeForms).
     """
 
     basis: SpectralBasis
@@ -369,6 +370,7 @@ class KernelTable:
     beta_Q: np.ndarray
     _Lambda: np.ndarray | None = field(default=None, repr=False)
     _assembly_cache: dict = field(default_factory=dict, repr=False)
+    _node_forms: object = field(default=None, repr=False)
 
     @property
     def n_modes(self) -> int:

@@ -19,6 +19,14 @@ both routes are kept and cross-checked.  apply_H goes through the decoupled
 two-field system (phi driven causally by psi, psi anticausally by phi),
 solved as one dense block system, and is verified against the direct SPD
 factorization.
+
+The verification scans never solve per node.  A state enters the system only
+through x = (v_hat, y_hat - I_xi) in R^{2n}, and Lambda's causality makes
+every start's state-side Cholesky factor the start-0 factor's leading block
+with one corrected last block row, so node_forms reads the 2n x 2n value
+matrix, the first-step gain and the kernel pairings of every node off the
+start-0 factor once per table.  The per-start routes above stay as the
+references they are checked against.
 """
 
 from __future__ import annotations
@@ -41,6 +49,8 @@ __all__ = [
     "OperatorAssembly",
     "OptimalSolution",
     "get_assembly",
+    "NodeForms",
+    "node_forms",
     "solve_optimal",
     "u_plus_control_side",
     "apply_H",
@@ -197,6 +207,95 @@ def get_assembly(table: KernelTable, start: int) -> OperatorAssembly:
             cache.pop(next(iter(cache)))
         cache[start] = OperatorAssembly(table, start)
     return cache[start]
+
+
+@dataclass(frozen=True)
+class NodeForms:
+    """The value matrix, first-step gain and kernel pairings at every node.
+
+    A state at node j enters the optimality system only through its
+    coordinates x = (v_hat, y_hat - I_xi) in R^{2n}, since its response is
+    h = Z x_v + Q x_s.  For every node j (row M, the empty horizon, is zero):
+
+      P[j]   (2n, 2n)  the value W_j = x^T P[j] x, symmetric;
+      K[j]   (4, 2n)   the local optimal control's first two nodes,
+                       u[0:2] = -(K[j] x).reshape(2, 2);
+      Pi[j]  (2n, 2n)  the kernel pairings (C, D) of H h against the Z and Q
+                       panel weights, (C, D) = Pi[j] x.
+    """
+
+    P: np.ndarray
+    K: np.ndarray
+    Pi: np.ndarray
+
+
+def node_forms(table: KernelTable) -> NodeForms:
+    """The NodeForms of a table, built on first use and kept on the table.
+
+    Every entry is a weighted pairing <f, H h>_V = (L_j^-1 sV f)^T (L_j^-1 sV h)
+    with L_j the state-side Cholesky factor at start j.  Lambda is causal, so
+    L_j is the start-0 factor L_0's leading block except in its last block
+    row m = M - j, whose trapezoid weight halves: that row is L_0[m, :m]/sqrt(2)
+    and the Cholesky factor of the Schur complement
+
+        A_j[m, m] - L_0[m, :m] L_0[m, :m]^T / 2 = (I + B_mm B_mm^T + L_mm L_mm^T) / 2,
+
+    with B_mm, L_mm the diagonal blocks of the start-0 B and L_0.  Every f
+    needed is a prefix of a start-0 field except in its last row, so one
+    triangular solve of L_0 against 4n + 4 right-hand sides, a running sum
+    over block rows and one n x n correction per node give every node's
+    forms.  Node 0 is the start-0 factor itself, whose last node is T.
+    """
+    if table._node_forms is None:
+        table._node_forms = _build_node_forms(table)
+    return table._node_forms
+
+
+def _build_node_forms(table: KernelTable) -> NodeForms:
+    M, n, dt = table.grid.n_steps, table.n_modes, table.grid.dt
+    asm = get_assembly(table, 0)
+    L = asm._state_factor()[0]  # lower triangle; the other holds no factor
+    sV = asm._sV[::n]
+    nodes, modes = np.arange(M + 1), np.arange(n)
+    ng, cols = 2 * n, 4 * n + 4
+    G, Kc, Om = slice(0, ng), slice(ng, ng + 4), slice(ng + 4, cols)
+
+    # start-0 right-hand sides, rows (node, mode): the response columns of x,
+    # the first four columns of B over sU, and the pairing weights over sV
+    F = np.zeros((M + 1, n, cols))
+    F[:, modes, modes] = sV[:, None] * table.Z.T
+    F[:, modes, n + modes] = sV[:, None] * table.Q.T
+    F[:, :, Kc] = (asm._B[:, :4] / asm._sU[:4]).reshape(M + 1, n, 4)
+    om_Z, om_Q = table.alpha_Z.copy(), table.alpha_Q.copy()
+    om_Z[:, :-1] += table.beta_Z[:, 1:]
+    om_Q[:, :-1] += table.beta_Q[:, 1:]
+    F[:, modes, ng + 4 + modes] = om_Z.T / sV[:, None]
+    F[:, modes, ng + 4 + n + modes] = om_Q.T / sV[:, None]
+    Y = sla.solve_triangular(L, F.reshape(-1, cols), lower=True, check_finite=False).reshape(F.shape)
+    head = np.cumsum(np.einsum("rkc,rkd->rcd", Y, Y[:, :, G]), axis=0)
+
+    # last block row at start j = M - m: sqrt(2) L_j[m, m] y_j[m] = L_mm Y[m] + Delta[m],
+    # with Delta = sqrt(2) f_j[m] - F[m] the change of the right-hand side's
+    # last row.  It is zero for the response columns, whose sV halves with the
+    # row weight; at m = 1 control node 1 is the last node, so its sU halves
+    # too; and the last pairing weight is alpha[m] alone, over sqrt(dt/2).
+    Ld = np.tril(L.reshape(M + 1, n, M + 1, n)[nodes, :, nodes, :])
+    Bd = asm._B.reshape(M + 1, n, M + 1, 2)[nodes, :, nodes, :]
+    S = 0.5 * (np.eye(n) + Bd @ Bd.transpose(0, 2, 1) + Ld @ Ld.transpose(0, 2, 1))
+    delta = np.zeros_like(F)
+    delta[1, :, ng + 2 : ng + 4] = F[1, :, ng + 2 : ng + 4]
+    rdt = np.sqrt(dt)
+    delta[:-1, modes, ng + 4 + modes] = (table.alpha_Z[:, :-1] - table.beta_Z[:, 1:]).T / rdt
+    delta[:-1, modes, ng + 4 + n + modes] = (table.alpha_Q[:, :-1] - table.beta_Q[:, 1:]).T / rdt
+    y_last = np.linalg.solve(np.linalg.cholesky(S), (Ld @ Y + delta) / np.sqrt(2.0))
+    last = np.einsum("rkc,rkd->rcd", y_last, y_last[:, :, G])
+
+    gram = np.zeros((M + 1, cols, ng))
+    gram[0] = head[M]
+    m = np.arange(M - 1, 0, -1)  # nodes j = 1 .. M-1
+    gram[1:M] = head[m - 1] + last[m]
+    P = gram[:, G]
+    return NodeForms(0.5 * (P + P.transpose(0, 2, 1)), gram[:, Kc], gram[:, Om])
 
 
 @dataclass

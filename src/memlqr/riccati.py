@@ -29,9 +29,13 @@ terminal behaviour W_theta ~ (T - theta) ||v_hat||^2 (so P'(T) <= 0) and are
 confirmed numerically by the chain-rule closure and dissipation suites; the
 combination above is the unique one that closes both.
 
-Every scan reaches the per-node operator through optimal.get_assembly, which
-slices the one Lambda built for the whole table; node states along a
-trajectory come from forward.extend_state.
+The single-state routes (P_form, P_prime_form, P_cross, feedback_gain,
+riccati_residual) reach the per-start operator through optimal.get_assembly,
+which slices the one Lambda built for the whole table, and solve at their
+node.  The scans (value_scan_batch, dissipation_scan, chain_rule_scan,
+closed_loop_simulate) solve nothing per node: they read the table's
+optimal.node_forms, W_j = x^T P[j] x, the gain K[j] x and the pairings
+Pi[j] x, with x = (v_hat, y_hat - I_xi) the node state's 2n coordinates.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .forward import (
     solve_voc,
 )
 from .kernels import KernelTable
-from .optimal import OperatorAssembly, get_assembly, solve_optimal
+from .optimal import OperatorAssembly, get_assembly, node_forms, solve_optimal
 from .spectral import ModalVector
 
 __all__ = [
@@ -199,24 +203,34 @@ def P_cross(state: StateSnapshot, dv, dxi, dy, table: KernelTable, phi: np.ndarr
         return 0.0
     if phi is None:
         _, _, phi = _control_side_pieces(asm, response_field(state, table))
-    I = memory_functional(dxi, table.grid) if dxi is not None else np.zeros_like(np.asarray(dv))
     C, D = _kernel_pairings(phi, table, state.tau_index)
+    return _paired_cross(dv, dxi, dy, C, D, table)
+
+
+def _paired_cross(dv, dxi, dy, C: np.ndarray, D: np.ndarray, table: KernelTable) -> float:
+    """cross(S, X) = 2 (dv . C + (dy - I_dxi) . D) from the kernel pairings (C, D) of H h."""
+    I = memory_functional(dxi, table.grid) if dxi is not None else np.zeros_like(np.asarray(dv))
     seed = np.asarray(dy) - I
     return 2.0 * float(np.dot(np.asarray(dv), C) + np.dot(seed, D))
 
 
-def _p_prime_and_cross(state: StateSnapshot, img: GeneratorImage, table: KernelTable,
-                       phi: np.ndarray | None = None) -> tuple[float, float]:
-    """<P'(theta) S, S> and cross(S, A_theta S); phi = H h is solved for unless given."""
-    asm = get_assembly(table, state.tau_index)
+def _p_prime_from_pairings(state: StateSnapshot, img: GeneratorImage, gain: np.ndarray,
+                           C: np.ndarray, D: np.ndarray, table: KernelTable) -> tuple[float, float]:
+    """<P'(theta) S, S> and cross(S, A_theta S) from gain = [Lambda* H h](theta) and the pairings of H h."""
+    cross = _paired_cross(img.dv, img.dxi, img.dy, C, D, table)
     vhat_sq = float(np.dot(state.v_hat.coeffs, state.v_hat.coeffs))
-    if asm.empty:
-        return -vhat_sq, 0.0
-    if phi is None:
-        _, _, phi = _control_side_pieces(asm, response_field(state, table))
-    gain = asm.apply_Lambda_star(phi)[0]
-    cross = P_cross(state, img.dv, img.dxi, img.dy, table, phi=phi)
     return -vhat_sq + float(np.dot(gain, gain)) - cross, cross
+
+
+def _p_prime_and_cross(state: StateSnapshot, img: GeneratorImage, table: KernelTable) -> tuple[float, float]:
+    """<P'(theta) S, S> and cross(S, A_theta S) through one control-side solve for phi = H h."""
+    asm = get_assembly(table, state.tau_index)
+    if asm.empty:
+        return -float(np.dot(state.v_hat.coeffs, state.v_hat.coeffs)), 0.0
+    _, _, phi = _control_side_pieces(asm, response_field(state, table))
+    gain = asm.apply_Lambda_star(phi)[0]
+    C, D = _kernel_pairings(phi, table, state.tau_index)
+    return _p_prime_from_pairings(state, img, gain, C, D, table)
 
 
 def P_prime_form(state: StateSnapshot, table: KernelTable) -> float:
@@ -277,8 +291,9 @@ def feedback_gain(state: StateSnapshot, table: KernelTable) -> np.ndarray:
 def closed_loop_simulate(state0: StateSnapshot, table: KernelTable) -> tuple[Trajectory, ControlSignal]:
     """Receding-horizon loop: refresh the local optimal control at every node.
 
-    At each node the remaining-horizon problem is solved, the first panel of
-    its control is applied through one Volterra step, and the state is
+    At each node the first two nodes of the remaining-horizon optimal control
+    are read off the node's gain K[j] (optimal.node_forms) and applied
+    through one Volterra step, which reads no later node; the state is
     extended.  The recorded control is the per-node gain; the trajectory is
     the closed-loop evolution.
     """
@@ -286,14 +301,14 @@ def closed_loop_simulate(state0: StateSnapshot, table: KernelTable) -> tuple[Tra
     i0 = state0.tau_index
     m = grid.n_steps - i0
     n = state0.n_modes
+    K = node_forms(table).K
     u_cl = np.zeros((m + 1, 2))
     v_cl = np.zeros((m + 1, n))
     v_cl[0] = state0.v_hat.coeffs
     cur = state0
     for step, j in enumerate(range(i0, grid.n_steps)):
-        asm = get_assembly(table, j)
-        h = response_field(cur, table)
-        u_loc = -asm.solve_normal_control(asm.apply_Lambda_star(h))
+        u_loc = np.zeros((grid.n_steps - j + 1, 2))
+        u_loc[:2] = -(K[j] @ _state_coordinates(cur, table)).reshape(2, 2)
         u_cl[step] = u_loc[0]
         cur = extend_state(cur, ControlSignal(j, u_loc), j + 1, table)
         v_cl[step + 1] = cur.v_hat.coeffs
@@ -350,27 +365,53 @@ def state_along_trajectory(state0: StateSnapshot, traj: Trajectory, j: int, tabl
     return extend_state(state0, None, j, table, trajectory=traj)
 
 
+def _state_coordinates(state: StateSnapshot, table: KernelTable) -> np.ndarray:
+    """x = (v_hat, y_hat - I_xi), the 2n numbers through which the forms see a state."""
+    return np.concatenate([state.v_hat.coeffs, state.y_hat.coeffs - memory_functional(state.xi, table.grid)])
+
+
+def _trajectory_coordinates(state0: StateSnapshot, values: np.ndarray, table: KernelTable) -> np.ndarray:
+    """x at every node of trajectories (C, m+1, n) from state0, as (C, m+1, 2n).
+
+    The states are those extend_state reaches along each trajectory; the
+    history integral is carried by its trapezoid recurrence
+    I_{k+1} = r I_k + (dt/2)(r xi_k + xi_{k+1}), r = exp(-dt).
+    """
+    dt = table.grid.dt
+    r = np.exp(-dt)
+    k = np.arange(values.shape[1])
+    v = values.copy()
+    v[:, 0] = state0.v_hat.coeffs
+    hist = values.copy()
+    hist[:, 0] = state0.xi[-1]
+    I = np.empty_like(v)
+    I[:, 0] = memory_functional(state0.xi, table.grid)
+    for j in k[1:]:
+        I[:, j] = r * I[:, j - 1] + 0.5 * dt * (r * hist[:, j - 1] + hist[:, j])
+    seed = np.exp(-(dt * k))[:, None] * state0.y_hat.coeffs
+    return np.concatenate([v, seed - I], axis=2)
+
+
+def _value_scan(state0: StateSnapshot, controls, table: KernelTable):
+    """value_scan_batch, plus the coordinates x[control, node] it evaluates."""
+    i0 = state0.tau_index
+    M = table.grid.n_steps
+    trajs = [solve_voc(state0, u, table) for u in controls]
+    values = np.reshape([t.values for t in trajs], (len(trajs), M - i0 + 1, table.n_modes))
+    x = _trajectory_coordinates(state0, values, table)
+    W = np.zeros((M - i0 + 1, len(controls)))
+    W[:-1] = np.einsum("cji,jik,cjk->jc", x[:, :-1], node_forms(table).P[i0:M], x[:, :-1])
+    return np.arange(i0, M + 1), W, trajs, x
+
+
 def value_scan_batch(state0: StateSnapshot, controls, table: KernelTable):
     """W_theta along the trajectories of several controls from one state.
 
-    Returns (indices, W[node, control], trajectories).  The per-node
-    control-side factorization is built once and shared across controls.
+    Returns (indices, W[node, control], trajectories).  W_j = x^T P[j] x,
+    with x the state's coordinates at node j and P[j] the table's value
+    matrix (optimal.node_forms); no node solves a system of its own.
     """
-    i0 = state0.tau_index
-    M = table.grid.n_steps
-    C = len(controls)
-    trajs = [solve_voc(state0, u, table) for u in controls]
-    indices = np.arange(i0, M + 1)
-    W = np.zeros((M - i0 + 1, C))
-    for pos, j in enumerate(indices[:-1]):
-        asm = get_assembly(table, j)
-        H = np.stack(
-            [response_field(extend_state(state0, None, j, table, trajectory=t), table) for t in trajs]
-        )  # (C, m+1, n)
-        R = asm.apply_Lambda_star(H)
-        Zsol = asm.solve_normal_control(R)
-        for c in range(C):
-            W[pos, c] = asm.inner_V(H[c], H[c]) - asm.inner_U(Zsol[c], R[c])
+    indices, W, trajs, _ = _value_scan(state0, controls, table)
     return indices, W, trajs
 
 
@@ -439,30 +480,24 @@ def chain_rule_scan(state0: StateSnapshot, u: ControlSignal, table: KernelTable)
 
     S' carries the generator image plus the control block, dv -= A D u(theta).
     This is the two-route validation of the moving-operator derivative: the
-    finite difference rides fresh Fredholm solves, the formula rides the
-    explicit operator expressions.  One sweep: W, P' and both cross terms at
-    a node share its control-side solve.
+    finite difference rides the value matrices P[j], exactly as
+    value_scan_batch evaluates them; the formula rides the explicit operator
+    expressions, with the node's gain K[j] x and pairings Pi[j] x
+    (optimal.node_forms).
     """
-    i0 = state0.tau_index
-    traj = solve_voc(state0, u, table)
-    indices = np.arange(i0, table.grid.n_steps + 1)
-    W = np.zeros(len(indices))
+    forms = node_forms(table)
+    indices, W, trajs, x = _value_scan(state0, [u], table)
     formula = np.zeros(len(indices))
     norm_sq = np.zeros(len(indices))
-    for pos, j in enumerate(indices[:-1]):
-        st = extend_state(state0, None, j, table, trajectory=traj)
-        asm = get_assembly(table, j)
-        h = response_field(st, table)
-        r, z, phi = _control_side_pieces(asm, h)
-        W[pos] = asm.inner_V(h, h) - asm.inner_U(z, r)
-        if pos == 0:
-            continue
+    for pos, j in enumerate(indices[1:-1], start=1):
+        st = extend_state(state0, None, j, table, trajectory=trajs[0])
         img = apply_generator(st, table)
-        p_prime, _ = _p_prime_and_cross(st, img, table, phi=phi)
+        C, D = np.split(forms.Pi[j] @ x[0, pos], 2)
+        p_prime, _ = _p_prime_from_pairings(st, img, forms.K[j, :2] @ x[0, pos], C, D, table)
         dv_ctrl = img.dv - table.basis.ad_coeffs @ u.samples[pos]
-        formula[pos] = p_prime + P_cross(st, dv_ctrl, img.dxi, img.dy, table, phi=phi)
+        formula[pos] = p_prime + _paired_cross(dv_ctrl, img.dxi, img.dy, C, D, table)
         norm_sq[pos] = state_norm_sq(st, table)
-    fd = _fd_derivative(W, table.grid.dt)[1:-1]
+    fd = _fd_derivative(W[:, 0], table.grid.dt)[1:-1]
     formula = formula[1:-1]
     residual = np.abs(fd - formula)
     return ChainRuleReport(indices[1:-1], fd, formula, residual, residual / (1.0 + norm_sq[1:-1]))

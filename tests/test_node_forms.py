@@ -1,0 +1,105 @@
+"""The per-table node forms against the dense per-start routes they replace.
+
+optimal.node_forms reads every node's value matrix P[j], first-step gain K[j]
+and kernel pairings Pi[j] off the start-0 state-side factor.  Each is checked
+here against the dense route at the same node: P_form, the control-side
+solve and riccati._kernel_pairings, over n <= 6, M <= 48, T in [0.1, 2],
+always at nodes 0, M - 2 and M - 1, where the last-row corrections differ.
+"""
+
+import gc
+import weakref
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from memlqr import (ControlSignal, P_form, StateSnapshot, TimeGrid, build_basis, chain_rule_scan,
+                    closed_loop_simulate, dissipation_scan, solve_Z)
+from memlqr.forward import memory_functional, response_field
+from memlqr.optimal import get_assembly, node_forms
+from memlqr.riccati import _control_side_pieces, _kernel_pairings, state_along_trajectory, value_scan_batch
+
+
+@st.composite
+def problems(draw):
+    n = draw(st.integers(1, 6))
+    M = draw(st.integers(2, 48))
+    T = draw(st.floats(0.1, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return solve_Z(build_basis(n), TimeGrid(T, M)), rng
+
+
+def random_state(rng, start, n):
+    xi = rng.standard_normal((start + 1, n))
+    return StateSnapshot(start, xi[-1].copy(), xi, rng.standard_normal(n))
+
+
+def coordinates(state, table):
+    return np.concatenate([state.v_hat.coeffs, state.y_hat.coeffs - memory_functional(state.xi, table.grid)])
+
+
+def rel_err(value, ref):
+    return np.max(np.abs(value - ref)) / (1.0 + np.max(np.abs(ref)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems(), st.data())
+def test_node_forms_match_the_dense_routes(case, data):
+    table, rng = case
+    M, n = table.grid.n_steps, table.n_modes
+    forms = node_forms(table)
+    for j in sorted({0, M - 2, M - 1, data.draw(st.integers(0, M - 1))}):
+        state = random_state(rng, j, n)
+        x = coordinates(state, table)
+        assert np.array_equal(forms.P[j], forms.P[j].T)
+        assert rel_err(x @ forms.P[j] @ x, P_form(state, state, table)) <= 1e-13
+        _, z, phi = _control_side_pieces(get_assembly(table, j), response_field(state, table))
+        assert rel_err(forms.K[j] @ x, z[:2].reshape(-1)) <= 1e-13
+        assert rel_err(forms.Pi[j] @ x, np.concatenate(_kernel_pairings(phi, table, j))) <= 1e-13
+    assert not np.any(forms.P[M]) and not np.any(forms.K[M]) and not np.any(forms.Pi[M])
+
+
+@settings(max_examples=25, deadline=None)
+@given(problems(), st.data())
+def test_value_scan_from_an_interior_start(case, data):
+    # W along the trajectories from a start i0 > 0 is the dense value form
+    # at every node the trajectory reaches
+    table, rng = case
+    M, n = table.grid.n_steps, table.n_modes
+    i0 = data.draw(st.integers(1, M))
+    state = random_state(rng, i0, n)
+    controls = [ControlSignal(i0, rng.standard_normal((M - i0 + 1, 2))) for _ in range(2)]
+    indices, W, trajs = value_scan_batch(state, controls, table)
+    assert W.shape == (M - i0 + 1, 2) and np.all(W[-1] == 0.0)
+    for c, traj in enumerate(trajs):
+        ref = [P_form(s, s, table) for s in (state_along_trajectory(state, traj, j, table) for j in indices)]
+        assert rel_err(W[:, c], np.array(ref)) <= 1e-13
+
+
+def test_zero_state_gives_exact_zeros_from_every_scan():
+    table = solve_Z(build_basis(4), TimeGrid(0.5, 24))
+    zero = StateSnapshot.initial(np.zeros(4), np.zeros(4))
+    u0 = ControlSignal.zeros(table.grid)
+    _, W, _ = value_scan_batch(zero, [u0, u0], table)
+    assert np.all(W == 0.0)
+    rep = dissipation_scan(zero, u0, table)
+    assert np.all(rep.W == 0.0) and np.all(rep.r == 0.0)
+    chain = chain_rule_scan(zero, u0, table)
+    assert np.all(chain.fd == 0.0) and np.all(chain.formula == 0.0)
+    traj, u_cl = closed_loop_simulate(zero, table)
+    assert np.all(traj.values == 0.0) and np.all(u_cl.samples == 0.0)
+
+
+def test_node_forms_hold_no_reference_to_their_table():
+    gc.disable()
+    try:
+        table = solve_Z(build_basis(3), TimeGrid(0.5, 8))
+        forms = node_forms(table)
+        assert table._node_forms is forms
+        assert all(isinstance(v, np.ndarray) for v in vars(forms).values())
+        ref = weakref.ref(table)
+        del table
+        assert ref() is None
+    finally:
+        gc.enable()

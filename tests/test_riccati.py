@@ -449,12 +449,32 @@ def control_solves(monkeypatch):
     return calls
 
 
-def test_chain_rule_scan_solves_each_node_once(control_solves, table, grid, interior_state):
-    # W, P' and both cross terms at a node share one control-side solve
+def test_chain_rule_scan_solves_each_node_once(control_solves, monkeypatch, basis, grid, interior_state):
+    # every node is solved once per table, inside optimal.node_forms: the
+    # scans read its rows, make no control-side solve and build no assembly
+    # at a start other than 0
+    from memlqr.optimal import OperatorAssembly
+
+    starts = []
+    init = OperatorAssembly.__init__
+
+    def counted(self, table, start):
+        starts.append(start)
+        init(self, table, start)
+
+    monkeypatch.setattr(OperatorAssembly, "__init__", counted)
+    table = solve_Z(basis, grid)
     i0 = grid.n_steps - 12
     warm = extend_state(interior_state, sine_control(grid, 16), i0, table)
-    chain_rule_scan(warm, sine_control(grid, i0), table)
-    assert control_solves == list(range(i0, grid.n_steps))
+    u = sine_control(grid, i0)
+    value_scan_batch(warm, [u, ControlSignal.zeros(grid, i0)], table)
+    forms = table._node_forms
+    dissipation_scan(warm, u, table)
+    chain_rule_scan(warm, u, table)
+    closed_loop_simulate(warm, table)
+    assert control_solves == []
+    assert starts == [0]
+    assert table._node_forms is forms
 
 
 def test_riccati_residual_solves_once(control_solves, table, interior_state):
@@ -463,8 +483,9 @@ def test_riccati_residual_solves_once(control_solves, table, interior_state):
 
 
 def test_chain_rule_scan_matches_the_separate_routes(table, grid, basis, interior_state):
-    # the one-sweep scan returns exactly the numbers of the value scan, P'
-    # and the cross pairing evaluated on their own
+    # the scan's finite difference is exactly that of the value scan; its
+    # formula reads the node forms, so it matches P' and the cross pairing
+    # evaluated on their own dense routes at roundoff (worst measured 1.4e-17)
     i0 = grid.n_steps - 8
     warm = extend_state(interior_state, sine_control(grid, 16), i0, table)
     u = sine_control(grid, i0)
@@ -475,4 +496,5 @@ def test_chain_rule_scan_matches_the_separate_routes(table, grid, basis, interio
         st = state_along_trajectory(warm, trajs[0], j, table)
         img = apply_generator(st, table)
         dv_ctrl = img.dv - basis.ad_coeffs @ u.samples[j - i0]
-        assert rep.formula[pos] == P_prime_form(st, table) + P_cross(st, dv_ctrl, img.dxi, img.dy, table)
+        ref = P_prime_form(st, table) + P_cross(st, dv_ctrl, img.dxi, img.dy, table)
+        assert abs(rep.formula[pos] - ref) <= 1e-12 * (1.0 + abs(rep.formula[pos]))

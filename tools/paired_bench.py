@@ -1,0 +1,57 @@
+"""Compare two checkouts on one benchmark workload in alternating-order pairs.
+
+    python3 tools/paired_bench.py PARENT_DIR CHANGE_DIR --workload desk_all --seeds 31 32 33 [--json out.json]
+
+For each seed, runs `python3 bench/run.py --workload W --seed S --trace 0` in
+both checkouts, the parent first on odd seeds and the change first on even
+ones, and prints each side's median and quartiles of every end-to-end metric
+plus the number of pairs the change wins on wall_s.  --json also writes the
+pairs and that summary.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+
+
+def run(checkout: str, workload: str, seed: int) -> dict:
+    cmd = ["python3", "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    line = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True).stdout.splitlines()[-1]
+    rec = json.loads(line)
+    return dict({k: m["value"] for k, m in rec["metrics"].items()}, attempted=rec["attempted"], failed=rec["failed"])
+
+
+def quartiles(xs: list[float]) -> dict:
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
+    return {"median": med, "q1": q1, "q3": q3, "n": len(xs)}
+
+
+def main() -> None:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent")
+    p.add_argument("change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", type=int, nargs="+", required=True)
+    p.add_argument("--json")
+    a = p.parse_args()
+    pairs = []
+    for seed in a.seeds:
+        order = ["parent", "change"] if seed % 2 else ["change", "parent"]
+        pair = {"seed": seed, "first": order[0]}
+        pair.update({side: run(getattr(a, side), a.workload, seed) for side in order})
+        pairs.append(pair)
+        print(f"seed {seed}: wall_s parent {pair['parent']['wall_s']:.4g} change {pair['change']['wall_s']:.4g}")
+    metrics = [k for k in pairs[0]["parent"] if k not in ("attempted", "failed")]
+    summary = {k: {side: quartiles([pr[side][k] for pr in pairs]) for side in ("parent", "change")} for k in metrics}
+    summary["wall_s"]["change_wins"] = f"{sum(pr['change']['wall_s'] < pr['parent']['wall_s'] for pr in pairs)}/{len(pairs)}"
+    print(json.dumps(summary, indent=1))
+    if a.json:
+        with open(a.json, "w") as fh:
+            json.dump({"workload": a.workload, "pairs": pairs, "summary": summary}, fh, indent=1)
+
+
+if __name__ == "__main__":
+    main()
