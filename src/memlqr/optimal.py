@@ -252,41 +252,39 @@ def node_forms(table: KernelTable) -> NodeForms:
 
 
 def _build_node_forms(table: KernelTable) -> NodeForms:
-    M, n, dt = table.grid.n_steps, table.n_modes, table.grid.dt
+    M, n = table.grid.n_steps, table.n_modes
     asm = get_assembly(table, 0)
     L = asm._state_factor()[0]  # lower triangle; the other holds no factor
-    sV = asm._sV[::n]
+    sV = asm._sV[::n, None]
     nodes, modes = np.arange(M + 1), np.arange(n)
     ng, cols = 2 * n, 4 * n + 4
     G, Kc, Om = slice(0, ng), slice(ng, ng + 4), slice(ng + 4, cols)
 
-    # start-0 right-hand sides, rows (node, mode): the response columns of x,
-    # the first four columns of B over sU, and the pairing weights over sV
+    # F: start-0 right-hand sides, rows (node, mode): the response columns
+    # of x, the first four columns of B over sU, and the pairing weights
+    # omega[s] = alpha[s] + beta[s+1] over sV.  delta = sqrt(2) f_j[m] - F[m],
+    # the change of the last row at start j = M - m: zero for the response
+    # columns, whose sV halves with the row weight; F itself for control node
+    # 1, whose sU halves too when it is the last node (m = 1); and for the
+    # pairings, whose last weight is alpha[m] alone over sqrt(dt/2).
     F = np.zeros((M + 1, n, cols))
-    F[:, modes, modes] = sV[:, None] * table.Z.T
-    F[:, modes, n + modes] = sV[:, None] * table.Q.T
+    delta = np.zeros_like(F)
     F[:, :, Kc] = (asm._B[:, :4] / asm._sU[:4]).reshape(M + 1, n, 4)
-    om_Z, om_Q = table.alpha_Z.copy(), table.alpha_Q.copy()
-    om_Z[:, :-1] += table.beta_Z[:, 1:]
-    om_Q[:, :-1] += table.beta_Q[:, 1:]
-    F[:, modes, ng + 4 + modes] = om_Z.T / sV[:, None]
-    F[:, modes, ng + 4 + n + modes] = om_Q.T / sV[:, None]
+    delta[1, :, ng + 2 : ng + 4] = F[1, :, ng + 2 : ng + 4]
+    pairs = ((table.alpha_Z, table.beta_Z), (table.alpha_Q, table.beta_Q))
+    for c, (kernel, (alpha, beta)) in enumerate(zip((table.Z, table.Q), pairs)):
+        F[:, modes, c * n + modes] = sV * kernel.T
+        omega = alpha.copy()
+        omega[:, :-1] += beta[:, 1:]
+        F[:, modes, Om.start + c * n + modes] = omega.T / sV
+        delta[:-1, modes, Om.start + c * n + modes] = (alpha[:, :-1] - beta[:, 1:]).T / np.sqrt(table.grid.dt)
     Y = sla.solve_triangular(L, F.reshape(-1, cols), lower=True, check_finite=False).reshape(F.shape)
     head = np.cumsum(np.einsum("rkc,rkd->rcd", Y, Y[:, :, G]), axis=0)
 
-    # last block row at start j = M - m: sqrt(2) L_j[m, m] y_j[m] = L_mm Y[m] + Delta[m],
-    # with Delta = sqrt(2) f_j[m] - F[m] the change of the right-hand side's
-    # last row.  It is zero for the response columns, whose sV halves with the
-    # row weight; at m = 1 control node 1 is the last node, so its sU halves
-    # too; and the last pairing weight is alpha[m] alone, over sqrt(dt/2).
+    # the last block row at start j: sqrt(2) L_j[m, m] y_j[m] = L_mm Y[m] + delta[m]
     Ld = np.tril(L.reshape(M + 1, n, M + 1, n)[nodes, :, nodes, :])
     Bd = asm._B.reshape(M + 1, n, M + 1, 2)[nodes, :, nodes, :]
     S = 0.5 * (np.eye(n) + Bd @ Bd.transpose(0, 2, 1) + Ld @ Ld.transpose(0, 2, 1))
-    delta = np.zeros_like(F)
-    delta[1, :, ng + 2 : ng + 4] = F[1, :, ng + 2 : ng + 4]
-    rdt = np.sqrt(dt)
-    delta[:-1, modes, ng + 4 + modes] = (table.alpha_Z[:, :-1] - table.beta_Z[:, 1:]).T / rdt
-    delta[:-1, modes, ng + 4 + n + modes] = (table.alpha_Q[:, :-1] - table.beta_Q[:, 1:]).T / rdt
     y_last = np.linalg.solve(np.linalg.cholesky(S), (Ld @ Y + delta) / np.sqrt(2.0))
     last = np.einsum("rkc,rkd->rcd", y_last, y_last[:, :, G])
 
