@@ -83,14 +83,6 @@ class ExperimentConfig:
         return self.tolerances[name] * tol_scale
 
 
-def _require(parser: configparser.ConfigParser, section: str, key: str) -> str:
-    if not parser.has_section(section):
-        raise ConfigError(f"missing required section [{section}]")
-    if not parser.has_option(section, key):
-        raise ConfigError(f"missing required field {section}.{key}")
-    return parser.get(section, key)
-
-
 def _get_number(parser, section, key, cast, default=None):
     if not parser.has_option(section, key):
         if default is None:

@@ -32,7 +32,8 @@ by one running sum per exponential, S <- r (S + x) with r = exp(mu dt), in
 the manner of Lubich & Schaedle (2002), exact rather than approximate.
 volterra_trapezoid (Z, the series check and the Volterra forward route) and
 product_convolution (Q and the control responses) cost O(n M) instead of
-O(n M^2); conv_product and weight_matrix are kept as the dense references.
+O(n M^2).  weight_matrix gives the same weights as a dense matrix, for
+memlqr.optimal's Lambda.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ __all__ = [
     "product_weights",
     "product_convolution",
     "volterra_trapezoid",
-    "conv_product",
     "weight_matrix",
     "write_kernel_csv",
 ]
@@ -241,16 +241,6 @@ def product_weights(terms, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     return alpha, beta
 
 
-def conv_product(alpha: np.ndarray, beta: np.ndarray, density: np.ndarray) -> np.ndarray:
-    """Causal product convolution of a sampled density against tabled weights."""
-    m = len(density) - 1
-    out = np.zeros_like(density, dtype=float)
-    for j in range(1, m + 1):
-        rev = slice(j, 0, -1)
-        out[j] = np.dot(density[:j], alpha[rev]) + np.dot(density[1 : j + 1], beta[rev])
-    return out
-
-
 def weight_matrix(alpha: np.ndarray, beta: np.ndarray, m: int) -> np.ndarray:
     """Dense (m+1)x(m+1) node-weight matrix of the causal product convolution."""
     W = np.zeros((m + 1, m + 1))
@@ -269,7 +259,7 @@ def weight_matrix(alpha: np.ndarray, beta: np.ndarray, m: int) -> np.ndarray:
 
 
 def product_convolution(kernel_terms, lam: np.ndarray, dt: float, density: np.ndarray) -> np.ndarray:
-    """Per-mode conv_product against product_weights(kernel_terms(lam[k])), by recurrences.
+    """Per-mode product convolution against product_weights(kernel_terms(lam[k])), by recurrences.
 
     density is (m+1, n), or (m+1, 1) for one density shared by every mode;
     the result is (m+1, n) with row 0 zero.  A term c e^{mu t} has the
@@ -349,9 +339,10 @@ class KernelTable:
     Arrays are n_modes x (n_steps+1), all filled by solve_Z.  The alpha/beta
     pairs are the product-integration panel weights of the Z, E and Q
     kernels; assemblies, both forward solvers and the riccati kernel
-    pairings draw from these shared tables.  The three private fields are
+    pairings draw from these shared tables.  The four private fields are
     filled on first use by memlqr.optimal: the input map Lambda on [0, T], a
-    small cache of per-start assemblies, and the per-node forms that the
+    small cache of per-start assemblies, the start-0 state-side Cholesky
+    factor L_0 that serves every start, and the per-node forms that the
     riccati scans read (optimal.NodeForms).
     """
 
@@ -370,6 +361,7 @@ class KernelTable:
     beta_Q: np.ndarray
     _Lambda: np.ndarray | None = field(default=None, repr=False)
     _assembly_cache: dict = field(default_factory=dict, repr=False)
+    _state_chol: np.ndarray | None = field(default=None, repr=False)
     _node_forms: object = field(default=None, repr=False)
 
     @property

@@ -17,20 +17,20 @@ positive definite in the weighted metric.  The optimal pair is
 equivalently u+ = -(I + Lambda* Lambda)^-1 Lambda* h on the control side;
 both routes are kept and cross-checked.  apply_H goes through the decoupled
 two-field system (phi driven causally by psi, psi anticausally by phi),
-solved as one dense block system, and is verified against the direct SPD
-factorization.
+whose (1,1) block is the identity, so block elimination LU-factors only the
+(m+1) 2 Schur complement I + Lambda* Lambda; it is checked against the SPD route.
 
-The verification scans never solve per node.  A state enters the system only
-through x = (v_hat, y_hat - I_xi) in R^{2n}, and Lambda's causality makes
-every start's state-side Cholesky factor the start-0 factor's leading block
-with one corrected last block row, so node_forms reads the 2n x 2n value
-matrix, the first-step gain and the kernel pairings of every node off the
-start-0 factor once per table.  The per-start routes above stay as the
-references they are checked against.
+Lambda's causality makes every start's state-side Cholesky factor the start-0
+factor L_0's leading block with one corrected last block row, so L_0 is
+formed once per table and serves every start's state solve.  A state enters
+the system only through x = (v_hat, y_hat - I_xi) in R^{2n}, so node_forms
+reads the 2n x 2n value matrix, the first-step gain and the kernel pairings
+of every node off L_0 too, and the verification scans never solve per node.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +78,36 @@ def _table_Lambda(table: KernelTable) -> np.ndarray:
     return table._Lambda
 
 
+def _table_state_factor(table: KernelTable) -> np.ndarray:
+    """L_0, the lower Cholesky factor of the start-0 I + B B^T, built on first use and kept on the table.
+
+    B B^T is exactly symmetric, so its Fortran-ordered view A^T is A and the
+    factorization overwrites A in place; the strict upper triangle holds no factor.
+    """
+    if table._state_chol is None:
+        B = get_assembly(table, 0)._B
+        A = B @ B.T
+        A[np.diag_indices_from(A)] += 1.0
+        table._state_chol = sla.cho_factor(A.T, lower=True, overwrite_a=True)[0]
+    return table._state_chol
+
+
+def _last_row_blocks(L: np.ndarray, B: np.ndarray, nodes: np.ndarray, n: int):
+    """(L_mm, C_m) over the nodes m: L_0's diagonal block, and L_j's last one at j = M - m > 0.
+
+    Lambda is causal, so the state-side factor L_j is L_0's leading m block
+    rows plus the last block row [L_0[m, :m] / sqrt(2), C_m], whose trapezoid
+    weight halves: C_m C_m^T = A_j[m, m] - L_0[m, :m] L_0[m, :m]^T / 2
+    = (I + B_mm B_mm^T + L_mm L_mm^T) / 2, B_mm being B's node-m diagonal block.
+    """
+    rows = nodes[:, None] * n + np.arange(n)
+    cols = nodes[:, None] * 2 + np.arange(2)
+    Ld = np.tril(L[rows[:, :, None], rows[:, None, :]])
+    Bd = B[rows[:, :, None], cols[:, None, :]]
+    S = 0.5 * (np.eye(n) + Bd @ Bd.transpose(0, 2, 1) + Ld @ Ld.transpose(0, 2, 1))
+    return Ld, np.linalg.cholesky(S)
+
+
 class OperatorAssembly:
     """Dense discretization of Lambda on [t_start, T] plus cached factorizations.
 
@@ -86,8 +116,8 @@ class OperatorAssembly:
     the trapezoid node weights repeated per component; the scaled matrix
     B = sqrt(D_V) Lambda sqrt(D_U)^-1 makes the two normal systems
     I + B B^T (state side) and I + B^T B (control side) plainly symmetric.
-    The assembly keeps no reference to the table, so the table's cache of
-    assemblies forms no reference cycle.
+    The state side reads the table's one factor L_0 through a weak reference
+    to the table, so the table's cache of assemblies forms no reference cycle.
     """
 
     def __init__(self, table: KernelTable, start: int):
@@ -100,9 +130,10 @@ class OperatorAssembly:
         self.empty = self.m == 0
         self.Lam = _table_Lambda(table)[: (self.m + 1) * self.n, : (self.m + 1) * 2]
 
-        self._chol_state = None
+        self._table = weakref.ref(table)
+        self._last = None
         self._chol_control = None
-        self._lu_block = None
+        self._lu_schur = None
         if not self.empty:
             self._sV = np.sqrt(self.wV)
             self._sU = np.sqrt(self.wU)
@@ -117,74 +148,75 @@ class OperatorAssembly:
         return (self.Lam @ u.reshape(-1)).reshape(self.m + 1, self.n)
 
     def apply_Lambda_star(self, v: np.ndarray) -> np.ndarray:
-        """Exact weighted transpose; v is (m+1, n) or a batch (C, m+1, n).
-
-        A batch goes through one matrix-matrix product; the result is
-        (m+1, 2) or (C, m+1, 2).
-        """
-        lead = v.shape[:-2]
+        """Exact weighted transpose; v is (m+1, n), the result (m+1, 2)."""
         if self.empty:
-            return np.zeros(lead + (1, 2))
-        flat = v.reshape(-1, self.wV.size)
-        y = (self.Lam.T @ (self.wV * flat).T).T / self.wU
-        return y.reshape(lead + (self.m + 1, 2))
+            return np.zeros((1, 2))
+        return ((self.Lam.T @ (self.wV * v.reshape(-1))) / self.wU).reshape(self.m + 1, 2)
 
     # -- factorizations ----------------------------------------------------------
 
-    def _state_factor(self):
-        if self._chol_state is None:
-            A = np.eye((self.m + 1) * self.n) + self._B @ self._B.T
-            self._chol_state = sla.cho_factor(A, lower=True)
-        return self._chol_state
-
-    def _control_normal(self) -> np.ndarray:
-        return np.eye((self.m + 1) * 2) + self._B.T @ self._B
-
     def _control_factor(self):
         if self._chol_control is None:
-            self._chol_control = sla.cho_factor(self._control_normal(), lower=True)
+            A = self._B.T @ self._B
+            A[np.diag_indices_from(A)] += 1.0
+            self._chol_control = sla.cho_factor(A.T, lower=True, overwrite_a=True)
         return self._chol_control
 
     def control_normal_eigenvalues(self) -> np.ndarray:
         """Ascending spectrum of the weighted control-side normal operator I + B^T B."""
-        return sla.eigvalsh(self._control_normal())
+        return sla.eigvalsh(np.eye((self.m + 1) * 2) + self._B.T @ self._B)
 
     def solve_normal_state(self, g: np.ndarray) -> np.ndarray:
-        """(I + Lambda Lambda*)^-1 g by the SPD factorization; g is (m+1, n)."""
+        """(I + Lambda Lambda*)^-1 g by the table's SPD factor L_0; g is (m+1, n).
+
+        Past start 0 the factor is L_0's leading m block rows plus the last
+        row [L_0[m, :m] / sqrt(2), C_m] (_last_row_blocks): two triangular
+        solves against L_0, on right-hand sides zero-padded to its order so
+        that no slice is copied, and one Cholesky solve of order n with C_m.
+        """
         if self.empty:
             return g.copy()
+        L0 = _table_state_factor(self._table())
         rhs = self._sV * g.reshape(-1)
-        sol = sla.cho_solve(self._state_factor(), rhs)
+        if self.start == 0:
+            sol = sla.cho_solve((L0, True), rhs, check_finite=False)
+        else:
+            if self._last is None:
+                self._last = _last_row_blocks(L0, self._B, np.array([self.m]), self.n)[1][0]
+            k = self.m * self.n
+            row = L0[k : k + self.n, :k] / np.sqrt(2.0)
+            pad = np.zeros(L0.shape[0])
+            pad[:k] = rhs[:k]
+            y = sla.solve_triangular(L0, pad, lower=True, check_finite=False)[:k]
+            x_last = sla.cho_solve((self._last, True), rhs[k:] - row @ y)
+            pad[:k] = y - row.T @ x_last
+            x = sla.solve_triangular(L0, pad, lower=True, trans="T", check_finite=False)[:k]
+            sol = np.concatenate([x, x_last])
         return (sol / self._sV).reshape(self.m + 1, self.n)
 
     def solve_normal_control(self, r: np.ndarray) -> np.ndarray:
-        """(I + Lambda* Lambda)^-1 r on control fields; r is (m+1, 2) or (C, m+1, 2)."""
+        """(I + Lambda* Lambda)^-1 r on control fields; r is (m+1, 2)."""
         if self.empty:
             return r.copy()
-        rhs = self._sU * r.reshape(-1, self._sU.size)
-        sol = sla.cho_solve(self._control_factor(), rhs.T).T
-        return (sol / self._sU).reshape(r.shape)
+        sol = sla.cho_solve(self._control_factor(), self._sU * r.reshape(-1))
+        return (sol / self._sU).reshape(self.m + 1, 2)
 
     def solve_decoupled(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Two-field route: phi = g - Lambda Lambda* phi via the block system.
+        """Two-field route: [[I, -Lambda], [Lambda*, I]] (phi, psi) = (g, 0) by block elimination.
 
-        Solves [[I, -Lambda], [Lambda*, I]] (phi, psi) = (g, 0) by dense LU;
-        eliminating psi recovers (I + Lambda Lambda*) phi = g.
+        The (1,1) block is the identity, so phi = g + Lambda psi, and psi
+        solves the unsymmetric Schur complement S = I + D_U^-1 Lambda^T D_V
+        Lambda of order (m+1) 2: psi = -S^-1 Lambda* g.  S has its own LU,
+        independent of the control-side Cholesky factor of I + B^T B.
         """
         if self.empty:
             return g.copy(), np.zeros((1, 2))
-        nv = (self.m + 1) * self.n
-        nu = (self.m + 1) * 2
-        if self._lu_block is None:
-            blk = np.zeros((nv + nu, nv + nu))
-            blk[:nv, :nv] = np.eye(nv)
-            blk[:nv, nv:] = -self.Lam
-            blk[nv:, :nv] = (self.Lam.T * self.wV[None, :]) / self.wU[:, None]
-            blk[nv:, nv:] = np.eye(nu)
-            self._lu_block = sla.lu_factor(blk)
-        rhs = np.concatenate([g.reshape(-1), np.zeros(nu)])
-        sol = sla.lu_solve(self._lu_block, rhs)
-        return sol[:nv].reshape(self.m + 1, self.n), sol[nv:].reshape(self.m + 1, 2)
+        if self._lu_schur is None:
+            S = (self.Lam.T @ (self.wV[:, None] * self.Lam)) / self.wU[:, None]
+            S[np.diag_indices_from(S)] += 1.0
+            self._lu_schur = sla.lu_factor(S, overwrite_a=True)
+        psi = -sla.lu_solve(self._lu_schur, self.apply_Lambda_star(g).reshape(-1)).reshape(self.m + 1, 2)
+        return g + self.apply_Lambda(psi), psi
 
     # -- weighted inner products ---------------------------------------------------
 
@@ -199,7 +231,8 @@ def get_assembly(table: KernelTable, start: int) -> OperatorAssembly:
     """The assembly at a start node, from a small FIFO cache on the table.
 
     Every assembly slices the one table-wide Lambda; the cache keeps the
-    per-start weighted matrix and factorizations for reuse across states.
+    per-start weighted matrix and factorizations for reuse across states;
+    the state-side L_0 lives on the table, so no eviction refactors it.
     """
     cache = table._assembly_cache
     if start not in cache:
@@ -233,15 +266,10 @@ def node_forms(table: KernelTable) -> NodeForms:
     """The NodeForms of a table, built on first use and kept on the table.
 
     Every entry is a weighted pairing <f, H h>_V = (L_j^-1 sV f)^T (L_j^-1 sV h)
-    with L_j the state-side Cholesky factor at start j.  Lambda is causal, so
-    L_j is the start-0 factor L_0's leading block except in its last block
-    row m = M - j, whose trapezoid weight halves: that row is L_0[m, :m]/sqrt(2)
-    and the Cholesky factor of the Schur complement
-
-        A_j[m, m] - L_0[m, :m] L_0[m, :m]^T / 2 = (I + B_mm B_mm^T + L_mm L_mm^T) / 2,
-
-    with B_mm, L_mm the diagonal blocks of the start-0 B and L_0.  Every f
-    needed is a prefix of a start-0 field except in its last row, so one
+    with L_j the state-side Cholesky factor at start j: the start-0 factor
+    L_0's leading block plus one corrected last block row m = M - j
+    (_last_row_blocks).  Every f needed is a prefix of a start-0 field
+    except in its last row, so one
     triangular solve of L_0 against 4n + 4 right-hand sides, a running sum
     over block rows and one n x n correction per node give every node's
     forms.  Node 0 is the start-0 factor itself, whose last node is T.
@@ -253,8 +281,8 @@ def node_forms(table: KernelTable) -> NodeForms:
 
 def _build_node_forms(table: KernelTable) -> NodeForms:
     M, n = table.grid.n_steps, table.n_modes
+    L = _table_state_factor(table)
     asm = get_assembly(table, 0)
-    L = asm._state_factor()[0]  # lower triangle; the other holds no factor
     sV = asm._sV[::n, None]
     nodes, modes = np.arange(M + 1), np.arange(n)
     ng, cols = 2 * n, 4 * n + 4
@@ -282,10 +310,8 @@ def _build_node_forms(table: KernelTable) -> NodeForms:
     head = np.cumsum(np.einsum("rkc,rkd->rcd", Y, Y[:, :, G]), axis=0)
 
     # the last block row at start j: sqrt(2) L_j[m, m] y_j[m] = L_mm Y[m] + delta[m]
-    Ld = np.tril(L.reshape(M + 1, n, M + 1, n)[nodes, :, nodes, :])
-    Bd = asm._B.reshape(M + 1, n, M + 1, 2)[nodes, :, nodes, :]
-    S = 0.5 * (np.eye(n) + Bd @ Bd.transpose(0, 2, 1) + Ld @ Ld.transpose(0, 2, 1))
-    y_last = np.linalg.solve(np.linalg.cholesky(S), (Ld @ Y + delta) / np.sqrt(2.0))
+    Ld, C = _last_row_blocks(L, asm._B, nodes, n)
+    y_last = np.linalg.solve(C, (Ld @ Y + delta) / np.sqrt(2.0))
     last = np.einsum("rkc,rkd->rcd", y_last, y_last[:, :, G])
 
     gram = np.zeros((M + 1, cols, ng))
@@ -305,7 +331,7 @@ class OptimalSolution:
 
 
 def solve_optimal(state: StateSnapshot, table: KernelTable) -> OptimalSolution:
-    """Solve the optimality system by the state-side SPD factorization."""
+    """Solve the optimality system by the table's state-side SPD factor L_0."""
     asm = get_assembly(table, state.tau_index)
     h = response_field(state, table)
     vp = asm.solve_normal_state(h)
@@ -330,7 +356,7 @@ def u_plus_control_side(state: StateSnapshot, table: KernelTable) -> ControlSign
 
 
 def apply_H(g: np.ndarray, table: KernelTable, start: int) -> np.ndarray:
-    """(I + Lambda Lambda*)^-1 g through the decoupled two-field algorithm."""
+    """(I + Lambda Lambda*)^-1 g through the decoupled two-field system and its Schur complement's LU."""
     phi, _psi = get_assembly(table, start).solve_decoupled(g)
     return phi
 
@@ -348,7 +374,7 @@ def evaluate_cost(state: StateSnapshot, u: ControlSignal, table: KernelTable) ->
 
 
 def value_function(state: StateSnapshot, table: KernelTable) -> float:
-    """Minimum cost-to-go via the decoupled inverse (independent of solve_optimal)."""
+    """Minimum cost-to-go <H h, h> through apply_H's own LU, independent of solve_optimal's L_0."""
     asm = get_assembly(table, state.tau_index)
     h = response_field(state, table)
     phi = apply_H(h, table, state.tau_index)

@@ -62,7 +62,6 @@ __all__ = [
     "state_inner",
     "state_norm_sq",
     "apply_generator",
-    "generator_response",
     "P_form",
     "P_cross",
     "P_prime_form",
@@ -139,15 +138,6 @@ def apply_generator(state: StateSnapshot, table: KernelTable, compat_tol: float 
     else:
         dxi = np.gradient(state.xi, grid.dt, axis=0, edge_order=2 if i >= 2 else 1)
     return GeneratorImage(dv, dxi, -state.y_hat.coeffs)
-
-
-def generator_response(dv, dxi, dy, table: KernelTable, start: int) -> np.ndarray:
-    """Response field of a state-shaped triple: Z dv + Q (dy - I_dxi)."""
-    m = table.grid.n_steps - start
-    I = memory_functional(dxi, table.grid) if dxi is not None else np.zeros_like(dv)
-    return table.Z[:, : m + 1].T * np.asarray(dv)[None, :] + table.Q[:, : m + 1].T * (
-        np.asarray(dy) - I
-    )[None, :]
 
 
 # ----------------------------------------------------------------------------

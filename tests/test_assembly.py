@@ -1,4 +1,4 @@
-"""One Lambda per kernel table: per-start slices, batching, lifetime.
+"""One Lambda per kernel table: per-start slices, lifetime.
 
 The input kernel depends only on t - s, so the assembly at start j must be
 exactly the leading block of the start-0 operator.  The reference builder
@@ -105,20 +105,6 @@ def test_table_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
-
-
-def test_batched_adjoint_and_control_solve_match_single_calls():
-    table = solve_Z(build_basis(4), TimeGrid(0.5, 20))
-    asm = get_assembly(table, 5)
-    rng = np.random.default_rng(1)
-    V = rng.standard_normal((3, asm.m + 1, asm.n))
-    R = asm.apply_Lambda_star(V)
-    Zs = asm.solve_normal_control(R)
-    assert R.shape == Zs.shape == (3, asm.m + 1, 2)
-    for c in range(3):
-        r = asm.apply_Lambda_star(V[c])
-        assert np.allclose(R[c], r, rtol=1e-13, atol=1e-13)
-        assert np.allclose(Zs[c], asm.solve_normal_control(r), rtol=1e-12, atol=1e-13)
 
 
 def test_control_normal_spectrum_matches_state_side():

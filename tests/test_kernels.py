@@ -13,12 +13,12 @@ from memlqr import (
     solve_Z,
 )
 from memlqr.kernels import (
-    conv_product,
     oscillator_solution,
     product_weights,
     weight_matrix,
     z_exponential_terms,
 )
+from test_recurrences import conv_product
 
 
 @pytest.fixture(scope="module")

@@ -16,20 +16,16 @@ from test_properties import problems, random_state
 from memlqr import (
     ControlSignal,
     SmoothControl,
-    StateSnapshot,
     TimeGrid,
     build_basis,
     extend_state,
     memory_functional,
     series_Z_check,
     simulate_damped_wave,
-    solve_voc,
     solve_volterra,
     solve_Z,
 )
-from memlqr import kernels
 from memlqr.forward import control_field
-from memlqr.kernels import conv_product
 from memlqr.riccati import _kernel_pairings
 
 RTOL = 1e-13
@@ -75,6 +71,16 @@ def reference_series_errors(table, k_max):
         total = total + term
         errors.append(np.max(np.abs(total - Z)))
     return np.array(errors)
+
+
+def conv_product(alpha, beta, density):
+    """Causal product convolution of a sampled density against tabled weights."""
+    m = len(density) - 1
+    out = np.zeros_like(density, dtype=float)
+    for j in range(1, m + 1):
+        rev = slice(j, 0, -1)
+        out[j] = np.dot(density[:j], alpha[rev]) + np.dot(density[1 : j + 1], beta[rev])
+    return out
 
 
 def reference_convolution(alpha, beta, density):
@@ -231,16 +237,3 @@ def test_stiff_grid_stays_finite_and_matches_the_references():
     v0, v1 = rng.standard_normal((2, table.n_modes))
     assert_close(simulate_damped_wave(v0, v1, WAVE_CONTROL, table).values,
                  reference_wave(v0, v1, WAVE_CONTROL, table))
-
-
-def test_hot_paths_never_call_the_dense_convolution(monkeypatch):
-    def dense(*args):
-        raise AssertionError("dense conv_product on a hot path")
-
-    monkeypatch.setattr(kernels, "conv_product", dense)
-    table = solve_Z(build_basis(3), TimeGrid(0.5, 16))
-    state = StateSnapshot(4, np.ones(3), np.ones((5, 3)), np.full(3, 0.5))
-    u = ControlSignal(4, np.ones((13, 2)))
-    solve_voc(state, u, table)
-    solve_volterra(state, u, table)
-    series_Z_check(table, 2)

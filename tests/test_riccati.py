@@ -412,11 +412,20 @@ def test_state_norm_components(table, grid, basis):
     assert state_norm_sq(st, table) == pytest.approx(np.pi**-4, rel=1e-12)
 
 
+def generator_response(dv, dxi, dy, table, start):
+    """Response field of a state-shaped triple: Z dv + Q (dy - I_dxi)."""
+    m = table.grid.n_steps - start
+    I = memory_functional(dxi, table.grid) if dxi is not None else np.zeros_like(dv)
+    return table.Z[:, : m + 1].T * np.asarray(dv)[None, :] + table.Q[:, : m + 1].T * (
+        np.asarray(dy) - I
+    )[None, :]
+
+
 def test_cross_pairing_agrees_with_field_pairing(table, interior_state, basis):
     # the exact-kernel pairing and the trapezoid pairing of the explicit
     # response field agree where the generator image is tame
     from memlqr.optimal import get_assembly
-    from memlqr.riccati import generator_response, _control_side_pieces
+    from memlqr.riccati import _control_side_pieces
     from memlqr.forward import response_field
 
     n = basis.n_modes
