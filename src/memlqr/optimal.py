@@ -268,11 +268,11 @@ def node_forms(table: KernelTable) -> NodeForms:
     Every entry is a weighted pairing <f, H h>_V = (L_j^-1 sV f)^T (L_j^-1 sV h)
     with L_j the state-side Cholesky factor at start j: the start-0 factor
     L_0's leading block plus one corrected last block row m = M - j
-    (_last_row_blocks).  Every f needed is a prefix of a start-0 field
-    except in its last row, so one
-    triangular solve of L_0 against 4n + 4 right-hand sides, a running sum
-    over block rows and one n x n correction per node give every node's
-    forms.  Node 0 is the start-0 factor itself, whose last node is T.
+    (_last_row_blocks).  Every f needed is a prefix of a start-0 field except
+    in its last row, so one triangular solve of L_0 against 4n + 4 right-hand
+    sides, a running sum over block rows and one n x n correction per node
+    give every node's forms.  Node 0 is the start-0 factor itself, whose last
+    node is T.
     """
     if table._node_forms is None:
         table._node_forms = _build_node_forms(table)
