@@ -28,9 +28,9 @@ from .forward import (
 )
 from .kernels import TimeGrid, Z_oracle, series_Z_check, solve_Z, write_kernel_csv
 from .optimal import (
+    OperatorAssembly,
     cost_gradient,
     evaluate_cost,
-    get_assembly,
     solve_optimal,
     u_plus_control_side,
     value_function,
@@ -247,7 +247,7 @@ def _suite_optimize(ws: _Workspace, outdir: str) -> SuiteResult:
                [(float(t),) + tuple(float(x) for x in sol.v_plus.values[j])
                 for j, t in enumerate(ws.grid.nodes)])
     artifacts.append(tpath)
-    asm = get_assembly(ws.table, 0)
+    asm = OperatorAssembly(ws.table, 0)
     state_cost = asm.inner_V(sol.v_plus.values, sol.v_plus.values)
     control_cost = asm.inner_U(sol.u_plus.samples, sol.u_plus.samples)
     # measured spectrum of the normal operator (reported, never asserted);

@@ -337,13 +337,14 @@ class KernelTable:
     """Per-mode samples of E, N, Z, Z' and Q on the grid, plus product weights.
 
     Arrays are n_modes x (n_steps+1), all filled by solve_Z.  The alpha/beta
-    pairs are the product-integration panel weights of the Z, E and Q
-    kernels; assemblies, both forward solvers and the riccati kernel
-    pairings draw from these shared tables.  The four private fields are
-    filled on first use by memlqr.optimal: the input map Lambda on [0, T], a
-    small cache of per-start assemblies, the start-0 state-side Cholesky
-    factor L_0 that serves every start, and the per-node forms that the
-    riccati scans read (optimal.NodeForms).
+    pairs are the product-integration panel weights of the Z and Q kernels;
+    Lambda, node_forms and the riccati kernel pairings draw from them.  The
+    four private fields are filled on first use by memlqr.optimal: the input
+    map Lambda on [0, T], the start-0 state-side Cholesky factor L_0 that
+    serves every start, the control-side Cholesky factor of each start that
+    asked for one, and the per-node forms that the riccati scans read
+    (optimal.NodeForms).  They hold arrays only, never an object that refers
+    back to the table.
     """
 
     basis: SpectralBasis
@@ -355,13 +356,11 @@ class KernelTable:
     Q: np.ndarray
     alpha_Z: np.ndarray
     beta_Z: np.ndarray
-    alpha_E: np.ndarray
-    beta_E: np.ndarray
     alpha_Q: np.ndarray
     beta_Q: np.ndarray
     _Lambda: np.ndarray | None = field(default=None, repr=False)
-    _assembly_cache: dict = field(default_factory=dict, repr=False)
     _state_chol: np.ndarray | None = field(default=None, repr=False)
+    _control_chol: dict = field(default_factory=dict, repr=False)
     _node_forms: object = field(default=None, repr=False)
 
     @property
@@ -373,7 +372,7 @@ def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
     """Tabulate the resolvent family by the implicit trapezoid Volterra solve.
 
     Z is solved on the grid; Z' = (lambda + 1) Z - Q and the product weights
-    of the Z, E and Q kernels are tabulated alongside.  Two grids are
+    of the Z and Q kernels are tabulated alongside.  Two grids are
     rejected explicitly: one where the implicit step coefficient
     1 - (dt/2) N(0) vanishes (dt = 2 / N(0)), and one where a mode has
     |lambda| dt > log(DBL_MAX), so that exp(-mu dt) in the panel moments
@@ -402,20 +401,16 @@ def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
 
     alpha_Z = np.zeros((n, M + 1))
     beta_Z = np.zeros((n, M + 1))
-    alpha_E = np.zeros((n, M + 1))
-    beta_E = np.zeros((n, M + 1))
     alpha_Q = np.zeros((n, M + 1))
     beta_Q = np.zeros((n, M + 1))
     for k in range(n):
         alpha_Z[k], beta_Z[k] = product_weights(z_exponential_terms(lam[k]), grid)
-        alpha_E[k], beta_E[k] = product_weights(e_exponential_terms(lam[k]), grid)
         alpha_Q[k], beta_Q[k] = product_weights(q_exponential_terms(lam[k]), grid)
 
     Q = np.ascontiguousarray(product_convolution(z_exponential_terms, lam, dt, np.exp(-t)[:, None]).T)
     Zp = (lam[:, None] + 1.0) * Z - Q
 
-    return KernelTable(basis, grid, E, N, Z, Zp, Q,
-                       alpha_Z, beta_Z, alpha_E, beta_E, alpha_Q, beta_Q)
+    return KernelTable(basis, grid, E, N, Z, Zp, Q, alpha_Z, beta_Z, alpha_Q, beta_Q)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,13 @@ positive definite in the weighted metric.  The optimal pair is
     v+ = (I + Lambda Lambda*)^-1 h,     u+ = -Lambda* v+,
 
 equivalently u+ = -(I + Lambda* Lambda)^-1 Lambda* h on the control side;
-both routes are kept and cross-checked.  apply_H goes through the decoupled
-two-field system (phi driven causally by psi, psi anticausally by phi),
-whose (1,1) block is the identity, so block elimination LU-factors only the
-(m+1) 2 Schur complement I + Lambda* Lambda; it is checked against the SPD route.
+both routes are kept and cross-checked.  apply_H goes through the control
+side by the push-through identity
+
+    (I + Lambda Lambda*)^-1 g = g - Lambda z,   z = (I + Lambda* Lambda)^-1 Lambda* g,
+
+so it solves with the start's control-side Cholesky factor of order (m+1) 2,
+independent of the state-side route it is checked against.
 
 Lambda's causality makes every start's state-side Cholesky factor the start-0
 factor L_0's leading block with one corrected last block row, so L_0 is
@@ -26,11 +29,14 @@ formed once per table and serves every start's state solve.  A state enters
 the system only through x = (v_hat, y_hat - I_xi) in R^{2n}, so node_forms
 reads the 2n x 2n value matrix, the first-step gain and the kernel pairings
 of every node off L_0 too, and the verification scans never solve per node.
+
+The table keeps Lambda, L_0 and one control-side factor per start; an
+OperatorAssembly is a view of them and of the start's weights, cheap to
+build at every call.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +54,6 @@ from .kernels import KernelTable, weight_matrix
 __all__ = [
     "OperatorAssembly",
     "OptimalSolution",
-    "get_assembly",
     "NodeForms",
     "node_forms",
     "solve_optimal",
@@ -58,8 +63,6 @@ __all__ = [
     "value_function",
     "cost_gradient",
 ]
-
-_CACHE_SIZE = 3
 
 
 def _table_Lambda(table: KernelTable) -> np.ndarray:
@@ -85,42 +88,46 @@ def _table_state_factor(table: KernelTable) -> np.ndarray:
     factorization overwrites A in place; the strict upper triangle holds no factor.
     """
     if table._state_chol is None:
-        B = get_assembly(table, 0)._B
+        B = OperatorAssembly(table, 0).scaled()
         A = B @ B.T
         A[np.diag_indices_from(A)] += 1.0
         table._state_chol = sla.cho_factor(A.T, lower=True, overwrite_a=True)[0]
     return table._state_chol
 
 
-def _last_row_blocks(L: np.ndarray, B: np.ndarray, nodes: np.ndarray, n: int):
+def _last_row_blocks(L: np.ndarray, asm: OperatorAssembly, nodes: np.ndarray):
     """(L_mm, C_m) over the nodes m: L_0's diagonal block, and L_j's last one at j = M - m > 0.
 
     Lambda is causal, so the state-side factor L_j is L_0's leading m block
     rows plus the last block row [L_0[m, :m] / sqrt(2), C_m], whose trapezoid
     weight halves: C_m C_m^T = A_j[m, m] - L_0[m, :m] L_0[m, :m]^T / 2
-    = (I + B_mm B_mm^T + L_mm L_mm^T) / 2, B_mm being B's node-m diagonal block.
+    = (I + B_mm B_mm^T + L_mm L_mm^T) / 2, B_mm being the node-m diagonal
+    block of asm's B, formed entrywise as in OperatorAssembly.scaled.
     """
+    n = asm.n
     rows = nodes[:, None] * n + np.arange(n)
     cols = nodes[:, None] * 2 + np.arange(2)
     Ld = np.tril(L[rows[:, :, None], rows[:, None, :]])
-    Bd = B[rows[:, :, None], cols[:, None, :]]
+    Bd = (asm._sV[rows][:, :, None] * asm.Lam[rows[:, :, None], cols[:, None, :]]) / asm._sU[cols][:, None, :]
     S = 0.5 * (np.eye(n) + Bd @ Bd.transpose(0, 2, 1) + Ld @ Ld.transpose(0, 2, 1))
     return Ld, np.linalg.cholesky(S)
 
 
 class OperatorAssembly:
-    """Dense discretization of Lambda on [t_start, T] plus cached factorizations.
+    """Lambda on [t_start, T]: a view of the table's Lambda, its weights and its factors.
 
     Lam is the leading block of the table-wide Lambda.  Fields are stacked
     row-major as (node, mode) and controls as (node, channel).  wV / wU are
     the trapezoid node weights repeated per component; the scaled matrix
     B = sqrt(D_V) Lambda sqrt(D_U)^-1 makes the two normal systems
     I + B B^T (state side) and I + B^T B (control side) plainly symmetric.
-    The state side reads the table's one factor L_0 through a weak reference
-    to the table, so the table's cache of assemblies forms no reference cycle.
+    B is formed only as a temporary while a factor is built; the factors
+    live on the table, L_0 in _state_chol and the start's control-side
+    factor in _control_chol, so an assembly holds no matrix of its own.
     """
 
     def __init__(self, table: KernelTable, start: int):
+        self.table = table
         self.start = start
         self.m = table.grid.n_steps - start
         self.n = table.n_modes
@@ -129,15 +136,12 @@ class OperatorAssembly:
         self.wU = np.repeat(w, 2)
         self.empty = self.m == 0
         self.Lam = _table_Lambda(table)[: (self.m + 1) * self.n, : (self.m + 1) * 2]
+        self._sV = np.sqrt(self.wV)
+        self._sU = np.sqrt(self.wU)
 
-        self._table = weakref.ref(table)
-        self._last = None
-        self._chol_control = None
-        self._lu_schur = None
-        if not self.empty:
-            self._sV = np.sqrt(self.wV)
-            self._sU = np.sqrt(self.wU)
-            self._B = (self._sV[:, None] * self.Lam) / self._sU[None, :]
+    def scaled(self) -> np.ndarray:
+        """B = sqrt(D_V) Lambda sqrt(D_U)^-1, a fresh temporary."""
+        return (self._sV[:, None] * self.Lam) / self._sU[None, :]
 
     # -- elementary applications -------------------------------------------------
 
@@ -155,16 +159,20 @@ class OperatorAssembly:
 
     # -- factorizations ----------------------------------------------------------
 
-    def _control_factor(self):
-        if self._chol_control is None:
-            A = self._B.T @ self._B
+    def _control_factor(self) -> np.ndarray:
+        """Lower Cholesky factor of this start's I + B^T B, built on first use and kept on the table."""
+        factors = self.table._control_chol
+        if self.start not in factors:
+            B = self.scaled()
+            A = B.T @ B
             A[np.diag_indices_from(A)] += 1.0
-            self._chol_control = sla.cho_factor(A.T, lower=True, overwrite_a=True)
-        return self._chol_control
+            factors[self.start] = sla.cho_factor(A.T, lower=True, overwrite_a=True)[0]
+        return factors[self.start]
 
     def control_normal_eigenvalues(self) -> np.ndarray:
         """Ascending spectrum of the weighted control-side normal operator I + B^T B."""
-        return sla.eigvalsh(np.eye((self.m + 1) * 2) + self._B.T @ self._B)
+        B = self.scaled()
+        return sla.eigvalsh(np.eye((self.m + 1) * 2) + B.T @ B)
 
     def solve_normal_state(self, g: np.ndarray) -> np.ndarray:
         """(I + Lambda Lambda*)^-1 g by the table's SPD factor L_0; g is (m+1, n).
@@ -176,19 +184,18 @@ class OperatorAssembly:
         """
         if self.empty:
             return g.copy()
-        L0 = _table_state_factor(self._table())
+        L0 = _table_state_factor(self.table)
         rhs = self._sV * g.reshape(-1)
         if self.start == 0:
             sol = sla.cho_solve((L0, True), rhs, check_finite=False)
         else:
-            if self._last is None:
-                self._last = _last_row_blocks(L0, self._B, np.array([self.m]), self.n)[1][0]
+            C = _last_row_blocks(L0, self, np.array([self.m]))[1][0]
             k = self.m * self.n
             row = L0[k : k + self.n, :k] / np.sqrt(2.0)
             pad = np.zeros(L0.shape[0])
             pad[:k] = rhs[:k]
             y = sla.solve_triangular(L0, pad, lower=True, check_finite=False)[:k]
-            x_last = sla.cho_solve((self._last, True), rhs[k:] - row @ y)
+            x_last = sla.cho_solve((C, True), rhs[k:] - row @ y)
             pad[:k] = y - row.T @ x_last
             x = sla.solve_triangular(L0, pad, lower=True, trans="T", check_finite=False)[:k]
             sol = np.concatenate([x, x_last])
@@ -198,25 +205,19 @@ class OperatorAssembly:
         """(I + Lambda* Lambda)^-1 r on control fields; r is (m+1, 2)."""
         if self.empty:
             return r.copy()
-        sol = sla.cho_solve(self._control_factor(), self._sU * r.reshape(-1))
+        sol = sla.cho_solve((self._control_factor(), True), self._sU * r.reshape(-1))
         return (sol / self._sU).reshape(self.m + 1, 2)
 
-    def solve_decoupled(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Two-field route: [[I, -Lambda], [Lambda*, I]] (phi, psi) = (g, 0) by block elimination.
+    def apply_H(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(H g, z) on the control side: z = (I + Lambda* Lambda)^-1 Lambda* g and H g = g - Lambda z.
 
-        The (1,1) block is the identity, so phi = g + Lambda psi, and psi
-        solves the unsymmetric Schur complement S = I + D_U^-1 Lambda^T D_V
-        Lambda of order (m+1) 2: psi = -S^-1 Lambda* g.  S has its own LU,
-        independent of the control-side Cholesky factor of I + B^T B.
+        This is the push-through form of (I + Lambda Lambda*)^-1 g; z is also
+        -psi of the two-field system [[I, -Lambda], [Lambda*, I]] (phi, psi) = (g, 0).
         """
         if self.empty:
             return g.copy(), np.zeros((1, 2))
-        if self._lu_schur is None:
-            S = (self.Lam.T @ (self.wV[:, None] * self.Lam)) / self.wU[:, None]
-            S[np.diag_indices_from(S)] += 1.0
-            self._lu_schur = sla.lu_factor(S, overwrite_a=True)
-        psi = -sla.lu_solve(self._lu_schur, self.apply_Lambda_star(g).reshape(-1)).reshape(self.m + 1, 2)
-        return g + self.apply_Lambda(psi), psi
+        z = self.solve_normal_control(self.apply_Lambda_star(g))
+        return g - self.apply_Lambda(z), z
 
     # -- weighted inner products ---------------------------------------------------
 
@@ -225,21 +226,6 @@ class OperatorAssembly:
 
     def inner_U(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.dot(self.wU * a.reshape(-1), b.reshape(-1)))
-
-
-def get_assembly(table: KernelTable, start: int) -> OperatorAssembly:
-    """The assembly at a start node, from a small FIFO cache on the table.
-
-    Every assembly slices the one table-wide Lambda; the cache keeps the
-    per-start weighted matrix and factorizations for reuse across states;
-    the state-side L_0 lives on the table, so no eviction refactors it.
-    """
-    cache = table._assembly_cache
-    if start not in cache:
-        if len(cache) >= _CACHE_SIZE:
-            cache.pop(next(iter(cache)))
-        cache[start] = OperatorAssembly(table, start)
-    return cache[start]
 
 
 @dataclass(frozen=True)
@@ -282,7 +268,7 @@ def node_forms(table: KernelTable) -> NodeForms:
 def _build_node_forms(table: KernelTable) -> NodeForms:
     M, n = table.grid.n_steps, table.n_modes
     L = _table_state_factor(table)
-    asm = get_assembly(table, 0)
+    asm = OperatorAssembly(table, 0)
     sV = asm._sV[::n, None]
     nodes, modes = np.arange(M + 1), np.arange(n)
     ng, cols = 2 * n, 4 * n + 4
@@ -297,7 +283,7 @@ def _build_node_forms(table: KernelTable) -> NodeForms:
     # pairings, whose last weight is alpha[m] alone over sqrt(dt/2).
     F = np.zeros((M + 1, n, cols))
     delta = np.zeros_like(F)
-    F[:, :, Kc] = (asm._B[:, :4] / asm._sU[:4]).reshape(M + 1, n, 4)
+    F[:, :, Kc] = (asm._sV[:, None] * asm.Lam[:, :4] / asm._sU[:4] / asm._sU[:4]).reshape(M + 1, n, 4)
     delta[1, :, ng + 2 : ng + 4] = F[1, :, ng + 2 : ng + 4]
     pairs = ((table.alpha_Z, table.beta_Z), (table.alpha_Q, table.beta_Q))
     for c, (kernel, (alpha, beta)) in enumerate(zip((table.Z, table.Q), pairs)):
@@ -310,7 +296,7 @@ def _build_node_forms(table: KernelTable) -> NodeForms:
     head = np.cumsum(np.einsum("rkc,rkd->rcd", Y, Y[:, :, G]), axis=0)
 
     # the last block row at start j: sqrt(2) L_j[m, m] y_j[m] = L_mm Y[m] + delta[m]
-    Ld, C = _last_row_blocks(L, asm._B, nodes, n)
+    Ld, C = _last_row_blocks(L, asm, nodes)
     y_last = np.linalg.solve(C, (Ld @ Y + delta) / np.sqrt(2.0))
     last = np.einsum("rkc,rkd->rcd", y_last, y_last[:, :, G])
 
@@ -332,12 +318,12 @@ class OptimalSolution:
 
 def solve_optimal(state: StateSnapshot, table: KernelTable) -> OptimalSolution:
     """Solve the optimality system by the table's state-side SPD factor L_0."""
-    asm = get_assembly(table, state.tau_index)
+    asm = OperatorAssembly(table, state.tau_index)
     h = response_field(state, table)
     vp = asm.solve_normal_state(h)
     up = -asm.apply_Lambda_star(vp)
     W = asm.inner_V(vp, h)
-    grad = cost_gradient(state, ControlSignal(state.tau_index, up), table, _asm=asm, _h=h)
+    grad = cost_gradient(state, ControlSignal(state.tau_index, up), table)
     residual = float(np.sqrt(max(asm.inner_U(grad, grad), 0.0)))
     return OptimalSolution(
         ControlSignal(state.tau_index, up),
@@ -349,16 +335,15 @@ def solve_optimal(state: StateSnapshot, table: KernelTable) -> OptimalSolution:
 
 def u_plus_control_side(state: StateSnapshot, table: KernelTable) -> ControlSignal:
     """Second route: u+ = -(I + Lambda* Lambda)^-1 Lambda* h."""
-    asm = get_assembly(table, state.tau_index)
+    asm = OperatorAssembly(table, state.tau_index)
     h = response_field(state, table)
     rhs = asm.apply_Lambda_star(h)
     return ControlSignal(state.tau_index, -asm.solve_normal_control(rhs))
 
 
 def apply_H(g: np.ndarray, table: KernelTable, start: int) -> np.ndarray:
-    """(I + Lambda Lambda*)^-1 g through the decoupled two-field system and its Schur complement's LU."""
-    phi, _psi = get_assembly(table, start).solve_decoupled(g)
-    return phi
+    """(I + Lambda Lambda*)^-1 g on the start's control-side factor (OperatorAssembly.apply_H)."""
+    return OperatorAssembly(table, start).apply_H(g)[0]
 
 
 def evaluate_cost(state: StateSnapshot, u: ControlSignal, table: KernelTable) -> float:
@@ -368,28 +353,20 @@ def evaluate_cost(state: StateSnapshot, u: ControlSignal, table: KernelTable) ->
     the optimality system, so the value-function identity holds to solver
     precision instead of to the cross-scheme O(dt^2).
     """
-    asm = get_assembly(table, state.tau_index)
+    asm = OperatorAssembly(table, state.tau_index)
     v = solve_voc(state, u, table)
     return asm.inner_V(v.values, v.values) + asm.inner_U(u.samples, u.samples)
 
 
 def value_function(state: StateSnapshot, table: KernelTable) -> float:
-    """Minimum cost-to-go <H h, h> through apply_H's own LU, independent of solve_optimal's L_0."""
-    asm = get_assembly(table, state.tau_index)
+    """Minimum cost-to-go <H h, h> through apply_H's control-side factor, independent of solve_optimal's L_0."""
+    asm = OperatorAssembly(table, state.tau_index)
     h = response_field(state, table)
-    phi = apply_H(h, table, state.tau_index)
-    return asm.inner_V(phi, h)
+    return asm.inner_V(asm.apply_H(h)[0], h)
 
 
-def cost_gradient(
-    state: StateSnapshot,
-    u: ControlSignal,
-    table: KernelTable,
-    _asm: OperatorAssembly | None = None,
-    _h: np.ndarray | None = None,
-) -> np.ndarray:
+def cost_gradient(state: StateSnapshot, u: ControlSignal, table: KernelTable) -> np.ndarray:
     """Frechet gradient 2 (u + Lambda* (h + Lambda u)) in the weighted metric."""
-    asm = _asm if _asm is not None else get_assembly(table, state.tau_index)
-    h = _h if _h is not None else response_field(state, table)
-    v = h + asm.apply_Lambda(u.samples)
+    asm = OperatorAssembly(table, state.tau_index)
+    v = response_field(state, table) + asm.apply_Lambda(u.samples)
     return 2.0 * (u.samples + asm.apply_Lambda_star(v))

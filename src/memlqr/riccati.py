@@ -30,12 +30,13 @@ confirmed numerically by the chain-rule closure and dissipation suites; the
 combination above is the unique one that closes both.
 
 The single-state routes (P_form, P_prime_form, P_cross, feedback_gain,
-riccati_residual) reach the per-start operator through optimal.get_assembly,
-which slices the one Lambda built for the whole table, and solve at their
-node.  The scans (value_scan_batch, dissipation_scan, chain_rule_scan,
-closed_loop_simulate) solve nothing per node: they read the table's
-optimal.node_forms, W_j = x^T P[j] x, the gain K[j] x and the pairings
-Pi[j] x, with x = (v_hat, y_hat - I_xi) the node state's 2n coordinates.
+riccati_residual) build the per-start optimal.OperatorAssembly, a view of the
+one Lambda built for the whole table, and solve at their node on the start's
+control-side factor, which the table keeps.  The scans (value_scan_batch,
+dissipation_scan, chain_rule_scan, closed_loop_simulate) solve nothing per
+node: they read the table's optimal.node_forms, W_j = x^T P[j] x, the gain
+K[j] x and the pairings Pi[j] x, with x = (v_hat, y_hat - I_xi) the node
+state's 2n coordinates.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .forward import (
     solve_voc,
 )
 from .kernels import KernelTable
-from .optimal import OperatorAssembly, get_assembly, node_forms, solve_optimal
+from .optimal import OperatorAssembly, node_forms, solve_optimal
 from .spectral import ModalVector
 
 __all__ = [
@@ -144,19 +145,11 @@ def apply_generator(state: StateSnapshot, table: KernelTable, compat_tol: float 
 # the quadratic form and its derivative
 
 
-def _control_side_pieces(asm: OperatorAssembly, h: np.ndarray):
-    """r = Lambda* h and z = (I + Lambda* Lambda)^{-1} r; phi = h - Lambda z."""
-    r = asm.apply_Lambda_star(h)
-    z = asm.solve_normal_control(r)
-    phi = h - asm.apply_Lambda(z)
-    return r, z, phi
-
-
 def P_form(s1: StateSnapshot, s2: StateSnapshot, table: KernelTable) -> float:
     """Bilinear value form <P(theta) S1, S2> at the states' common node."""
     if s1.tau_index != s2.tau_index:
         raise ValueError("states live at different nodes")
-    asm = get_assembly(table, s1.tau_index)
+    asm = OperatorAssembly(table, s1.tau_index)
     if asm.empty:
         return 0.0
     h1 = response_field(s1, table)
@@ -188,11 +181,11 @@ def P_cross(state: StateSnapshot, dv, dxi, dy, table: KernelTable, phi: np.ndarr
     evaluated with exact kernel moments so stiff generator images (dv of
     order lambda) do not contaminate the quadrature.
     """
-    asm = get_assembly(table, state.tau_index)
+    asm = OperatorAssembly(table, state.tau_index)
     if asm.empty:
         return 0.0
     if phi is None:
-        _, _, phi = _control_side_pieces(asm, response_field(state, table))
+        phi, _ = asm.apply_H(response_field(state, table))
     C, D = _kernel_pairings(phi, table, state.tau_index)
     return _paired_cross(dv, dxi, dy, C, D, table)
 
@@ -214,10 +207,10 @@ def _p_prime_from_pairings(state: StateSnapshot, img: GeneratorImage, gain: np.n
 
 def _p_prime_and_cross(state: StateSnapshot, img: GeneratorImage, table: KernelTable) -> tuple[float, float]:
     """<P'(theta) S, S> and cross(S, A_theta S) through one control-side solve for phi = H h."""
-    asm = get_assembly(table, state.tau_index)
+    asm = OperatorAssembly(table, state.tau_index)
     if asm.empty:
         return -float(np.dot(state.v_hat.coeffs, state.v_hat.coeffs)), 0.0
-    _, _, phi = _control_side_pieces(asm, response_field(state, table))
+    phi, _ = asm.apply_H(response_field(state, table))
     gain = asm.apply_Lambda_star(phi)[0]
     C, D = _kernel_pairings(phi, table, state.tau_index)
     return _p_prime_from_pairings(state, img, gain, C, D, table)
@@ -270,7 +263,7 @@ def feedback_gain(state: StateSnapshot, table: KernelTable) -> np.ndarray:
     Equals the first node of the open-loop optimal control; at t = T the
     horizon is empty and the gain vanishes.
     """
-    asm = get_assembly(table, state.tau_index)
+    asm = OperatorAssembly(table, state.tau_index)
     if asm.empty:
         return np.zeros(2)
     h = response_field(state, table)
@@ -333,7 +326,7 @@ def bellman_check(state: StateSnapshot, t0_index: int, table: KernelTable) -> Be
     sol_tail = solve_optimal(mid, table)
     k = t0_index - i
 
-    asm_tail = get_assembly(table, t0_index)
+    asm_tail = OperatorAssembly(table, t0_index)
     diff = sol_tail.u_plus.samples - sol.u_plus.samples[k:]
     tail_mismatch = float(np.sqrt(max(asm_tail.inner_U(diff, diff), 0.0)))
 

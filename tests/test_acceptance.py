@@ -33,7 +33,7 @@ from memlqr import (
     value_function,
     value_scan_batch,
 )
-from memlqr.optimal import get_assembly
+from memlqr.optimal import OperatorAssembly
 from memlqr.riccati import P_form, _fd_derivative, state_along_trajectory
 
 N_MODES = 8
@@ -150,7 +150,7 @@ def test_criterion_5_optimality(table, grid):
     scale = 1.0 + float(np.max(np.abs(sol.u_plus.samples)))
     report(5, "gradient norm at the optimum", sol.residual, 1e-8 * scale, sol.residual <= 1e-8 * scale)
 
-    asm = get_assembly(table, 0)
+    asm = OperatorAssembly(table, 0)
     J_star = evaluate_cost(st, sol.u_plus, table)
     rng = np.random.default_rng(601)
     worst = 0.0

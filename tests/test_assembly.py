@@ -2,7 +2,9 @@
 
 The input kernel depends only on t - s, so the assembly at start j must be
 exactly the leading block of the start-0 operator.  The reference builder
-below is the per-start construction from kernels.weight_matrix.
+below is the per-start construction from kernels.weight_matrix.  An
+assembly is a view: its only matrix is a slice of the table's Lambda, and
+the factors live on the table.
 """
 
 import gc
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from memlqr import ControlSignal, StateSnapshot, TimeGrid, Trajectory, build_basis, extend_state, solve_Z
 from memlqr import optimal
 from memlqr.kernels import weight_matrix
-from memlqr.optimal import get_assembly, solve_optimal
+from memlqr.optimal import OperatorAssembly, solve_optimal, value_function
 from memlqr.riccati import closed_loop_simulate, value_scan_batch
 
 
@@ -46,7 +48,7 @@ def table_and_start(draw):
 @given(table_and_start())
 def test_assembly_is_the_leading_block(case):
     table, j = case
-    assert np.array_equal(get_assembly(table, j).Lam, reference_Lambda(table, j))
+    assert np.array_equal(OperatorAssembly(table, j).Lam, reference_Lambda(table, j))
 
 
 @settings(max_examples=40, deadline=None)
@@ -87,19 +89,35 @@ def test_weight_matrix_loop_runs_once_per_table(monkeypatch):
     n, M = 3, 12
     table = solve_Z(build_basis(n), TimeGrid(0.5, M))
     for j in range(M + 1):
-        get_assembly(table, j)
+        OperatorAssembly(table, j)
     state = StateSnapshot.initial([1.0, -0.5, 0.25], [0.2, 0.1, 0.0])
     closed_loop_simulate(state, table)
     value_scan_batch(state, [ControlSignal.zeros(table.grid)], table)
     assert calls == [M] * n
 
 
+@settings(max_examples=30, deadline=None)
+@given(table_and_start())
+def test_assembly_holds_no_matrix_but_the_lambda_slice(case):
+    table, j = case
+    state = StateSnapshot(j, np.ones(table.n_modes), np.ones((j + 1, table.n_modes)), np.ones(table.n_modes))
+    value_function(state, table)
+    solve_optimal(state, table)
+    asm = OperatorAssembly(table, j)
+    arrays = {k: v for k, v in vars(asm).items() if isinstance(v, np.ndarray)}
+    assert np.shares_memory(arrays.pop("Lam"), table._Lambda)
+    for name, v in arrays.items():
+        assert v.ndim == 1 and v.size <= (asm.m + 1) * max(asm.n, 2), name
+
+
 def test_table_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         table = solve_Z(build_basis(3), TimeGrid(0.5, 8))
-        solve_optimal(StateSnapshot.initial([1.0, 0.5, 0.25], [0.0, 0.1, 0.0]), table)
-        assert table._assembly_cache
+        state = StateSnapshot.initial([1.0, 0.5, 0.25], [0.0, 0.1, 0.0])
+        solve_optimal(state, table)
+        value_function(state, table)
+        assert table._state_chol is not None and table._control_chol
         ref = weakref.ref(table)
         del table
         assert ref() is None
@@ -109,7 +127,7 @@ def test_table_is_freed_without_the_cycle_collector():
 
 def test_control_normal_spectrum_matches_state_side():
     table = solve_Z(build_basis(3), TimeGrid(0.5, 16))
-    asm = get_assembly(table, 4)
+    asm = OperatorAssembly(table, 4)
     evals = asm.control_normal_eigenvalues()
     B = np.sqrt(asm.wV)[:, None] * asm.Lam / np.sqrt(asm.wU)[None, :]
     state_side = np.linalg.eigvalsh(np.eye(B.shape[0]) + B @ B.T)

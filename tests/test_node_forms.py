@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from memlqr import (ControlSignal, P_form, StateSnapshot, TimeGrid, build_basis, chain_rule_scan,
                     closed_loop_simulate, dissipation_scan, solve_Z)
 from memlqr.forward import memory_functional, response_field
-from memlqr.optimal import get_assembly, node_forms
-from memlqr.riccati import _control_side_pieces, _kernel_pairings, state_along_trajectory, value_scan_batch
+from memlqr.optimal import OperatorAssembly, node_forms
+from memlqr.riccati import _kernel_pairings, state_along_trajectory, value_scan_batch
 
 
 @st.composite
@@ -54,7 +54,7 @@ def test_node_forms_match_the_dense_routes(case, data):
         x = coordinates(state, table)
         assert np.array_equal(forms.P[j], forms.P[j].T)
         assert rel_err(x @ forms.P[j] @ x, P_form(state, state, table)) <= 1e-13
-        _, z, phi = _control_side_pieces(get_assembly(table, j), response_field(state, table))
+        phi, z = OperatorAssembly(table, j).apply_H(response_field(state, table))
         assert rel_err(forms.K[j] @ x, z[:2].reshape(-1)) <= 1e-13
         assert rel_err(forms.Pi[j] @ x, np.concatenate(_kernel_pairings(phi, table, j))) <= 1e-13
     assert not np.any(forms.P[M]) and not np.any(forms.K[M]) and not np.any(forms.Pi[M])

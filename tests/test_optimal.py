@@ -18,7 +18,7 @@ from memlqr import (
     value_function,
 )
 from memlqr.forward import forcing_field, gamma_field, response_field
-from memlqr.optimal import get_assembly
+from memlqr.optimal import OperatorAssembly
 from scipy.integrate import simpson
 
 from memlqr.kernels import Z_oracle
@@ -111,13 +111,13 @@ def test_build_h_zero_state(table, basis):
 
 
 def test_lambda_zero_maps(table, grid, basis):
-    asm = get_assembly(table, 0)
+    asm = OperatorAssembly(table, 0)
     assert np.all(asm.apply_Lambda(np.zeros((grid.n_steps + 1, 2))) == 0.0)
     assert np.all(asm.apply_Lambda_star(np.zeros((grid.n_steps + 1, basis.n_modes))) == 0.0)
 
 
 def test_lambda_causality(table, grid, basis):
-    asm = get_assembly(table, 0)
+    asm = OperatorAssembly(table, 0)
     u = np.zeros((grid.n_steps + 1, 2))
     u[20] = (1.0, -2.0)
     out = asm.apply_Lambda(u)
@@ -128,7 +128,7 @@ def test_lambda_causality(table, grid, basis):
 
 
 def test_lambda_adjoint_identity(table, grid, basis):
-    asm = get_assembly(table, 0)
+    asm = OperatorAssembly(table, 0)
     rng = np.random.default_rng(1)
     for _ in range(10):
         u = rng.standard_normal((grid.n_steps + 1, 2))
@@ -140,7 +140,7 @@ def test_lambda_adjoint_identity(table, grid, basis):
 
 def test_lambda_impulse_reproduces_kernel_column(table, grid, basis):
     # a one-node impulse picks out the product-quadrature column of -K
-    asm = get_assembly(table, 0)
+    asm = OperatorAssembly(table, 0)
     l = 12
     u = np.zeros((grid.n_steps + 1, 2))
     u[l, 0] = 1.0
@@ -175,7 +175,7 @@ def test_optimal_beats_zero_control(table, grid, basis):
     J0 = evaluate_cost(st, ControlSignal.zeros(grid), table)
     assert sol.W <= J0
     # J(0) is the uncontrolled energy of h
-    asm = get_assembly(table, 0)
+    asm = OperatorAssembly(table, 0)
     h = response_field(st, table)
     assert J0 == pytest.approx(asm.inner_V(h, h), rel=1e-12)
 
@@ -190,7 +190,7 @@ def test_gradient_vanishes_at_optimum(table, basis):
 def test_gradient_at_zero_control(table, grid, basis):
     rng = np.random.default_rng(7)
     st = random_state(rng, basis.n_modes)
-    asm = get_assembly(table, 0)
+    asm = OperatorAssembly(table, 0)
     g = cost_gradient(st, ControlSignal.zeros(grid), table)
     h = response_field(st, table)
     assert np.allclose(g, 2.0 * asm.apply_Lambda_star(h), atol=1e-14)
@@ -201,7 +201,7 @@ def test_gradient_matches_finite_differences(table, grid, basis):
     st = random_state(rng, basis.n_modes)
     u = ControlSignal(0, 0.2 * rng.standard_normal((grid.n_steps + 1, 2)))
     g = cost_gradient(st, u, table)
-    asm = get_assembly(table, 0)
+    asm = OperatorAssembly(table, 0)
     for _ in range(4):
         du = rng.standard_normal(u.samples.shape)
         eps = 1e-5
@@ -282,7 +282,7 @@ def test_apply_H_residual(table, grid, basis):
     rng = np.random.default_rng(14)
     g = rng.standard_normal((grid.n_steps + 1, basis.n_modes))
     phi = apply_H(g, table, 0)
-    asm = get_assembly(table, 0)
+    asm = OperatorAssembly(table, 0)
     lhs = phi + asm.apply_Lambda(asm.apply_Lambda_star(phi))
     assert np.max(np.abs(lhs - g)) <= 1e-10
 
@@ -290,7 +290,7 @@ def test_apply_H_residual(table, grid, basis):
 def test_apply_H_agrees_with_spd_route(table, grid, basis):
     rng = np.random.default_rng(15)
     g = rng.standard_normal((grid.n_steps + 1, basis.n_modes))
-    asm = get_assembly(table, 0)
+    asm = OperatorAssembly(table, 0)
     assert np.max(np.abs(apply_H(g, table, 0) - asm.solve_normal_state(g))) < 1e-10
 
 
@@ -299,8 +299,9 @@ def test_apply_H_agrees_with_spd_route(table, grid, basis):
 
 
 def test_normal_operator_positive_definite(table, basis):
-    asm = get_assembly(table, 30)
-    A = np.eye((asm.m + 1) * basis.n_modes) + asm._B @ asm._B.T
+    asm = OperatorAssembly(table, 30)
+    B = asm.scaled()
+    A = np.eye((asm.m + 1) * basis.n_modes) + B @ B.T
     evals = sla.eigvalsh(A)
     assert evals.min() >= 1.0 - 1e-12
 

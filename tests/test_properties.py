@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlqr import ControlSignal, StateSnapshot, TimeGrid, build_basis, extend_state, solve_Z, solve_volterra
-from memlqr.optimal import get_assembly
+from memlqr.optimal import OperatorAssembly
 from memlqr.riccati import feedback_gain
 
 
@@ -34,7 +34,7 @@ def random_state(rng, start, n):
 def test_adjoint_identity(case):
     # <Lambda u, v>_V = <u, Lambda* v>_U in the trapezoid-weighted metrics
     table, start, rng = case
-    asm = get_assembly(table, start)
+    asm = OperatorAssembly(table, start)
     u = rng.standard_normal((asm.m + 1, 2))
     v = rng.standard_normal((asm.m + 1, table.n_modes))
     Lu = asm.apply_Lambda(u)

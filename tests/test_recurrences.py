@@ -26,6 +26,7 @@ from memlqr import (
     solve_Z,
 )
 from memlqr.forward import control_field
+from memlqr.kernels import e_exponential_terms, product_weights
 from memlqr.riccati import _kernel_pairings
 
 RTOL = 1e-13
@@ -95,7 +96,9 @@ def reference_volterra(state, u, table):
     seed = state.y_hat.coeffs - memory_functional(state.xi, grid)
     E = table.E[:, : m + 1]
     N = table.N[:, : m + 1]
-    ctrl = reference_convolution(table.alpha_E, table.beta_E, u.samples @ table.basis.ad_coeffs.T)
+    pairs = [product_weights(e_exponential_terms(lam), grid) for lam in table.basis.eigenvalues]
+    alpha_E, beta_E = (np.array(w) for w in zip(*pairs))
+    ctrl = reference_convolution(alpha_E, beta_E, u.samples @ table.basis.ad_coeffs.T)
     F = E.T * state.v_hat.coeffs[None, :] + (E - N).T * seed[None, :] - ctrl
     denom = 1.0 - 0.5 * dt * N[:, 0]
     v = np.zeros((m + 1, table.n_modes))

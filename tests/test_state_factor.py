@@ -1,10 +1,11 @@
-"""One state-side factor per table, and the two-field solve by its Schur complement.
+"""One state-side factor per table, and the two-field solve on the control side.
 
 Every start's state-side Cholesky factor is the start-0 factor L_0's leading
 block plus one corrected last block row, so solve_normal_state at any start
-runs on the table's L_0; the two-field system of solve_decoupled has an
-identity (1,1) block, so it reduces to the (m+1) 2 Schur complement
-I + Lambda* Lambda.  The dense routes they replace, a per-start Cholesky of
+runs on the table's L_0; the two-field system [[I, -Lambda], [Lambda*, I]]
+has an identity (1,1) block, so OperatorAssembly.apply_H solves it by the
+push-through identity on the start's control-side Cholesky factor of
+I + B^T B.  The dense routes they replace, a per-start Cholesky of
 I + B B^T and an LU of the whole block matrix, are kept here as references.
 Draws follow test_properties: n <= 6, M <= 48, T in [0.1, 2]; bounds are
 relative to 1 + max|reference|.
@@ -20,7 +21,7 @@ from test_node_forms import problems
 
 from memlqr.config import load_config
 from memlqr.experiments import COMMANDS, _Workspace
-from memlqr.optimal import get_assembly
+from memlqr.optimal import OperatorAssembly
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -55,32 +56,33 @@ def test_state_solve_on_the_table_factor_matches_a_per_start_cholesky(case, data
     table, rng = case
     M = table.grid.n_steps
     for j in sorted({1, min(2, M - 1), M - 1, data.draw(st.integers(0, M - 1))}):
-        asm = get_assembly(table, j)
+        asm = OperatorAssembly(table, j)
         g = rng.standard_normal((asm.m + 1, asm.n))
         assert rel_err(asm.solve_normal_state(g), dense_state_solve(asm, g)) <= 1e-13
 
 
 @settings(max_examples=40, deadline=None)
 @given(problems(), st.data())
-def test_schur_complement_solve_matches_the_block_lu(case, data):
+def test_apply_H_matches_the_block_lu(case, data):
     table, rng = case
     M = table.grid.n_steps
     for j in sorted({0, M - 1, data.draw(st.integers(0, M - 1))}):
-        asm = get_assembly(table, j)
+        asm = OperatorAssembly(table, j)
         g = rng.standard_normal((asm.m + 1, asm.n))
-        phi, psi = asm.solve_decoupled(g)
+        phi, z = asm.apply_H(g)
         phi_ref, psi_ref = block_lu_solve(asm, g)
         assert rel_err(phi, phi_ref) <= 1e-12
-        assert rel_err(psi, psi_ref) <= 1e-12
+        assert rel_err(-z, psi_ref) <= 1e-12
 
 
 def test_suites_form_one_state_side_factor_per_table(monkeypatch, tmp_path):
     # the optimize, bellman (M/4, M/2), dissipation, riccati (five probe
     # starts) and closed-loop suites in their CLI order on one table: the
-    # state side is factored once, and no LU is larger than the control side
+    # state side is factored once, each start's control side at most once
+    # (its order 2 (m+1) names the start), and nothing is LU-factored
     ws = _Workspace(load_config(CONFIGS / "quick.ini"), None, 50.0)
     M, n = ws.cfg.n_steps, ws.cfg.n_modes
-    orders = {"cholesky": [], "lu": []}
+    orders = {"cho_factor": [], "cholesky": [], "lu": []}
 
     def counted(kind, factor):
         def wrapper(a, *args, **kwargs):
@@ -88,11 +90,13 @@ def test_suites_form_one_state_side_factor_per_table(monkeypatch, tmp_path):
             return factor(a, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(sla, "cho_factor", counted("cholesky", sla.cho_factor))
+    monkeypatch.setattr(sla, "cho_factor", counted("cho_factor", sla.cho_factor))
     monkeypatch.setattr(sla, "lu_factor", counted("lu", sla.lu_factor))
     monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
     for name in ("optimize", "bellman", "dissipation", "riccati", "closed-loop"):
         COMMANDS[name](ws, str(tmp_path))
     assert n > 2
-    assert [o for o in orders["cholesky"] if o > 2 * (M + 1)] == [(M + 1) * n]
-    assert orders["lu"] and max(orders["lu"]) <= 2 * (M + 1)
+    assert [o for o in orders["cho_factor"] + orders["cholesky"] if o > 2 * (M + 1)] == [(M + 1) * n]
+    control = [o for o in orders["cho_factor"] if o <= 2 * (M + 1)]
+    assert control and len(control) == len(set(control))
+    assert orders["lu"] == []
