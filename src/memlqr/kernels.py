@@ -340,11 +340,13 @@ class KernelTable:
     pairs are the product-integration panel weights of the Z and Q kernels;
     Lambda, node_forms and the riccati kernel pairings draw from them.  The
     four private fields are filled on first use by memlqr.optimal: the input
-    map Lambda on [0, T], the start-0 state-side Cholesky factor L_0 that
-    serves every start, the control-side Cholesky factor of each start that
-    asked for one, and the per-node forms that the riccati scans read
-    (optimal.NodeForms).  They hold arrays only, never an object that refers
-    back to the table.
+    map Lambda on [0, T]; the start-0 state-side Cholesky factor L_0 that
+    serves every start, held in block-generator form (optimal.StateFactor:
+    per-group diagonal blocks and generators, and every node's diagonal block
+    and restarted last block, never a matrix of order (M+1) n); the
+    control-side Cholesky factor of each start that asked for one; and the
+    per-node forms that the riccati scans read (optimal.NodeForms).  They
+    hold arrays only, never an object that refers back to the table.
     """
 
     basis: SpectralBasis
@@ -359,7 +361,7 @@ class KernelTable:
     alpha_Q: np.ndarray
     beta_Q: np.ndarray
     _Lambda: np.ndarray | None = field(default=None, repr=False)
-    _state_chol: np.ndarray | None = field(default=None, repr=False)
+    _state_chol: object = field(default=None, repr=False)
     _control_chol: dict = field(default_factory=dict, repr=False)
     _node_forms: object = field(default=None, repr=False)
 

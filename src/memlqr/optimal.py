@@ -25,7 +25,11 @@ independent of the state-side route it is checked against.
 
 Lambda's causality makes every start's state-side Cholesky factor the start-0
 factor L_0's leading block with one corrected last block row, so L_0 is
-formed once per table and serves every start's state solve.  A state enters
+formed once per table and serves every start's state solve.  B B^T has rank
+at most 2 (M+1), so L_0 is kept in block-generator form (StateFactor): a
+diagonal block and one generator per group of about 64 rows, built in
+O((M+1) n (2 (M+1))^2) work, with no matrix of order (M+1) n formed, and
+every triangular solve runs group by group on them.  A state enters
 the system only through x = (v_hat, y_hat - I_xi) in R^{2n}, so node_forms
 reads the 2n x 2n value matrix, the first-step gain and the kernel pairings
 of every node off L_0 too, and the verification scans never solve per node.
@@ -81,36 +85,129 @@ def _table_Lambda(table: KernelTable) -> np.ndarray:
     return table._Lambda
 
 
-def _table_state_factor(table: KernelTable) -> np.ndarray:
-    """L_0, the lower Cholesky factor of the start-0 I + B B^T, built on first use and kept on the table.
+_GROUP_ROWS = 64  # about this many rows of L_0 per generator block
 
-    B B^T is exactly symmetric, so its Fortran-ordered view A^T is A and the
-    factorization overwrites A in place; the strict upper triangle holds no factor.
+
+@dataclass(frozen=True)
+class StateFactor:
+    """L_0, the lower Cholesky factor of the start-0 I + B B^T, in block-generator form.
+
+    B has 2 (M+1) columns, so B B^T has at most that rank and L_0 is the
+    identity plus a semiseparable part (Vandebril, Van Barel & Mastronardi,
+    *Matrix Computations and Semiseparable Matrices*, 2008).  Its rows are
+    grouped q nodes at a time.  Group g's diagonal block is L[g], and every
+    later row rho has L_0[rho, g] = sV_rho Lambda_rho G[g]^T, sV_rho being
+    sw at rho's node: G[g] is L[g]^-1 B_g (I + B_<^T B_<)^-1 times
+    sqrt(D_U)^-1, B_< the rows before g.  Lambda is passed to every solve, so
+    the factor holds O((M+1) n 2 (M+1)) numbers and only arrays, never the
+    table.  Ld[m] is L_0's node-m diagonal block and C[m] the last diagonal
+    block of the start j = M - m factor L_j,
+    C[m] C[m]^T = (I + B_mm B_mm^T + Ld[m] Ld[m]^T) / 2.
     """
+
+    q: int
+    sw: np.ndarray
+    L: list
+    G: list
+    Ld: np.ndarray
+    C: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.Ld.shape[-1]
+
+    def _groups(self, k: int):
+        """(g, lo, hi, rows, p) for every group meeting the first k nodes, clipped to them."""
+        n = self.n
+        for g, lo in enumerate(range(0, k, self.q)):
+            hi = min(lo + self.q, k)
+            yield g, lo, hi, slice(lo * n, hi * n), (hi - lo) * n
+
+    def _sV(self, lo: int, hi: int) -> np.ndarray:
+        return np.repeat(self.sw[lo:hi], self.n)[:, None]
+
+    def forward(self, Lam: np.ndarray, f: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """y = L_0[:k, :k]^-1 f on the first k nodes' rows, and s, the sum of G[g]^T y_g over the whole groups."""
+        y, s = np.empty_like(f), np.zeros((2 * k, f.shape[1]))
+        for g, lo, hi, r, p in self._groups(k):
+            rhs = f[r] - self._sV(lo, hi) * (Lam[r, : 2 * lo] @ s[: 2 * lo])
+            y[r] = sla.solve_triangular(self.L[g][:p, :p], rhs, lower=True, check_finite=False)
+            if p == len(self.L[g]):
+                s[: 2 * hi] += self.G[g].T @ y[r]
+        return y, s
+
+    def backward(self, Lam: np.ndarray, z: np.ndarray, k: int, t: np.ndarray) -> np.ndarray:
+        """x = L_0[:k, :k]^-T z', z' being z less the later rows' part, G[g] t on a whole group g.
+
+        t, of 2k rows, enters holding the later rows' sum Lambda_rho^T sV_rho x_rho and is overwritten.
+        """
+        x = np.empty_like(z)
+        for g, lo, hi, r, p in reversed(list(self._groups(k))):
+            rhs = z[r] - self.G[g] @ t[: 2 * hi] if p == len(self.L[g]) else z[r]
+            x[r] = sla.solve_triangular(self.L[g][:p, :p], rhs, lower=True, trans="T", check_finite=False)
+            t[: 2 * hi] += Lam[r, : 2 * hi].T @ (self._sV(lo, hi) * x[r])
+        return x
+
+    def solve(self, Lam: np.ndarray, f: np.ndarray, m: int) -> np.ndarray:
+        """L_j^-T L_j^-1 f at start j = M - m; f is (m+1) n x cols.
+
+        L_j is L_0's leading m nodes plus the last block row [a L_0[m, :m], C],
+        with a = 1 and C = Ld[M] at start 0, and a = 1/sqrt(2) and C = C[m]
+        past it.  L_0[m, :m] applied to y is sV_m Lambda_m s, over the whole
+        groups before node m's group g, plus L[g]'s in-group part.
+        """
+        n, k = self.n, m * self.n
+        a, C = (1.0, self.Ld[m]) if m == len(self.sw) - 1 else (np.sqrt(0.5), self.C[m])
+        g, lo = m // self.q, m - m % self.q
+        p = (m - lo) * n
+        Bm = (a * self.sw[m]) * Lam[k : k + n, : 2 * lo]
+        Lm = a * self.L[g][p : p + n, :p]
+        y, s = self.forward(Lam, f[:k], m)
+        yl = sla.solve_triangular(C, f[k:] - Bm @ s[: 2 * lo] - Lm @ y[lo * n :], lower=True, check_finite=False)
+        xl = sla.solve_triangular(C, yl, lower=True, trans="T", check_finite=False)
+        y[lo * n :] -= Lm.T @ xl
+        t = np.zeros((2 * m, f.shape[1]))
+        t[: 2 * lo] = Bm.T @ xl
+        return np.concatenate([self.backward(Lam, y, m, t), xl])
+
+
+def _state_factor(Lam: np.ndarray, w: np.ndarray, n: int) -> StateFactor:
+    """L_0's generators for Lambda on [0, T] with node weights w, group by group.
+
+    Minv = (I + B_<^T B_<)^-1 over the rows B_< already processed is kept as
+    Mi = sqrt(D_U)^-1 Minv sqrt(D_U)^-1, so that B_g Minv = sV_g Lambda_g Mi.
+    Minv is the identity past the processed rows' last column and B_g is
+    zero past group g's, so group g reads and updates only Mi's leading
+    block on its own columns.  For group g, S = I + B_g Minv B_g^T >= I is
+    the Schur complement left by the processed rows, L[g] = chol(S),
+    G[g] = L[g]^-1 sV_g Lambda_g Mi and Mi <- Mi - G[g]^T G[g].
+    """
+    nodes, sw = len(w), np.sqrt(w)
+    q = max(1, _GROUP_ROWS // n)
+    L, G, Ld = [], [], np.empty((nodes, n, n))
+    Mi = np.diag(1.0 / np.repeat(w, 2))
+    for lo in range(0, nodes, q):
+        hi = min(lo + q, nodes)
+        VL = np.repeat(sw[lo:hi], n)[:, None] * Lam[lo * n : hi * n, : 2 * hi]
+        BM = VL @ Mi[: 2 * hi, : 2 * hi]
+        S = BM @ VL.T
+        S[np.diag_indices_from(S)] += 1.0
+        L.append(np.linalg.cholesky(S))
+        G.append(sla.solve_triangular(L[-1], BM, lower=True, check_finite=False))
+        Mi[: 2 * hi, : 2 * hi] -= G[-1].T @ G[-1]
+        i = np.arange(hi - lo)
+        Ld[lo:hi] = L[-1].reshape(hi - lo, n, hi - lo, n)[i, :, i, :]
+    i = np.arange(nodes)
+    Bd = Lam.reshape(nodes, n, nodes, 2)[i, :, i, :]  # B_mm: the weights of node m cancel
+    C = np.linalg.cholesky(0.5 * (np.eye(n) + Bd @ Bd.transpose(0, 2, 1) + Ld @ Ld.transpose(0, 2, 1)))
+    return StateFactor(q, sw, L, G, Ld, C)
+
+
+def _table_state_factor(table: KernelTable) -> StateFactor:
+    """L_0 in generator form (StateFactor), built on first use and kept on the table."""
     if table._state_chol is None:
-        B = OperatorAssembly(table, 0).scaled()
-        A = B @ B.T
-        A[np.diag_indices_from(A)] += 1.0
-        table._state_chol = sla.cho_factor(A.T, lower=True, overwrite_a=True)[0]
+        table._state_chol = _state_factor(_table_Lambda(table), table.grid.segment_weights(0), table.n_modes)
     return table._state_chol
-
-
-def _last_row_blocks(L: np.ndarray, asm: OperatorAssembly, nodes: np.ndarray):
-    """(L_mm, C_m) over the nodes m: L_0's diagonal block, and L_j's last one at j = M - m > 0.
-
-    Lambda is causal, so the state-side factor L_j is L_0's leading m block
-    rows plus the last block row [L_0[m, :m] / sqrt(2), C_m], whose trapezoid
-    weight halves: C_m C_m^T = A_j[m, m] - L_0[m, :m] L_0[m, :m]^T / 2
-    = (I + B_mm B_mm^T + L_mm L_mm^T) / 2, B_mm being the node-m diagonal
-    block of asm's B, formed entrywise as in OperatorAssembly.scaled.
-    """
-    n = asm.n
-    rows = nodes[:, None] * n + np.arange(n)
-    cols = nodes[:, None] * 2 + np.arange(2)
-    Ld = np.tril(L[rows[:, :, None], rows[:, None, :]])
-    Bd = (asm._sV[rows][:, :, None] * asm.Lam[rows[:, :, None], cols[:, None, :]]) / asm._sU[cols][:, None, :]
-    S = 0.5 * (np.eye(n) + Bd @ Bd.transpose(0, 2, 1) + Ld @ Ld.transpose(0, 2, 1))
-    return Ld, np.linalg.cholesky(S)
 
 
 class OperatorAssembly:
@@ -121,9 +218,10 @@ class OperatorAssembly:
     the trapezoid node weights repeated per component; the scaled matrix
     B = sqrt(D_V) Lambda sqrt(D_U)^-1 makes the two normal systems
     I + B B^T (state side) and I + B^T B (control side) plainly symmetric.
-    B is formed only as a temporary while a factor is built; the factors
-    live on the table, L_0 in _state_chol and the start's control-side
-    factor in _control_chol, so an assembly holds no matrix of its own.
+    B is formed only as a temporary while the control-side factor is built;
+    the factors live on the table, L_0's generators in _state_chol and the
+    start's control-side factor in _control_chol, so an assembly holds no
+    matrix of its own.
     """
 
     def __init__(self, table: KernelTable, start: int):
@@ -178,28 +276,14 @@ class OperatorAssembly:
         """(I + Lambda Lambda*)^-1 g by the table's SPD factor L_0; g is (m+1, n).
 
         Past start 0 the factor is L_0's leading m block rows plus the last
-        row [L_0[m, :m] / sqrt(2), C_m] (_last_row_blocks): two triangular
-        solves against L_0, on right-hand sides zero-padded to its order so
-        that no slice is copied, and one Cholesky solve of order n with C_m.
+        row [L_0[m, :m] / sqrt(2), C_m]; StateFactor.solve runs both
+        triangular solves group by group on L_0's generators.
         """
         if self.empty:
             return g.copy()
-        L0 = _table_state_factor(self.table)
-        rhs = self._sV * g.reshape(-1)
-        if self.start == 0:
-            sol = sla.cho_solve((L0, True), rhs, check_finite=False)
-        else:
-            C = _last_row_blocks(L0, self, np.array([self.m]))[1][0]
-            k = self.m * self.n
-            row = L0[k : k + self.n, :k] / np.sqrt(2.0)
-            pad = np.zeros(L0.shape[0])
-            pad[:k] = rhs[:k]
-            y = sla.solve_triangular(L0, pad, lower=True, check_finite=False)[:k]
-            x_last = sla.cho_solve((C, True), rhs[k:] - row @ y)
-            pad[:k] = y - row.T @ x_last
-            x = sla.solve_triangular(L0, pad, lower=True, trans="T", check_finite=False)[:k]
-            sol = np.concatenate([x, x_last])
-        return (sol / self._sV).reshape(self.m + 1, self.n)
+        factor = _table_state_factor(self.table)
+        sol = factor.solve(self.Lam, (self._sV * g.reshape(-1))[:, None], self.m)
+        return (sol[:, 0] / self._sV).reshape(self.m + 1, self.n)
 
     def solve_normal_control(self, r: np.ndarray) -> np.ndarray:
         """(I + Lambda* Lambda)^-1 r on control fields; r is (m+1, 2)."""
@@ -254,11 +338,11 @@ def node_forms(table: KernelTable) -> NodeForms:
     Every entry is a weighted pairing <f, H h>_V = (L_j^-1 sV f)^T (L_j^-1 sV h)
     with L_j the state-side Cholesky factor at start j: the start-0 factor
     L_0's leading block plus one corrected last block row m = M - j
-    (_last_row_blocks).  Every f needed is a prefix of a start-0 field except
-    in its last row, so one triangular solve of L_0 against 4n + 4 right-hand
-    sides, a running sum over block rows and one n x n correction per node
-    give every node's forms.  Node 0 is the start-0 factor itself, whose last
-    node is T.
+    (StateFactor.C).  Every f needed is a prefix of a start-0 field except
+    in its last row, so one forward solve on L_0's generators against 4n + 4
+    right-hand sides, a running sum over block rows and one n x n correction
+    per node give every node's forms.  Node 0 is the start-0 factor itself,
+    whose last node is T.
     """
     if table._node_forms is None:
         table._node_forms = _build_node_forms(table)
@@ -267,10 +351,10 @@ def node_forms(table: KernelTable) -> NodeForms:
 
 def _build_node_forms(table: KernelTable) -> NodeForms:
     M, n = table.grid.n_steps, table.n_modes
-    L = _table_state_factor(table)
+    factor = _table_state_factor(table)
     asm = OperatorAssembly(table, 0)
     sV = asm._sV[::n, None]
-    nodes, modes = np.arange(M + 1), np.arange(n)
+    modes = np.arange(n)
     ng, cols = 2 * n, 4 * n + 4
     G, Kc, Om = slice(0, ng), slice(ng, ng + 4), slice(ng + 4, cols)
 
@@ -292,12 +376,11 @@ def _build_node_forms(table: KernelTable) -> NodeForms:
         omega[:, :-1] += beta[:, 1:]
         F[:, modes, Om.start + c * n + modes] = omega.T / sV
         delta[:-1, modes, Om.start + c * n + modes] = (alpha[:, :-1] - beta[:, 1:]).T / np.sqrt(table.grid.dt)
-    Y = sla.solve_triangular(L, F.reshape(-1, cols), lower=True, check_finite=False).reshape(F.shape)
+    Y = factor.forward(asm.Lam, F.reshape(-1, cols), M + 1)[0].reshape(F.shape)
     head = np.cumsum(np.einsum("rkc,rkd->rcd", Y, Y[:, :, G]), axis=0)
 
     # the last block row at start j: sqrt(2) L_j[m, m] y_j[m] = L_mm Y[m] + delta[m]
-    Ld, C = _last_row_blocks(L, asm, nodes)
-    y_last = np.linalg.solve(C, (Ld @ Y + delta) / np.sqrt(2.0))
+    y_last = sla.solve_triangular(factor.C, (factor.Ld @ Y + delta) / np.sqrt(2.0), lower=True, check_finite=False)
     last = np.einsum("rkc,rkd->rcd", y_last, y_last[:, :, G])
 
     gram = np.zeros((M + 1, cols, ng))

@@ -1,0 +1,31 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "paired_bench.py"
+_spec = importlib.util.spec_from_file_location("paired_bench", SCRIPT)
+paired_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(paired_bench)
+
+
+def side(wall_s, failed, attempted):
+    return {"wall_s": wall_s, "peak_rss_mb": 100.0, "attempted": attempted, "failed": failed}
+
+
+def test_summary_counts_wins_and_sums_the_checks_of_every_pair():
+    pairs = [{"seed": 1, "parent": side(2.0, 1, 20), "change": side(1.0, 1, 40)},
+             {"seed": 2, "parent": side(2.0, 0, 20), "change": side(3.0, 1, 40)},
+             {"seed": 3, "parent": side(2.0, 0, 20), "change": side(1.5, 0, 40)}]
+    summary = paired_bench.summarize(pairs)
+    assert summary["wall_s"]["change_wins"] == "2/3"
+    assert summary["wall_s"]["change"]["median"] == 1.5 and summary["peak_rss_mb"]["parent"]["n"] == 3
+    checks = summary["checks"]
+    assert checks["parent"] == {"failed": 1, "attempted": 60}
+    assert checks["change"] == {"failed": 2, "attempted": 120}
+    assert not checks["change_fails_larger_share"]  # 2/120 equals 1/60
+
+
+def test_summary_flags_a_larger_failed_share_of_the_change():
+    pairs = [{"seed": 1, "parent": side(2.0, 1, 60), "change": side(1.0, 3, 120)}]
+    summary = paired_bench.summarize(pairs)
+    assert summary["checks"]["change_fails_larger_share"]
+    assert summary["wall_s"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0, "n": 1}

@@ -4,9 +4,10 @@
 
 For each seed, runs `python3 bench/run.py --workload W --seed S --trace 0` in
 both checkouts, the parent first on odd seeds and the change first on even
-ones, and prints each side's median and quartiles of every end-to-end metric
-plus the number of pairs the change wins on wall_s.  --json also writes the
-pairs and that summary.
+ones, and prints each side's median and quartiles of every end-to-end metric,
+the number of pairs the change wins on wall_s, and each side's failed and
+attempted checks summed over all pairs, flagged when the change fails a larger
+share of them than the parent.  --json also writes the pairs and that summary.
 """
 
 from __future__ import annotations
@@ -29,6 +30,19 @@ def quartiles(xs: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "n": len(xs)}
 
 
+def summarize(pairs: list[dict]) -> dict:
+    """Quartiles of every metric per side, the change's wall_s wins, and the summed check counts."""
+    sides = ("parent", "change")
+    metrics = [k for k in pairs[0]["parent"] if k not in ("attempted", "failed")]
+    summary = {k: {side: quartiles([pr[side][k] for pr in pairs]) for side in sides} for k in metrics}
+    summary["wall_s"]["change_wins"] = f"{sum(pr['change']['wall_s'] < pr['parent']['wall_s'] for pr in pairs)}/{len(pairs)}"
+    checks = {side: {k: sum(pr[side][k] for pr in pairs) for k in ("failed", "attempted")} for side in sides}
+    p, c = checks["parent"], checks["change"]
+    checks["change_fails_larger_share"] = c["failed"] * p["attempted"] > p["failed"] * c["attempted"]
+    summary["checks"] = checks
+    return summary
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent")
@@ -44,10 +58,13 @@ def main() -> None:
         pair.update({side: run(getattr(a, side), a.workload, seed) for side in order})
         pairs.append(pair)
         print(f"seed {seed}: wall_s parent {pair['parent']['wall_s']:.4g} change {pair['change']['wall_s']:.4g}")
-    metrics = [k for k in pairs[0]["parent"] if k not in ("attempted", "failed")]
-    summary = {k: {side: quartiles([pr[side][k] for pr in pairs]) for side in ("parent", "change")} for k in metrics}
-    summary["wall_s"]["change_wins"] = f"{sum(pr['change']['wall_s'] < pr['parent']['wall_s'] for pr in pairs)}/{len(pairs)}"
+    summary = summarize(pairs)
     print(json.dumps(summary, indent=1))
+    checks = summary["checks"]
+    print("failed/attempted checks: " + ", ".join(f"{side} {checks[side]['failed']}/{checks[side]['attempted']}"
+                                                  for side in ("parent", "change")))
+    if checks["change_fails_larger_share"]:
+        print("FLAG: the change fails a larger share of its checks than the parent")
     if a.json:
         with open(a.json, "w") as fh:
             json.dump({"workload": a.workload, "pairs": pairs, "summary": summary}, fh, indent=1)
