@@ -15,7 +15,6 @@ from .kernels import (
     KernelTable,
     TimeGrid,
     Z_oracle,
-    eval_N,
     series_Z_check,
     solve_Z,
     write_kernel_csv,
@@ -35,7 +34,6 @@ from .forward import (
 from .optimal import (
     OperatorAssembly,
     OptimalSolution,
-    apply_H,
     cost_gradient,
     evaluate_cost,
     solve_optimal,

@@ -26,14 +26,17 @@ exactly on each panel.  Plain trapezoid on those convolutions loses three to
 four digits on the stiffest modes (|lambda| dt ~ 1), which the product rule
 avoids at identical cost.
 
-Recursive convolution: every kernel here is a sum of two to four
-exponentials per mode, so each history sum is carried through the time loop
-by one running sum per exponential, S <- r (S + x) with r = exp(mu dt), in
+Exponential sums: the roots of mu^2 - lambda mu - lambda are distinct for
+every lambda but 0 and -4, and no interval eigenvalue -(n pi)^2 is either, so
+every kernel here is a list of (c, mu) pairs, k(t) = Re sum c e^{mu t}: one
+term for E, two for Z, four for Q.  Each history sum is carried through the
+time loop by one running sum per term, S <- r (S + x) with r = exp(mu dt), in
 the manner of Lubich & Schaedle (2002), exact rather than approximate.
 volterra_trapezoid (Z, the series check and the Volterra forward route) and
 product_convolution (Q and the control responses) cost O(n M) instead of
-O(n M^2).  weight_matrix gives the same weights as a dense matrix, for
-memlqr.optimal's Lambda.
+O(n M^2).  product_weights tabulates the same panel weights for every mode at
+once, from the same first-panel weights; weight_matrix lays one mode's out as
+a dense matrix, for memlqr.optimal's Lambda.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ __all__ = [
     "TimeGrid",
     "KernelTable",
     "SeriesReport",
-    "eval_N",
     "Z_oracle",
     "oscillator_solution",
     "z_exponential_terms",
@@ -105,41 +107,26 @@ class TimeGrid:
 # closed-form kernels and the 2x2 oracle
 
 
-def eval_N(basis: SpectralBasis, n: int, t) -> float | np.ndarray:
-    """Memory kernel in closed form, E - (E - exp(-t))/(lambda + 1)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
-    lam = basis.eigenvalues[n]
-    E = np.exp(lam * t)
-    out = E - (E - np.exp(-t)) / (lam + 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def _char_roots(lam: float) -> tuple[complex, complex]:
-    """Roots of mu^2 - lambda mu - lambda = 0."""
+    """Roots of mu^2 - lambda mu - lambda = 0, which must be distinct."""
     disc = complex(lam * lam + 4.0 * lam)
+    if disc == 0:
+        raise ValueError(f"lambda = {lam} gives a double root of mu^2 - lambda mu - lambda; "
+                         "the exponential-sum kernels need distinct roots (lambda not in {0, -4})")
     root = np.sqrt(disc)
     return 0.5 * (lam + root), 0.5 * (lam - root)
 
 
-_DEFECTIVE_TOL = 1e-9
+def _oscillator_terms(lam: float, a0: float, a1: float) -> list[tuple[complex, complex]]:
+    """(c, mu) pairs of the solution of a'' = lambda(a + a'), a(0)=a0, a'(0)=a1."""
+    mu1, mu2 = _char_roots(lam)
+    return [((a1 - mu2 * a0) / (mu1 - mu2), mu1), ((mu1 * a0 - a1) / (mu1 - mu2), mu2)]
 
 
 def oscillator_solution(lam: float, a0: float, a1: float, t) -> float | np.ndarray:
-    """Exact solution of a'' = lambda(a + a'), a(0)=a0, a'(0)=a1.
-
-    Handles the defective double-root case lam^2 + 4 lam = 0 by the limit
-    formula; no interval eigenvalue hits it, but the guard stays.
-    """
+    """Exact solution of a'' = lambda(a + a'), a(0)=a0, a'(0)=a1."""
     t = np.asarray(t, dtype=float)
-    mu1, mu2 = _char_roots(lam)
-    if abs(mu1 - mu2) < _DEFECTIVE_TOL * max(1.0, abs(lam)):
-        mu = 0.5 * lam
-        out = np.exp(mu * t) * (a0 + (a1 - mu * a0) * t)
-        return float(out) if np.ndim(out) == 0 else np.real(out)
-    c1 = (a1 - mu2 * a0) / (mu1 - mu2)
-    c2 = (mu1 * a0 - a1) / (mu1 - mu2)
+    (c1, mu1), (c2, mu2) = _oscillator_terms(lam, a0, a1)
     out = np.real(c1 * np.exp(mu1 * t) + c2 * np.exp(mu2 * t))
     return float(out) if out.ndim == 0 else out
 
@@ -153,38 +140,25 @@ def Z_oracle(basis: SpectralBasis, n: int, t) -> float | np.ndarray:
     return oscillator_solution(lam, 1.0, lam + 1.0, t)
 
 
-def z_exponential_terms(lam: float) -> list[tuple[complex, complex, int]]:
-    """Z as an exponential sum: list of (coefficient, rate, power of t)."""
-    mu1, mu2 = _char_roots(lam)
-    a0, a1 = 1.0, lam + 1.0
-    if abs(mu1 - mu2) < _DEFECTIVE_TOL * max(1.0, abs(lam)):
-        mu = complex(0.5 * lam)
-        return [(complex(a0), mu, 0), (complex(a1) - mu * a0, mu, 1)]
-    c1 = (a1 - mu2 * a0) / (mu1 - mu2)
-    c2 = (mu1 * a0 - a1) / (mu1 - mu2)
-    return [(c1, mu1, 0), (c2, mu2, 0)]
+def z_exponential_terms(lam: float) -> list[tuple[complex, complex]]:
+    """Z as an exponential sum: list of (coefficient, rate)."""
+    return _oscillator_terms(lam, 1.0, lam + 1.0)
 
 
-def e_exponential_terms(lam: float) -> list[tuple[complex, complex, int]]:
-    return [(1.0 + 0.0j, complex(lam), 0)]
+def e_exponential_terms(lam: float) -> list[tuple[complex, complex]]:
+    return [(1.0 + 0.0j, complex(lam))]
 
 
-def q_exponential_terms(lam: float) -> list[tuple[complex, complex, int]]:
+def q_exponential_terms(lam: float) -> list[tuple[complex, complex]]:
     """Q(t) = int_0^t Z(s) exp(-(t-s)) ds as an exponential sum.
 
-    Convolving c t^d e^{mu t} with e^{-t} shifts nothing across mu = -1:
-    the characteristic roots never hit -1 (mu^2 - lam mu - lam = 1 there).
+    c e^{mu t} convolved with e^{-t} is c (e^{mu t} - e^{-t}) / (mu + 1); the
+    characteristic roots never hit -1 (mu^2 - lam mu - lam = 1 there).
     """
-    out: list[tuple[complex, complex, int]] = []
-    for c, mu, deg in z_exponential_terms(lam):
+    out: list[tuple[complex, complex]] = []
+    for c, mu in z_exponential_terms(lam):
         p = mu + 1.0
-        if deg == 0:
-            out.append((c / p, mu, 0))
-            out.append((-c / p, -1.0 + 0.0j, 0))
-        else:
-            out.append((c / p, mu, 1))
-            out.append((-c / p**2, mu, 0))
-            out.append((c / p**2, -1.0 + 0.0j, 0))
+        out += [(c / p, mu), (-c / p, -1.0 + 0.0j)]
     return out
 
 
@@ -195,49 +169,49 @@ def q_exponential_terms(lam: float) -> list[tuple[complex, complex, int]]:
 _LOG_MAX = float(np.log(np.finfo(float).max))  # largest x with exp(x) finite, ~709.78
 
 
-def _panel_moments(mu: complex, dt: float) -> tuple[complex, complex, complex]:
-    """m_k = int_0^dt s^k exp(-mu s) ds for k = 0, 1, 2 (series for small mu dt)."""
+def _panel_moments(mu: complex, dt: float) -> tuple[complex, complex]:
+    """m_k = int_0^dt s^k exp(-mu s) ds for k = 0, 1 (series for small mu dt)."""
     z = mu * dt
     if abs(z) < 1e-4:
         m0 = dt * (1 - z / 2 + z**2 / 6 - z**3 / 24 + z**4 / 120)
         m1 = dt**2 * (0.5 - z / 3 + z**2 / 8 - z**3 / 30 + z**4 / 144)
-        m2 = dt**3 * (1.0 / 3 - z / 4 + z**2 / 10 - z**3 / 36 + z**4 / 168)
-        return m0, m1, m2
+        return m0, m1
     em = np.exp(-z)
     m0 = (1.0 - em) / mu
     m1 = (m0 - dt * em) / mu
-    m2 = (2.0 * m1 - dt * dt * em) / mu
-    return m0, m1, m2
+    return m0, m1
 
 
-def product_weights(terms, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Left/right panel weights for int k(t_g - s) f(s) ds with f piecewise linear.
+def _first_panel(kernel_terms, lam: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
+    """(c, mu, a_loc, b_loc), each (n, terms), for the kernels kernel_terms(lam[k]).
 
-    A panel [t_p, t_{p+1}] inside a row with right endpoint t_j contributes
-    f_p * alpha[j-p] + f_{p+1} * beta[j-p]; alpha[0] = beta[0] = 0.
+    A term c e^{mu t} weighs the left and right hat functions of the panel
+    that starts g steps before the row's node by c e^{mu g dt} a_loc and
+    c e^{mu g dt} b_loc.
+    """
+    per_mode = [kernel_terms(float(l)) for l in lam]
+    c = np.array([[t[0] for t in terms] for terms in per_mode])
+    mu = np.array([[t[1] for t in terms] for terms in per_mode])
+    m0, m1 = np.vectorize(lambda z: _panel_moments(z, dt), otypes=[complex] * 2)(mu)
+    return c, mu, (dt * m0 - m1) / dt, m1 / dt
+
+
+def product_weights(kernel_terms, lam: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode left/right panel weights for int k(t_g - s) f(s) ds with f piecewise linear.
+
+    Row k is the kernel kernel_terms(lam[k]).  A panel [t_p, t_{p+1}] inside
+    a row with right endpoint t_j contributes f_p * alpha[k, j-p] +
+    f_{p+1} * beta[k, j-p]; alpha[:, 0] = beta[:, 0] = 0.
     """
     dt = grid.dt
-    M = grid.n_steps
-    g = np.arange(1, M + 1)
-    alpha = np.zeros(M + 1)
-    beta = np.zeros(M + 1)
-    for c, mu, deg in terms:
-        m0, m1, m2 = _panel_moments(mu, dt)
-        fac = c * np.exp(mu * g * dt)
-        if deg == 0:
-            a_loc = (dt * m0 - m1) / dt
-            b_loc = m1 / dt
-            alpha[1:] += np.real(fac * a_loc)
-            beta[1:] += np.real(fac * b_loc)
-        elif deg == 1:
-            # kernel factor (g dt - s) alongside the hat functions
-            gdt = g * dt
-            a_loc = (gdt * dt * m0 - (gdt + dt) * m1 + m2) / dt
-            b_loc = (gdt * m1 - m2) / dt
-            alpha[1:] += np.real(fac * a_loc)
-            beta[1:] += np.real(fac * b_loc)
-        else:  # pragma: no cover - no kernel uses higher powers
-            raise ValueError("unsupported kernel power")
+    c, mu, a_loc, b_loc = _first_panel(kernel_terms, lam, dt)
+    g = np.arange(1, grid.n_steps + 1)
+    alpha = np.zeros((len(lam), grid.n_steps + 1))
+    beta = np.zeros_like(alpha)
+    for i in range(c.shape[1]):
+        fac = c[:, i, None] * np.exp(mu[:, i, None] * g * dt)
+        alpha[:, 1:] += np.real(fac * a_loc[:, i, None])
+        beta[:, 1:] += np.real(fac * b_loc[:, i, None])
     return alpha, beta
 
 
@@ -259,7 +233,7 @@ def weight_matrix(alpha: np.ndarray, beta: np.ndarray, m: int) -> np.ndarray:
 
 
 def product_convolution(kernel_terms, lam: np.ndarray, dt: float, density: np.ndarray) -> np.ndarray:
-    """Per-mode product convolution against product_weights(kernel_terms(lam[k])), by recurrences.
+    """Per-mode product convolution against product_weights(kernel_terms, lam, grid), by recurrences.
 
     density is (m+1, n), or (m+1, 1) for one density shared by every mode;
     the result is (m+1, n) with row 0 zero.  A term c e^{mu t} has the
@@ -271,16 +245,10 @@ def product_convolution(kernel_terms, lam: np.ndarray, dt: float, density: np.nd
     and out_j is the sum over terms of Re(P_j).  The carry decays and both
     coefficients are finite first-panel weights, even for stiff modes.
     """
-    per_mode = [kernel_terms(float(l)) for l in lam]
-    if any(deg for terms in per_mode for _, _, deg in terms):
-        raise ValueError("recursive convolution needs distinct characteristic roots (lambda != -4)")
-    c = np.array([[t[0] for t in terms] for terms in per_mode])
-    mu = np.array([[t[1] for t in terms] for terms in per_mode])
-    moments = np.vectorize(lambda z: _panel_moments(z, dt), otypes=[complex] * 3)
-    m0, m1, _ = moments(mu)
+    c, mu, a_loc, b_loc = _first_panel(kernel_terms, lam, dt)
     rho = np.exp(mu * dt)
-    w_left = c * rho * ((dt * m0 - m1) / dt)
-    w_right = c * rho * (m1 / dt)
+    w_left = c * rho * a_loc
+    w_right = c * rho * b_loc
     d = np.asarray(density, dtype=float)[:, :, None]
     P = np.zeros(c.shape, dtype=complex)
     out = np.zeros((d.shape[0], c.shape[0]))
@@ -378,14 +346,16 @@ def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
     rejected explicitly: one where the implicit step coefficient
     1 - (dt/2) N(0) vanishes (dt = 2 / N(0)), and one where a mode has
     |lambda| dt > log(DBL_MAX), so that exp(-mu dt) in the panel moments
-    would overflow into NaN product weights.
+    would overflow into NaN product weights.  So is an eigenvalue in
+    {0, -4}, where the characteristic roots coincide.
     """
     M = grid.n_steps
     dt = grid.dt
     t = grid.nodes
     n = basis.n_modes
-    E = np.exp(np.outer(basis.eigenvalues, t))
-    N = np.stack([eval_N(basis, k, t) for k in range(n)])
+    lam = basis.eigenvalues
+    E = np.exp(np.outer(lam, t))
+    N = E - (E - np.exp(-t)) / (lam[:, None] + 1.0)
 
     denom = 1.0 - 0.5 * dt * N[:, 0]
     if np.any(np.abs(denom) < 1e-12):
@@ -396,19 +366,11 @@ def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
         raise ValueError(f"mode {k + 1} has |lambda| dt = {stiff[k]:.1f} > log(DBL_MAX) = {_LOG_MAX:.2f}; "
                          "its panel moments would overflow (refine the grid or use fewer modes)")
 
-    lam = basis.eigenvalues
     x = np.zeros((M + 1, n))
     x[0] = 1.0
     Z = np.ascontiguousarray(volterra_trapezoid(lam, N, dt, x, F=E.T).T)
-
-    alpha_Z = np.zeros((n, M + 1))
-    beta_Z = np.zeros((n, M + 1))
-    alpha_Q = np.zeros((n, M + 1))
-    beta_Q = np.zeros((n, M + 1))
-    for k in range(n):
-        alpha_Z[k], beta_Z[k] = product_weights(z_exponential_terms(lam[k]), grid)
-        alpha_Q[k], beta_Q[k] = product_weights(q_exponential_terms(lam[k]), grid)
-
+    alpha_Z, beta_Z = product_weights(z_exponential_terms, lam, grid)
+    alpha_Q, beta_Q = product_weights(q_exponential_terms, lam, grid)
     Q = np.ascontiguousarray(product_convolution(z_exponential_terms, lam, dt, np.exp(-t)[:, None]).T)
     Zp = (lam[:, None] + 1.0) * Z - Q
 

@@ -62,7 +62,6 @@ __all__ = [
     "node_forms",
     "solve_optimal",
     "u_plus_control_side",
-    "apply_H",
     "evaluate_cost",
     "value_function",
     "cost_gradient",
@@ -238,8 +237,10 @@ class OperatorAssembly:
         self._sU = np.sqrt(self.wU)
 
     def scaled(self) -> np.ndarray:
-        """B = sqrt(D_V) Lambda sqrt(D_U)^-1, a fresh temporary."""
-        return (self._sV[:, None] * self.Lam) / self._sU[None, :]
+        """B = sqrt(D_V) Lambda sqrt(D_U)^-1, a fresh temporary scaled in place."""
+        B = self._sV[:, None] * self.Lam
+        B /= self._sU
+        return B
 
     # -- elementary applications -------------------------------------------------
 
@@ -422,11 +423,6 @@ def u_plus_control_side(state: StateSnapshot, table: KernelTable) -> ControlSign
     h = response_field(state, table)
     rhs = asm.apply_Lambda_star(h)
     return ControlSignal(state.tau_index, -asm.solve_normal_control(rhs))
-
-
-def apply_H(g: np.ndarray, table: KernelTable, start: int) -> np.ndarray:
-    """(I + Lambda Lambda*)^-1 g on the start's control-side factor (OperatorAssembly.apply_H)."""
-    return OperatorAssembly(table, start).apply_H(g)[0]
 
 
 def evaluate_cost(state: StateSnapshot, u: ControlSignal, table: KernelTable) -> float:

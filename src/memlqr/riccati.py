@@ -119,7 +119,10 @@ class GeneratorImage:
     dy: np.ndarray  # -y_hat
 
 
-def apply_generator(state: StateSnapshot, table: KernelTable, compat_tol: float = 1e-8) -> GeneratorImage:
+_COMPAT_TOL = 1e-8  # relative tolerance of xi(tau) = v_hat for a state in the generator's domain
+
+
+def apply_generator(state: StateSnapshot, table: KernelTable) -> GeneratorImage:
     """Generator blocks for a state in the discrete domain.
 
     Membership asks for a square-summable seed (automatic after truncation),
@@ -127,7 +130,7 @@ def apply_generator(state: StateSnapshot, table: KernelTable, compat_tol: float 
     states are rejected.  The history derivative uses second-order one-sided
     stencils at the ends and central differences inside.
     """
-    if not state.is_compatible(compat_tol):
+    if not state.is_compatible(_COMPAT_TOL):
         raise ValueError("state violates the compatibility condition xi(tau) = v_hat")
     grid = table.grid
     lam = table.basis.eigenvalues
@@ -174,7 +177,7 @@ def _kernel_pairings(phi: np.ndarray, table: KernelTable, start: int) -> tuple[n
     return pair(table.alpha_Z, table.beta_Z), pair(table.alpha_Q, table.beta_Q)
 
 
-def P_cross(state: StateSnapshot, dv, dxi, dy, table: KernelTable, phi: np.ndarray | None = None) -> float:
+def P_cross(state: StateSnapshot, dv, dxi, dy, table: KernelTable) -> float:
     """Frozen-operator pairing <P S, X> + <X, P S> for a state-shaped triple X.
 
     The response of X is Z dv + Q (dy - I_dxi); its pairing against H h is
@@ -184,8 +187,7 @@ def P_cross(state: StateSnapshot, dv, dxi, dy, table: KernelTable, phi: np.ndarr
     asm = OperatorAssembly(table, state.tau_index)
     if asm.empty:
         return 0.0
-    if phi is None:
-        phi, _ = asm.apply_H(response_field(state, table))
+    phi, _ = asm.apply_H(response_field(state, table))
     C, D = _kernel_pairings(phi, table, state.tau_index)
     return _paired_cross(dv, dxi, dy, C, D, table)
 

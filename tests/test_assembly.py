@@ -8,6 +8,7 @@ the factors live on the table.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -134,3 +135,18 @@ def test_control_normal_spectrum_matches_state_side():
     assert evals[0] >= 1.0 - 1e-12
     assert np.all(np.diff(evals) >= 0.0)
     assert evals[-1] == pytest.approx(state_side[-1], rel=1e-12)
+
+
+def test_control_factor_holds_one_scaled_temporary():
+    # B = sqrt(D_V) Lambda sqrt(D_U)^-1 is scaled in place, so forming the
+    # factor of I + B^T B never holds two B-sized arrays at once
+    table = solve_Z(build_basis(8), TimeGrid(0.5, 128))
+    asm = OperatorAssembly(table, 0)
+    normal_bytes = asm.Lam.shape[1] ** 2 * asm.Lam.itemsize
+    tracemalloc.start()
+    try:
+        asm._control_factor()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * asm.Lam.nbytes + normal_bytes

@@ -39,3 +39,22 @@ def test_identical_runs_report_no_change(tmp_path, capsys):
     assert code == 0
     assert last == "no pass/fail status differs"
     assert all(float(v[0]) == 0.0 for v in rows.values())
+
+
+def test_dropped_rows_and_renamed_columns_are_problems(tmp_path, capsys):
+    write_run(tmp_path / "old", "2.0e-07", "FAIL", "0.5")
+    write_run(tmp_path / "new", "2.0e-07", "FAIL", "0.5")
+    (tmp_path / "new" / "trajectory.csv").write_text("t,mode_1\n0.0,1.0\n")
+    assert compare_outputs.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "rows: trajectory.csv 2 -> 1"
+    (tmp_path / "new" / "trajectory.csv").write_text("t,mode_2\n0.0,1.0\n0.5,0.5\n")
+    assert compare_outputs.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "header: trajectory.csv t,mode_1 -> t,mode_2"
+
+
+def test_files_only_in_new_are_listed(tmp_path, capsys):
+    write_run(tmp_path / "old", "2.0e-07", "FAIL", "0.5")
+    write_run(tmp_path / "new", "2.0e-07", "FAIL", "0.5")
+    (tmp_path / "new" / "extra.csv").write_text("t\n0.0\n")
+    assert compare_outputs.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"only in new: {tmp_path / 'new' / 'extra.csv'}"

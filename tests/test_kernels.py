@@ -2,19 +2,24 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from memlqr import (
+    SpectralBasis,
     TimeGrid,
     Z_oracle,
     build_basis,
-    eval_N,
     series_Z_check,
     solve_Z,
 )
 from memlqr.kernels import (
+    _panel_moments,
+    e_exponential_terms,
     oscillator_solution,
     product_weights,
+    q_exponential_terms,
     weight_matrix,
     z_exponential_terms,
 )
@@ -34,6 +39,12 @@ def grid():
 @pytest.fixture(scope="module")
 def table(basis, grid):
     return solve_Z(basis, grid)
+
+
+@pytest.fixture(scope="module")
+def unit_table(basis):
+    # nodes 0, 0.1, ..., 1.0 for the closed-form checks of N
+    return solve_Z(basis, TimeGrid(1.0, 10))
 
 
 # ----------------------------------------------------------------------------
@@ -57,29 +68,27 @@ def test_grid_rejects_bad_sizes():
 # E and N
 
 
-def test_N_at_zero_is_one(basis):
+def test_N_at_zero_is_one(table, basis):
     for k in range(basis.n_modes):
-        assert eval_N(basis, k, 0.0) == pytest.approx(1.0, rel=1e-14)
+        assert table.N[k, 0] == pytest.approx(1.0, rel=1e-14)
 
 
-def test_N_closed_form_value(basis):
+def test_N_closed_form_value(unit_table):
     # E(1) - (E(1) - exp(-1))/(lam + 1), the value of the defining integral
     # formula (the quadrature test below pins the sign)
     lam = -np.pi**2
     expected = np.exp(lam) - (np.exp(lam) - np.exp(-1.0)) / (lam + 1.0)
-    assert eval_N(basis, 0, 1.0) == pytest.approx(expected, rel=1e-13)
+    assert unit_table.N[0, 10] == pytest.approx(expected, rel=1e-13)
     assert expected == pytest.approx(-0.04142, abs=5e-6)
-    with pytest.raises(ValueError):
-        eval_N(basis, 0, -1.0)
 
 
-def test_N_closed_form_matches_quadrature(basis):
+def test_N_closed_form_matches_quadrature(unit_table, basis):
     # N(t) = E(t) - int_0^t exp(-(t-s)) E(s) ds, fine Simpson reference
-    for k, t in [(0, 1.0), (3, 0.3), (5, 0.7)]:
-        lam = basis.eigenvalues[k]
+    for k, j in [(0, 10), (3, 3), (5, 7)]:
+        lam, t = basis.eigenvalues[k], unit_table.grid.nodes[j]
         s = np.linspace(0.0, t, 10_001)
         integral = simpson(np.exp(-(t - s)) * np.exp(lam * s), x=s)
-        assert abs(eval_N(basis, k, t) - (np.exp(lam * t) - integral)) < 1e-10
+        assert abs(unit_table.N[k, j] - (np.exp(lam * t) - integral)) < 1e-10
 
 
 # ----------------------------------------------------------------------------
@@ -89,7 +98,7 @@ def test_N_closed_form_matches_quadrature(basis):
 def test_panel_moments_against_quadrature():
     grid = TimeGrid(0.4, 20)
     lam = -30.0
-    alpha, beta = product_weights([(1.0 + 0j, complex(lam), 0)], grid)
+    (alpha,), (beta,) = product_weights(e_exponential_terms, np.array([lam]), grid)
     dt = grid.dt
     for g in (1, 2, 5):
         s = np.linspace(0.0, dt, 20_001)
@@ -105,7 +114,7 @@ def test_product_convolution_is_second_order():
     errs = []
     for M in (32, 64):
         grid = TimeGrid(0.5, M)
-        alpha, beta = product_weights([(1.0 + 0j, complex(lam), 0)], grid)
+        (alpha,), (beta,) = product_weights(e_exponential_terms, np.array([lam]), grid)
         t = grid.nodes
         f = np.sin(3 * t) + 0.5 * t
         approx = conv_product(alpha, beta, f)
@@ -117,7 +126,7 @@ def test_product_convolution_is_second_order():
 
 def test_weight_matrix_matches_convolution():
     grid = TimeGrid(0.3, 12)
-    alpha, beta = product_weights([(1.0 + 0j, -5.0 + 0j, 0)], grid)
+    (alpha,), (beta,) = product_weights(e_exponential_terms, np.array([-5.0]), grid)
     rng = np.random.default_rng(1)
     f = rng.standard_normal(grid.n_steps + 1)
     W = weight_matrix(alpha, beta, grid.n_steps)
@@ -125,6 +134,41 @@ def test_weight_matrix_matches_convolution():
     # causality: strictly no dependence on the future
     assert np.all(np.triu(W, 1) == 0.0)
     assert np.all(W[0] == 0.0)
+
+
+def reference_product_weights(terms, grid):
+    """One mode's panel weights by the per-term scalar loop that solve_Z's vectorized form replaced."""
+    dt = grid.dt
+    g = np.arange(1, grid.n_steps + 1)
+    alpha = np.zeros(grid.n_steps + 1)
+    beta = np.zeros(grid.n_steps + 1)
+    for c, mu in terms:
+        m0, m1 = _panel_moments(mu, dt)
+        fac = c * np.exp(mu * g * dt)
+        alpha[1:] += np.real(fac * ((dt * m0 - m1) / dt))
+        beta[1:] += np.real(fac * (m1 / dt))
+    return alpha, beta
+
+
+def assert_weights_match_reference(table):
+    # the same scalar arithmetic in the same order, so equal to the last bit
+    for k, lam in enumerate(table.basis.eigenvalues):
+        for terms, alpha, beta in ((z_exponential_terms, table.alpha_Z, table.beta_Z),
+                                   (q_exponential_terms, table.alpha_Q, table.beta_Q)):
+            ref_alpha, ref_beta = reference_product_weights(terms(lam), table.grid)
+            assert np.array_equal(alpha[k], ref_alpha)
+            assert np.array_equal(beta[k], ref_beta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(2, 64), st.floats(0.1, 2.0))
+def test_product_weights_match_the_scalar_loop(n, M, T):
+    assert_weights_match_reference(solve_Z(build_basis(n), TimeGrid(T, M)))
+
+
+def test_product_weights_match_the_scalar_loop_on_the_stiff_grid():
+    # mode 191 has |lambda| dt = 703.2, just below the overflow guard
+    assert_weights_match_reference(solve_Z(build_basis(191), TimeGrid(0.5, 256)))
 
 
 # ----------------------------------------------------------------------------
@@ -145,12 +189,17 @@ def test_oracle_small_time_expansion(basis):
         assert val == pytest.approx(1.0 + (lam + 1.0) * h, abs=5e-7 * max(1.0, lam**2 * h**2 / 2 / 5e-7))
 
 
-def test_oracle_defective_guard():
-    # lam = -4 is the double root of mu^2 - lam mu - lam; limit formula
-    val = oscillator_solution(-4.0, 1.0, -3.0, 0.2)
-    h = 1e-7
-    near = oscillator_solution(-4.0 + h, 1.0, -3.0 + h, 0.2)
-    assert val == pytest.approx(near, rel=1e-5)
+def test_double_root_lambdas_are_rejected():
+    # mu^2 - lam mu - lam has a double root at lam = -4 and at lam = 0; no
+    # interval eigenvalue is either, and the exponential sums need two roots
+    for lam in (-4.0, 0.0):
+        basis = SpectralBasis(1, np.array([lam]), np.ones((1, 2)))
+        with pytest.raises(ValueError, match="double root"):
+            oscillator_solution(lam, 1.0, lam + 1.0, 0.2)
+        with pytest.raises(ValueError, match="double root"):
+            z_exponential_terms(lam)
+        with pytest.raises(ValueError, match="double root"):
+            solve_Z(basis, TimeGrid(0.5, 8))
 
 
 def test_z_terms_reproduce_oracle(basis):
@@ -158,7 +207,7 @@ def test_z_terms_reproduce_oracle(basis):
     for k in range(basis.n_modes):
         lam = basis.eigenvalues[k]
         terms = z_exponential_terms(lam)
-        vals = sum(np.real(c * t**d * np.exp(mu * t)) for c, mu, d in terms)
+        vals = sum(np.real(c * np.exp(mu * t)) for c, mu in terms)
         assert np.allclose(vals, Z_oracle(basis, k, t), atol=1e-12)
 
 
@@ -230,10 +279,7 @@ def test_Z_prime_matches_analytic_derivative(basis):
     t = grid.nodes
     for k in range(basis.n_modes):
         terms = z_exponential_terms(basis.eigenvalues[k])
-        dz = sum(
-            np.real(c * (mu * t**d + (d * t ** (d - 1) if d else 0.0)) * np.exp(mu * t))
-            for c, mu, d in terms
-        )
+        dz = sum(np.real(c * mu * np.exp(mu * t)) for c, mu in terms)
         scale = 1.0 + np.abs(dz)
         assert np.max(np.abs(table.Zp[k] - dz) / scale) < 1e-3
 

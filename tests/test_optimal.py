@@ -7,7 +7,6 @@ from memlqr import (
     SpectralBasis,
     StateSnapshot,
     TimeGrid,
-    apply_H,
     build_basis,
     cost_gradient,
     evaluate_cost,
@@ -264,7 +263,7 @@ def test_cost_homogeneity(table, grid, basis):
 
 def test_apply_H_zero(table, grid, basis):
     g = np.zeros((grid.n_steps + 1, basis.n_modes))
-    assert np.all(apply_H(g, table, 0) == 0.0)
+    assert np.all(OperatorAssembly(table, 0).apply_H(g)[0] == 0.0)
 
 
 def test_apply_H_identity_when_lambda_vanishes(grid):
@@ -275,14 +274,14 @@ def test_apply_H_identity_when_lambda_vanishes(grid):
     table = solve_Z(dead, grid)
     rng = np.random.default_rng(13)
     g = rng.standard_normal((grid.n_steps + 1, n))
-    assert np.max(np.abs(apply_H(g, table, 0) - g)) < 1e-13
+    assert np.max(np.abs(OperatorAssembly(table, 0).apply_H(g)[0] - g)) < 1e-13
 
 
 def test_apply_H_residual(table, grid, basis):
     rng = np.random.default_rng(14)
     g = rng.standard_normal((grid.n_steps + 1, basis.n_modes))
-    phi = apply_H(g, table, 0)
     asm = OperatorAssembly(table, 0)
+    phi = asm.apply_H(g)[0]
     lhs = phi + asm.apply_Lambda(asm.apply_Lambda_star(phi))
     assert np.max(np.abs(lhs - g)) <= 1e-10
 
@@ -291,7 +290,7 @@ def test_apply_H_agrees_with_spd_route(table, grid, basis):
     rng = np.random.default_rng(15)
     g = rng.standard_normal((grid.n_steps + 1, basis.n_modes))
     asm = OperatorAssembly(table, 0)
-    assert np.max(np.abs(apply_H(g, table, 0) - asm.solve_normal_state(g))) < 1e-10
+    assert np.max(np.abs(asm.apply_H(g)[0] - asm.solve_normal_state(g))) < 1e-10
 
 
 # ----------------------------------------------------------------------------

@@ -96,8 +96,7 @@ def reference_volterra(state, u, table):
     seed = state.y_hat.coeffs - memory_functional(state.xi, grid)
     E = table.E[:, : m + 1]
     N = table.N[:, : m + 1]
-    pairs = [product_weights(e_exponential_terms(lam), grid) for lam in table.basis.eigenvalues]
-    alpha_E, beta_E = (np.array(w) for w in zip(*pairs))
+    alpha_E, beta_E = product_weights(e_exponential_terms, table.basis.eigenvalues, grid)
     ctrl = reference_convolution(alpha_E, beta_E, u.samples @ table.basis.ad_coeffs.T)
     F = E.T * state.v_hat.coeffs[None, :] + (E - N).T * seed[None, :] - ctrl
     denom = 1.0 - 0.5 * dt * N[:, 0]

@@ -434,7 +434,7 @@ def test_cross_pairing_agrees_with_field_pairing(table, interior_state, basis):
     dy = rng.standard_normal(n) / np.arange(1, n + 1) ** 3
     asm = OperatorAssembly(table, interior_state.tau_index)
     phi, _ = asm.apply_H(response_field(interior_state, table))
-    exact = P_cross(interior_state, dv, dxi, dy, table, phi=phi)
+    exact = P_cross(interior_state, dv, dxi, dy, table)
     field = generator_response(dv, dxi, dy, table, interior_state.tau_index)
     trap = 2.0 * asm.inner_V(phi, field)
     assert abs(exact - trap) < 5e-4 * (1 + abs(exact))

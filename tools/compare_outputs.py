@@ -7,7 +7,9 @@ path under NEW_DIR, so two trees of per-seed output directories compare as
 well.  Prints, over all file pairs, the largest absolute and relative change
 of each summary.csv row and of each column of the other CSV files, with the
 largest old magnitude beside it; then every summary row whose pass/fail
-status differs.  Exits 1 when a status differs or a file is missing.
+status differs.  Exits 1 when a status differs, when a file is missing
+from NEW or present only in NEW, or when a file's header or row count
+differs.
 """
 
 from __future__ import annotations
@@ -32,11 +34,17 @@ def main(argv: list[str]) -> int:
         if not new.is_file():
             problems.append(f"missing: {new}")
             continue
-        (head, a), (_, b) = read_csv(old), read_csv(new)
+        (head, a), (new_head, b) = read_csv(old), read_csv(new)
+        name = old.relative_to(old_root)
+        if len(b) != len(a):
+            problems.append(f"rows: {name} {len(a)} -> {len(b)}")
+        if new_head != head:
+            problems.append(f"header: {name} {','.join(head)} -> {','.join(new_head)}")
+            continue
         if old.name == "summary.csv":
             rows = {r[0]: r for r in b}
             pairs = [(f"summary {r[0]}", r[1], rows[r[0]][1]) for r in a if r[0] in rows]
-            problems += [f"status: {old.relative_to(old_root)} {r[0]} {r[3]} -> {rows.get(r[0], [None] * 4)[3]}"
+            problems += [f"status: {name} {r[0]} {r[3]} -> {rows.get(r[0], [None] * 4)[3]}"
                          for r in a if rows.get(r[0], [None] * 4)[3] != r[3]]
         else:
             pairs = [(f"{old.name} {head[c]}", x[c], y[c]) for x, y in zip(a, b) for c in range(len(head))]
@@ -46,6 +54,8 @@ def main(argv: list[str]) -> int:
             rel = d / abs(x) if x else (0.0 if d == 0 else float("inf"))
             w = worst.setdefault(key, [0.0, 0.0, 0.0])
             w[:] = max(w[0], d), max(w[1], rel), max(w[2], abs(x))
+    problems += [f"only in new: {new}" for new in sorted(new_root.rglob("*.csv"))
+                 if not (old_root / new.relative_to(new_root)).is_file()]
     print(f"{'row / file column':44s} {'max abs change':>15s} {'max rel change':>15s} {'max |old|':>12s}")
     for key, (d, rel, mag) in worst.items():
         print(f"{key:44s} {d:15.3e} {rel:15.3e} {mag:12.3e}")
