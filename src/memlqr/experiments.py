@@ -43,7 +43,6 @@ from .riccati import (
     dissipation_scan,
     feedback_gain,
     riccati_residual,
-    state_along_trajectory,
     terminal_P_check,
     value_scan_batch,
 )
@@ -342,7 +341,7 @@ def _suite_riccati(ws: _Workspace, outdir: str) -> SuiteResult:
     traj = solve_voc(ws.state, ws.u_samples(), ws.table)
     for si, frac in enumerate((0.125, 0.25, 0.375, 0.5, 0.75)):
         j = max(1, int(round(ws.cfg.n_steps * frac)))
-        st = state_along_trajectory(ws.state, traj, j, ws.table)
+        st = extend_state(ws.state, None, j, ws.table, trajectory=traj)
         rr = riccati_residual(st, ws.table)
         worst_res = max(worst_res, rr.relative)
         body.append((si, st.tau_index, rr.p_prime, rr.cross, rr.gain_sq, rr.vhat_sq, rr.residual, rr.relative))
@@ -370,9 +369,8 @@ def _suite_closed_loop(ws: _Workspace, outdir: str) -> SuiteResult:
     rows, artifacts = [], []
     sol = solve_optimal(ws.state, ws.table)
     _traj, u_cl = closed_loop_simulate(ws.state, ws.table)
-    wU = np.repeat(ws.grid.quad_weights, 2)
-    d = (u_cl.samples - sol.u_plus.samples).reshape(-1)
-    mismatch = float(np.sqrt(np.dot(wU * d, d)))
+    d = u_cl.samples - sol.u_plus.samples
+    mismatch = float(np.sqrt(OperatorAssembly(ws.table, 0).inner_U(d, d)))
     rows.append(SummaryRow("closed_loop_l2_mismatch", mismatch, ws.tol("closed_loop"),
                            mismatch <= ws.tol("closed_loop")))
 

@@ -43,8 +43,7 @@ __all__ = [
     "SmoothControl",
     "hat_y_from_initial",
     "memory_functional",
-    "gamma_field",
-    "forcing_field",
+    "state_coordinates",
     "response_field",
     "control_field",
     "solve_volterra",
@@ -172,36 +171,30 @@ def memory_functional(xi: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return (w * decay) @ xi
 
 
-def gamma_field(v_hat, xi, table: KernelTable, start: int) -> np.ndarray:
-    """Uncontrolled response of the (v_hat, xi) part: Z(. - tau) v_hat - Q(. - tau) I_xi."""
-    m = table.grid.n_steps - start
-    v = _coeffs(v_hat)
-    I = memory_functional(xi, table.grid) if xi is not None else np.zeros_like(v)
-    return table.Z[:, : m + 1].T * v[None, :] - table.Q[:, : m + 1].T * I[None, :]
-
-
-def forcing_field(y_hat, table: KernelTable, start: int) -> np.ndarray:
-    """Response of the forcing seed: Q(. - tau) y_hat."""
-    m = table.grid.n_steps - start
-    y = _coeffs(y_hat)
-    return table.Q[:, : m + 1].T * y[None, :]
+def state_coordinates(state: StateSnapshot, table: KernelTable) -> np.ndarray:
+    """x = (v_hat, y_hat - I_xi), the 2n numbers through which the dynamics and the forms see a state."""
+    return np.concatenate([state.v_hat.coeffs, state.y_hat.coeffs - memory_functional(state.xi, table.grid)])
 
 
 def response_field(state: StateSnapshot, table: KernelTable) -> np.ndarray:
-    """Full uncontrolled response h(t) = Z v_hat + Q (y_hat - I_xi)."""
-    return gamma_field(state.v_hat, state.xi, table, state.tau_index) + forcing_field(
-        state.y_hat, table, state.tau_index
-    )
+    """Uncontrolled response h(t) = Z(t - tau) x_v + Q(t - tau) x_s on [tau, T]."""
+    m = table.grid.n_steps - state.tau_index
+    xv, xs = np.split(state_coordinates(state, table), 2)
+    return table.Z[:, : m + 1].T * xv[None, :] + table.Q[:, : m + 1].T * xs[None, :]
 
 
-def _ad_samples(u: ControlSignal, table: KernelTable) -> np.ndarray:
-    """(m+1, n) samples of A D u(t)."""
+def _ad_samples(u: ControlSignal | None, table: KernelTable, start: int) -> np.ndarray | None:
+    """(m+1, n) samples of A D u(t) on [t_start, T]; None without a control."""
+    if u is None:
+        return None
+    if u.start != start or u.samples.shape[0] != table.grid.n_steps - start + 1:
+        raise ValueError("control segment must start at the state's node and end at T")
     return u.samples @ table.basis.ad_coeffs.T
 
 
 def control_field(u: ControlSignal, table: KernelTable) -> np.ndarray:
     """Control response -int_tau^t Z(t-s) A D u(s) ds by product integration."""
-    ad = _ad_samples(u, table)
+    ad = _ad_samples(u, table, u.start)
     return -product_convolution(z_exponential_terms, table.basis.eigenvalues, table.grid.dt, ad)
 
 
@@ -211,8 +204,6 @@ def solve_voc(state: StateSnapshot, u: ControlSignal | None, table: KernelTable)
     if u is not None:
         if u.start != state.tau_index:
             raise ValueError("control segment must start at the state's node")
-        if u.samples.shape[0] != v.shape[0]:
-            raise ValueError("control segment length mismatch")
         v = v + control_field(u, table)
     return Trajectory(state.tau_index, v)
 
@@ -223,43 +214,30 @@ def solve_volterra(state: StateSnapshot, u: ControlSignal | None, table: KernelT
     The affine part carries the semigroup exactly: E(t-tau) v_hat, the closed
     forcing integral (E - N)(t-tau) (y_hat - I_xi), and the control term by
     E-kernel product integration.  The memory term keeps plain trapezoid
-    weights; its diagonal coefficient 1 - (dt/2) N(0) is checked.
+    weights; its diagonal coefficient 1 - (dt/2) N(0) is checked by solve_Z.
     """
-    return Trajectory(state.tau_index, _volterra_steps(state, u, table, table.grid.n_steps - state.tau_index))
-
-
-def _volterra_steps(state: StateSnapshot, u: ControlSignal | None, table: KernelTable, k: int) -> np.ndarray:
-    """The first k steps of solve_volterra, values at nodes tau .. tau + k.
-
-    Every stage is causal, so these rows are bitwise those of the full solve.
-    """
-    grid = table.grid
     i = state.tau_index
-    n = table.n_modes
+    xv, xs = np.split(state_coordinates(state, table), 2)
+    return Trajectory(i, _volterra_steps(xv, xs, _ad_samples(u, table, i), table, table.grid.n_steps - i))
 
-    I = memory_functional(state.xi, grid)
-    seed = state.y_hat.coeffs - I
+
+def _volterra_steps(v_hat: np.ndarray, seed: np.ndarray, ad: np.ndarray | None, table: KernelTable,
+                    k: int) -> np.ndarray:
+    """The first k Volterra steps from x = (v_hat, seed), values at nodes tau .. tau + k.
+
+    ad holds at least k + 1 samples of A D u from tau on, or is None without
+    a control.  Every stage is causal, so these rows are bitwise those of the
+    full solve.
+    """
     E = table.E[:, : k + 1]
     N = table.N[:, : k + 1]
     R = E - N  # exact integral of the exponential forcing kernel
-
-    if u is not None:
-        if u.start != i or u.samples.shape[0] != grid.n_steps - i + 1:
-            raise ValueError("control segment mismatch")
-        ad = _ad_samples(u, table)[: k + 1]
-        ctrl = product_convolution(e_exponential_terms, table.basis.eigenvalues, grid.dt, ad)
-    else:
-        ctrl = np.zeros((k + 1, n))
-
-    F = E.T * state.v_hat.coeffs[None, :] + R.T * seed[None, :] - ctrl
-
-    denom = 1.0 - 0.5 * grid.dt * N[:, 0]
-    if np.any(np.abs(denom) < 1e-12):
-        raise ValueError("implicit step coefficient vanished; dt too large")
-
-    v = np.zeros((k + 1, n))
-    v[0] = state.v_hat.coeffs
-    return volterra_trapezoid(table.basis.eigenvalues, N, grid.dt, v, F=F)
+    F = E.T * v_hat[None, :] + R.T * seed[None, :]
+    if ad is not None:
+        F -= product_convolution(e_exponential_terms, table.basis.eigenvalues, table.grid.dt, ad[: k + 1])
+    v = np.zeros((k + 1, table.n_modes))
+    v[0] = v_hat
+    return volterra_trapezoid(table.basis.eigenvalues, N, table.grid.dt, v, F=F)
 
 
 def simulate_damped_wave(v0, v1, control: SmoothControl, table: KernelTable) -> Trajectory:
@@ -331,7 +309,11 @@ def extend_state(
     if t1_index == i:
         return StateSnapshot(i, state.v_hat.copy(), state.xi.copy(), state.y_hat.copy())
     k = t1_index - i
-    values = _volterra_steps(state, u, table, k) if trajectory is None else trajectory.values
+    if trajectory is None:
+        xv, xs = np.split(state_coordinates(state, table), 2)
+        values = _volterra_steps(xv, xs, _ad_samples(u, table, i), table, k)
+    else:
+        values = trajectory.values
     xi_new = np.vstack([state.xi, values[1 : k + 1]])
     decay = np.exp(-(table.grid.dt * k))
     return StateSnapshot(

@@ -347,13 +347,16 @@ def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
     1 - (dt/2) N(0) vanishes (dt = 2 / N(0)), and one where a mode has
     |lambda| dt > log(DBL_MAX), so that exp(-mu dt) in the panel moments
     would overflow into NaN product weights.  So is an eigenvalue in
-    {0, -4}, where the characteristic roots coincide.
+    {0, -4}, where the characteristic roots coincide, and lambda = -1,
+    where N and the Volterra weights divide by lambda + 1 = 0.
     """
     M = grid.n_steps
     dt = grid.dt
     t = grid.nodes
     n = basis.n_modes
     lam = basis.eigenvalues
+    if np.any(lam == -1.0):
+        raise ValueError("lambda = -1 makes N = E - (E - e^{-t}) / (lambda + 1) divide by zero")
     E = np.exp(np.outer(lam, t))
     N = E - (E - np.exp(-t)) / (lam[:, None] + 1.0)
 

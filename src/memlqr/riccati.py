@@ -25,18 +25,22 @@ which is the combination the chain rule needs:
     d/dtheta W_theta(S(theta)) = <P' S, S> + cross(S, A_theta S + B u).
 
 The sign of the ||C1 S||^2 term and the seed-decay booking follow from the
-terminal behaviour W_theta ~ (T - theta) ||v_hat||^2 (so P'(T) <= 0) and are
-confirmed numerically by the chain-rule closure and dissipation suites; the
-combination above is the unique one that closes both.
+terminal behaviour W_theta ~ (T - theta) ||v_hat||^2 (so P'(T) <= 0).  The
+generator term cross(S, A_theta S) enters the chain rule twice with opposite
+signs and cancels there exactly, and riccati_residual likewise reduces to
+two routes for the first-node gain; so the chain-rule closure and
+dissipation suites confirm -||C1 S||^2 + ||[Lambda* H h](theta)||^2 and the
+control pairing, not the generator term.
 
 The single-state routes (P_form, P_prime_form, P_cross, feedback_gain,
 riccati_residual) build the per-start optimal.OperatorAssembly, a view of the
 one Lambda built for the whole table, and solve at their node on the start's
 control-side factor, which the table keeps.  The scans (value_scan_batch,
 dissipation_scan, chain_rule_scan, closed_loop_simulate) solve nothing per
-node: they read the table's optimal.node_forms, W_j = x^T P[j] x, the gain
-K[j] x and the pairings Pi[j] x, with x = (v_hat, y_hat - I_xi) the node
-state's 2n coordinates.
+node and build no state per node: they carry a state's 2n coordinates
+x = (v_hat, y_hat - I_xi) (forward.state_coordinates) from node to node and
+read the table's optimal.node_forms, W_j = x^T P[j] x, the gain K[j] x and
+the pairings Pi[j] x.
 """
 
 from __future__ import annotations
@@ -49,10 +53,12 @@ from .forward import (
     ControlSignal,
     StateSnapshot,
     Trajectory,
+    _volterra_steps,
     extend_state,
     memory_functional,
     response_field,
     solve_voc,
+    state_coordinates,
 )
 from .kernels import KernelTable
 from .optimal import OperatorAssembly, node_forms, solve_optimal
@@ -79,7 +85,6 @@ __all__ = [
     "chain_rule_scan",
     "ChainRuleReport",
     "terminal_P_check",
-    "state_along_trajectory",
 ]
 
 
@@ -199,23 +204,20 @@ def _paired_cross(dv, dxi, dy, C: np.ndarray, D: np.ndarray, table: KernelTable)
     return 2.0 * float(np.dot(np.asarray(dv), C) + np.dot(seed, D))
 
 
-def _p_prime_from_pairings(state: StateSnapshot, img: GeneratorImage, gain: np.ndarray,
-                           C: np.ndarray, D: np.ndarray, table: KernelTable) -> tuple[float, float]:
-    """<P'(theta) S, S> and cross(S, A_theta S) from gain = [Lambda* H h](theta) and the pairings of H h."""
-    cross = _paired_cross(img.dv, img.dxi, img.dy, C, D, table)
-    vhat_sq = float(np.dot(state.v_hat.coeffs, state.v_hat.coeffs))
-    return -vhat_sq + float(np.dot(gain, gain)) - cross, cross
-
-
 def _p_prime_and_cross(state: StateSnapshot, img: GeneratorImage, table: KernelTable) -> tuple[float, float]:
-    """<P'(theta) S, S> and cross(S, A_theta S) through one control-side solve for phi = H h."""
+    """<P'(theta) S, S> and cross(S, A_theta S) through one control-side solve for phi = H h.
+
+    <P'S, S> = -|v_hat|^2 + |g|^2 - cross(S, A_theta S), g = [Lambda* H h](theta).
+    """
     asm = OperatorAssembly(table, state.tau_index)
+    vhat_sq = float(np.dot(state.v_hat.coeffs, state.v_hat.coeffs))
     if asm.empty:
-        return -float(np.dot(state.v_hat.coeffs, state.v_hat.coeffs)), 0.0
+        return -vhat_sq, 0.0
     phi, _ = asm.apply_H(response_field(state, table))
     gain = asm.apply_Lambda_star(phi)[0]
     C, D = _kernel_pairings(phi, table, state.tau_index)
-    return _p_prime_from_pairings(state, img, gain, C, D, table)
+    cross = _paired_cross(img.dv, img.dxi, img.dy, C, D, table)
+    return -vhat_sq + float(np.dot(gain, gain)) - cross, cross
 
 
 def P_prime_form(state: StateSnapshot, table: KernelTable) -> float:
@@ -276,27 +278,29 @@ def feedback_gain(state: StateSnapshot, table: KernelTable) -> np.ndarray:
 def closed_loop_simulate(state0: StateSnapshot, table: KernelTable) -> tuple[Trajectory, ControlSignal]:
     """Receding-horizon loop: refresh the local optimal control at every node.
 
-    At each node the first two nodes of the remaining-horizon optimal control
-    are read off the node's gain K[j] (optimal.node_forms) and applied
-    through one Volterra step, which reads no later node; the state is
-    extended.  The recorded control is the per-node gain; the trajectory is
-    the closed-loop evolution.
+    The loop carries only x = (v_hat, s), s = y_hat - I_xi: at node j the
+    first two nodes of the remaining-horizon optimal control are -K[j] x
+    (optimal.node_forms), applied through one Volterra step, which reads no
+    later node, and s advances by _advance_seed.  Each node is a free
+    restart from the state extend_state would reach.  Returns the
+    closed-loop trajectory and the per-node gain.
     """
     grid = table.grid
     i0 = state0.tau_index
     m = grid.n_steps - i0
-    n = state0.n_modes
     K = node_forms(table).K
+    ad = table.basis.ad_coeffs
     u_cl = np.zeros((m + 1, 2))
-    v_cl = np.zeros((m + 1, n))
+    v_cl = np.zeros((m + 1, state0.n_modes))
     v_cl[0] = state0.v_hat.coeffs
-    cur = state0
+    s = np.split(state_coordinates(state0, table), 2)[1]
+    xi_last = state0.xi[-1]
     for step, j in enumerate(range(i0, grid.n_steps)):
-        u_loc = np.zeros((grid.n_steps - j + 1, 2))
-        u_loc[:2] = -(K[j] @ _state_coordinates(cur, table)).reshape(2, 2)
-        u_cl[step] = u_loc[0]
-        cur = extend_state(cur, ControlSignal(j, u_loc), j + 1, table)
-        v_cl[step + 1] = cur.v_hat.coeffs
+        u2 = -(K[j] @ np.concatenate([v_cl[step], s])).reshape(2, 2)
+        u_cl[step] = u2[0]
+        v_cl[step + 1] = _volterra_steps(v_cl[step], s, u2 @ ad.T, table, 1)[1]
+        s = _advance_seed(s, xi_last, v_cl[step + 1], grid.dt)
+        xi_last = v_cl[step + 1]
     # empty horizon at T: zero gain
     return Trajectory(i0, v_cl), ControlSignal(i0, u_cl)
 
@@ -345,36 +349,27 @@ def bellman_check(state: StateSnapshot, t0_index: int, table: KernelTable) -> Be
 # scans along a trajectory
 
 
-def state_along_trajectory(state0: StateSnapshot, traj: Trajectory, j: int, table: KernelTable) -> StateSnapshot:
-    """State reached at node j by riding the given trajectory; extend_state validates."""
-    return extend_state(state0, None, j, table, trajectory=traj)
-
-
-def _state_coordinates(state: StateSnapshot, table: KernelTable) -> np.ndarray:
-    """x = (v_hat, y_hat - I_xi), the 2n numbers through which the forms see a state."""
-    return np.concatenate([state.v_hat.coeffs, state.y_hat.coeffs - memory_functional(state.xi, table.grid)])
+def _advance_seed(s: np.ndarray, xi_last: np.ndarray, v_next: np.ndarray, dt: float) -> np.ndarray:
+    """s = y_hat - I_xi one step on: the seed decays by r = exp(-dt) and the
+    trapezoid recurrence I <- r I + (dt/2)(r xi_last + v_next) adds the new panel."""
+    r = np.exp(-dt)
+    return r * s - 0.5 * dt * (r * xi_last + v_next)
 
 
 def _trajectory_coordinates(state0: StateSnapshot, values: np.ndarray, table: KernelTable) -> np.ndarray:
     """x at every node of trajectories (C, m+1, n) from state0, as (C, m+1, 2n).
 
-    The states are those extend_state reaches along each trajectory; the
-    history integral is carried by its trapezoid recurrence
-    I_{k+1} = r I_k + (dt/2)(r xi_k + xi_{k+1}), r = exp(-dt).
+    The states are those extend_state reaches along each trajectory, and the
+    seed part is carried node to node by _advance_seed.
     """
-    dt = table.grid.dt
-    r = np.exp(-dt)
-    k = np.arange(values.shape[1])
-    v = values.copy()
-    v[:, 0] = state0.v_hat.coeffs
-    hist = values.copy()
-    hist[:, 0] = state0.xi[-1]
-    I = np.empty_like(v)
-    I[:, 0] = memory_functional(state0.xi, table.grid)
-    for j in k[1:]:
-        I[:, j] = r * I[:, j - 1] + 0.5 * dt * (r * hist[:, j - 1] + hist[:, j])
-    seed = np.exp(-(dt * k))[:, None] * state0.y_hat.coeffs
-    return np.concatenate([v, seed - I], axis=2)
+    x = np.concatenate([values, np.empty_like(values)], axis=2)
+    x[:, 0] = state_coordinates(state0, table)
+    xi_last = state0.xi[-1]
+    n = values.shape[2]
+    for j in range(1, values.shape[1]):
+        x[:, j, n:] = _advance_seed(x[:, j - 1, n:], xi_last, values[:, j], table.grid.dt)
+        xi_last = values[:, j]
+    return x
 
 
 def _value_scan(state0: StateSnapshot, controls, table: KernelTable):
@@ -463,29 +458,40 @@ class ChainRuleReport:
 def chain_rule_scan(state0: StateSnapshot, u: ControlSignal, table: KernelTable) -> ChainRuleReport:
     """Closure of d/dtheta W against <P'S,S> + cross(S, S') at interior nodes.
 
-    S' carries the generator image plus the control block, dv -= A D u(theta).
-    This is the two-route validation of the moving-operator derivative: the
-    finite difference rides the value matrices P[j], exactly as
-    value_scan_batch evaluates them; the formula rides the explicit operator
-    expressions, with the node's gain K[j] x and pairings Pi[j] x
-    (optimal.node_forms).
+    The finite difference rides the value matrices P[j], exactly as
+    value_scan_batch evaluates them.  The formula is the dissipation
+    identity: with S' = A_theta S - (A D u(theta), 0, 0), the generator
+    term cross(S, A_theta S) enters <P'S,S> and cross(S, S') with opposite
+    signs and cancels, leaving
+
+        -|v_hat|^2 + |K[j, :2] x|^2 - 2 (A D u(theta)) . C,
+
+    with (C, D) = Pi[j] x the node's kernel pairings (optimal.node_forms).
+    The residual is relative to 1 + ||S||^2, whose history part is carried
+    from state_norm_sq(state0) by the trapezoid rule.  No node builds a
+    state.
     """
     forms = node_forms(table)
     indices, W, trajs, x = _value_scan(state0, [u], table)
-    formula = np.zeros(len(indices))
-    norm_sq = np.zeros(len(indices))
-    for pos, j in enumerate(indices[1:-1], start=1):
-        st = extend_state(state0, None, j, table, trajectory=trajs[0])
-        img = apply_generator(st, table)
-        C, D = np.split(forms.Pi[j] @ x[0, pos], 2)
-        p_prime, _ = _p_prime_from_pairings(st, img, forms.K[j, :2] @ x[0, pos], C, D, table)
-        dv_ctrl = img.dv - table.basis.ad_coeffs @ u.samples[pos]
-        formula[pos] = p_prime + _paired_cross(dv_ctrl, img.dxi, img.dy, C, D, table)
-        norm_sq[pos] = state_norm_sq(st, table)
-    fd = _fd_derivative(W[:, 0], table.grid.dt)[1:-1]
-    formula = formula[1:-1]
+    n = table.n_modes
+    dt = table.grid.dt
+    js, xj = indices[1:-1], x[0, 1:-1]
+    gain = np.einsum("jab,jb->ja", forms.K[js, :2], xj)
+    C = np.einsum("jab,jb->ja", forms.Pi[js, :n], xj)
+    ad = u.samples[1:-1] @ table.basis.ad_coeffs.T
+    formula = -np.sum(xj[:, :n] ** 2, axis=1) + np.sum(gain**2, axis=1) - 2.0 * np.sum(ad * C, axis=1)
+
+    v_sq = np.sum(x[0, :, :n] ** 2, axis=1)
+    hist_sq = v_sq.copy()
+    hist_sq[0] = np.dot(state0.xi[-1], state0.xi[-1])
+    past = np.concatenate([[0.0], np.cumsum(0.5 * dt * (hist_sq[:-1] + hist_sq[1:]))])
+    seed_sq = np.dot(state0.y_hat.coeffs / table.basis.eigenvalues**2, state0.y_hat.coeffs)
+    decay = np.exp(-(dt * np.arange(len(indices))))
+    norm_sq = state_norm_sq(state0, table) + (v_sq - v_sq[0]) + past + (decay**2 - 1.0) * seed_sq
+
+    fd = _fd_derivative(W[:, 0], dt)[1:-1]
     residual = np.abs(fd - formula)
-    return ChainRuleReport(indices[1:-1], fd, formula, residual, residual / (1.0 + norm_sq[1:-1]))
+    return ChainRuleReport(js, fd, formula, residual, residual / (1.0 + norm_sq[1:-1]))
 
 
 @dataclass

@@ -34,7 +34,7 @@ from memlqr import (
     value_scan_batch,
 )
 from memlqr.optimal import OperatorAssembly
-from memlqr.riccati import P_form, _fd_derivative, state_along_trajectory
+from memlqr.riccati import P_form, _fd_derivative
 
 N_MODES = 8
 T_FINAL = 0.5

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,16 @@ def test_solve_Z_rejects_vanishing_diagonal(basis):
     grid = TimeGrid(4.0, 2)  # dt = 2 makes 1 - (dt/2) N(0) = 0
     with pytest.raises(ValueError, match="implicit"):
         solve_Z(basis, grid)
+
+
+def test_solve_Z_rejects_eigenvalue_minus_one():
+    # N = E - (E - e^{-t}) / (lambda + 1) and the Volterra weights divide by
+    # lambda + 1; the table must raise, not fill N, Z and Zp with NaN
+    basis = SpectralBasis(1, np.array([-1.0]), np.ones((1, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="lambda = -1"):
+            solve_Z(basis, TimeGrid(0.5, 8))
 
 
 def test_solve_Z_rejects_overflowing_panel_moments():

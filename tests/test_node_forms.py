@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlqr import (ControlSignal, P_form, StateSnapshot, TimeGrid, build_basis, chain_rule_scan,
-                    closed_loop_simulate, dissipation_scan, solve_Z)
-from memlqr.forward import memory_functional, response_field
+                    closed_loop_simulate, dissipation_scan, extend_state, solve_Z)
+from memlqr.forward import response_field, state_coordinates
 from memlqr.optimal import OperatorAssembly, node_forms
-from memlqr.riccati import _kernel_pairings, state_along_trajectory, value_scan_batch
+from memlqr.riccati import _kernel_pairings, value_scan_batch
 
 
 @st.composite
@@ -35,10 +35,6 @@ def random_state(rng, start, n):
     return StateSnapshot(start, xi[-1].copy(), xi, rng.standard_normal(n))
 
 
-def coordinates(state, table):
-    return np.concatenate([state.v_hat.coeffs, state.y_hat.coeffs - memory_functional(state.xi, table.grid)])
-
-
 def rel_err(value, ref):
     return np.max(np.abs(value - ref)) / (1.0 + np.max(np.abs(ref)))
 
@@ -51,7 +47,7 @@ def test_node_forms_match_the_dense_routes(case, data):
     forms = node_forms(table)
     for j in sorted({0, M - 2, M - 1, data.draw(st.integers(0, M - 1))}):
         state = random_state(rng, j, n)
-        x = coordinates(state, table)
+        x = state_coordinates(state, table)
         assert np.array_equal(forms.P[j], forms.P[j].T)
         assert rel_err(x @ forms.P[j] @ x, P_form(state, state, table)) <= 1e-13
         phi, z = OperatorAssembly(table, j).apply_H(response_field(state, table))
@@ -73,8 +69,40 @@ def test_value_scan_from_an_interior_start(case, data):
     indices, W, trajs = value_scan_batch(state, controls, table)
     assert W.shape == (M - i0 + 1, 2) and np.all(W[-1] == 0.0)
     for c, traj in enumerate(trajs):
-        ref = [P_form(s, s, table) for s in (state_along_trajectory(state, traj, j, table) for j in indices)]
+        ref = [P_form(s, s, table) for s in (extend_state(state, None, j, table, trajectory=traj) for j in indices)]
         assert rel_err(W[:, c], np.array(ref)) <= 1e-13
+
+
+def per_node_closed_loop(state0, table):
+    """The closed loop that rebuilds the state by extend_state at every node."""
+    M, i0 = table.grid.n_steps, state0.tau_index
+    K = node_forms(table).K
+    u_cl = np.zeros((M - i0 + 1, 2))
+    v_cl = np.zeros((M - i0 + 1, table.n_modes))
+    v_cl[0] = state0.v_hat.coeffs
+    cur = state0
+    for step, j in enumerate(range(i0, M)):
+        u_loc = np.zeros((M - j + 1, 2))
+        u_loc[:2] = -(K[j] @ state_coordinates(cur, table)).reshape(2, 2)
+        u_cl[step] = u_loc[0]
+        cur = extend_state(cur, ControlSignal(j, u_loc), j + 1, table)
+        v_cl[step + 1] = cur.v_hat.coeffs
+    return v_cl, u_cl
+
+
+@settings(max_examples=25, deadline=None)
+@given(problems(), st.data())
+def test_closed_loop_matches_the_per_node_state_loop(case, data):
+    # carrying x = (v_hat, y_hat - I_xi) from node to node is the loop that
+    # extends a full state at every node, from node 0 and from an interior start
+    table, rng = case
+    M, n = table.grid.n_steps, table.n_modes
+    for i0 in (0, data.draw(st.integers(1, M))):
+        state = random_state(rng, i0, n)
+        traj, u_cl = closed_loop_simulate(state, table)
+        v_ref, u_ref = per_node_closed_loop(state, table)
+        assert rel_err(u_cl.samples, u_ref) <= 1e-13
+        assert rel_err(traj.values, v_ref) <= 1e-13
 
 
 def test_zero_state_gives_exact_zeros_from_every_scan():

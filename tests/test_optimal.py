@@ -16,7 +16,7 @@ from memlqr import (
     u_plus_control_side,
     value_function,
 )
-from memlqr.forward import forcing_field, gamma_field, response_field
+from memlqr.forward import response_field
 from memlqr.optimal import OperatorAssembly
 from scipy.integrate import simpson
 
@@ -45,34 +45,36 @@ def random_state(rng, n, decay=2.0):
 
 
 # ----------------------------------------------------------------------------
-# Gamma and h
+# h = Z x_v + Q x_s, one state component at a time
 
 
 def test_gamma_zero(table, basis):
     n = basis.n_modes
-    out = gamma_field(np.zeros(n), np.zeros((1, n)), table, 0)
+    out = response_field(StateSnapshot.initial(np.zeros(n), np.zeros(n)), table)
     assert np.all(out == 0.0)
 
 
 def test_gamma_unit_mode_is_Z_column(table, basis):
     n = basis.n_modes
-    out = gamma_field(np.eye(n)[0], np.zeros((1, n)), table, 0)
+    out = response_field(StateSnapshot.initial(np.eye(n)[0], np.zeros(n)), table)
     assert np.all(out[:, 0] == table.Z[0])
     assert np.all(out[:, 1:] == 0.0)
 
 
 def test_gamma_matches_voc_without_forcing(table, grid, basis):
+    # the (v_hat, xi) part of a restarted state is its solve_voc response
+    # less that of its decayed seed alone
     rng = np.random.default_rng(0)
     n = basis.n_modes
-    st0 = StateSnapshot.initial(rng.standard_normal(n), np.zeros(n))
+    st0 = StateSnapshot.initial(rng.standard_normal(n), rng.standard_normal(n))
     from memlqr import extend_state
 
     u = ControlSignal(0, 0.3 * np.sin(np.stack([2 * grid.nodes, 3 * grid.nodes], axis=1)))
     mid = extend_state(st0, u, 16, table)
-    mid_no_seed = StateSnapshot(16, mid.v_hat, mid.xi, np.zeros(n))
-    gamma = gamma_field(mid.v_hat.coeffs, mid.xi, table, 16)
-    voc = solve_voc(mid_no_seed, None, table)
-    assert np.max(np.abs(gamma - voc.values)) < 1e-14
+    gamma = response_field(StateSnapshot(16, mid.v_hat, mid.xi, np.zeros(n)), table)
+    seed_only = StateSnapshot(16, np.zeros(n), np.zeros((17, n)), mid.y_hat)
+    rest = solve_voc(mid, None, table).values - response_field(seed_only, table)
+    assert np.max(np.abs(gamma - rest)) < 1e-14
 
 
 def test_forcing_field_scalar_oracle(basis):
@@ -83,7 +85,7 @@ def test_forcing_field_scalar_oracle(basis):
     n = basis.n_modes
     y = np.zeros(n)
     y[1] = 1.0
-    field = forcing_field(y, table, 0)
+    field = response_field(StateSnapshot.initial(np.zeros(n), y), table)
     t = grid.t_final
     s = np.linspace(0, t, 20_001)
     ref = simpson(Z_oracle(basis, 1, t - s) * np.exp(-s), x=s)

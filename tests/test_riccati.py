@@ -26,7 +26,7 @@ from memlqr import (
     terminal_P_check,
     value_function,
 )
-from memlqr.riccati import _fd_derivative, state_along_trajectory, value_scan_batch
+from memlqr.riccati import _fd_derivative, value_scan_batch
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +108,7 @@ def test_generator_matches_trajectory_derivative(basis):
         traj = solve_volterra(st0, u, table)
         lam_d = basis.eigenvalues[:, None] * basis.dmap_coeffs
         j = M // 2
-        st = state_along_trajectory(st0, traj, j, table)
+        st = extend_state(st0, None, j, table, trajectory=traj)
         img = apply_generator(st, table)
         dv_flow = img.dv - lam_d @ u.samples[j]
         fd = (traj.values[j + 1] - traj.values[j - 1]) / (2 * grid.dt)
@@ -485,6 +485,41 @@ def test_chain_rule_scan_solves_each_node_once(control_solves, monkeypatch, basi
     assert table._node_forms is forms
 
 
+def test_scans_build_no_state_per_node(monkeypatch, basis):
+    # chain_rule_scan and closed_loop_simulate carry x = (v_hat, y_hat - I_xi)
+    # from node to node: they build no state, memory integral or generator
+    # image per node, so the counts do not grow with M
+    import memlqr.forward as fwd
+    import memlqr.riccati as ric
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(StateSnapshot, "__post_init__", counting("StateSnapshot", StateSnapshot.__post_init__))
+    for mod in (fwd, ric):
+        monkeypatch.setattr(mod, "memory_functional", counting("memory_functional", mod.memory_functional))
+    monkeypatch.setattr(ric, "apply_generator", counting("apply_generator", ric.apply_generator))
+
+    def counts(M):
+        grid = TimeGrid(0.5, M)
+        table = solve_Z(basis, grid)
+        warm = extend_state(smooth_state(np.random.default_rng(35), basis.n_modes), sine_control(grid), 4, table)
+        u = sine_control(grid, 4)
+        calls.clear()
+        chain_rule_scan(warm, u, table)
+        closed_loop_simulate(warm, table)
+        return sorted(calls)
+
+    at16 = counts(16)
+    assert at16 == counts(32)
+    assert "StateSnapshot" not in at16 and "apply_generator" not in at16
+
+
 def test_riccati_residual_solves_once(control_solves, table, interior_state):
     riccati_residual(interior_state, table)
     assert control_solves == [interior_state.tau_index]
@@ -501,7 +536,7 @@ def test_chain_rule_scan_matches_the_separate_routes(table, grid, basis, interio
     _, W, trajs = value_scan_batch(warm, [u], table)
     assert np.array_equal(rep.fd, _fd_derivative(W[:, 0], grid.dt)[1:-1])
     for pos, j in enumerate(rep.indices):
-        st = state_along_trajectory(warm, trajs[0], j, table)
+        st = extend_state(warm, None, j, table, trajectory=trajs[0])
         img = apply_generator(st, table)
         dv_ctrl = img.dv - basis.ad_coeffs @ u.samples[j - i0]
         ref = P_prime_form(st, table) + P_cross(st, dv_ctrl, img.dxi, img.dy, table)
