@@ -86,11 +86,19 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(outdir: str, name: str, header, rows) -> str:
+    """Write outdir/name atomically and return its path."""
+    path = os.path.join(outdir, name)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(f"{x:.12e}" if isinstance(x, float) else str(x) for x in row))
     _atomic_write(path, "\n".join(lines) + "\n")
+    return path
+
+
+def _at_most(name: str, measured: float, threshold: float) -> SummaryRow:
+    """The summary row of a check that passes when measured <= threshold."""
+    return SummaryRow(name, measured, threshold, measured <= threshold)
 
 
 class _Workspace:
@@ -148,24 +156,19 @@ def _suite_kernels(ws: _Workspace, outdir: str) -> SuiteResult:
     fine = errs[ws.cfg.n_steps]
     coarse = errs[ws.cfg.n_steps // 2]
     ratio = float(np.max(coarse) / max(np.max(fine), 1e-300))
-    rows.append(SummaryRow("kernel_oracle_max_error", float(np.max(fine)), ws.tol("kernel_oracle"),
-                           float(np.max(fine)) <= ws.tol("kernel_oracle")))
+    rows.append(_at_most("kernel_oracle_max_error", float(np.max(fine)), ws.tol("kernel_oracle")))
     rows.append(SummaryRow("kernel_oracle_refinement_ratio", ratio, 4.5, 3.5 <= ratio <= 4.5))
 
     rep = series_Z_check(ws.table, 12)
-    rows.append(SummaryRow("series_error_k12", rep.final_error, ws.tol("series"),
-                           rep.final_error <= ws.tol("series")))
+    rows.append(_at_most("series_error_k12", rep.final_error, ws.tol("series")))
 
     path = os.path.join(outdir, "kernels.csv")
     write_kernel_csv(ws.table, path)
     artifacts.append(path)
-    epath = os.path.join(outdir, "kernel_errors.csv")
-    _write_csv(epath, ["mode", "oracle_error_fine", "oracle_error_coarse"],
-               [(k + 1, float(fine[k]), float(coarse[k])) for k in range(ws.basis.n_modes)])
-    artifacts.append(epath)
-    spath = os.path.join(outdir, "series.csv")
-    _write_csv(spath, ["k", "max_error"], [(k, float(e)) for k, e in enumerate(rep.errors)])
-    artifacts.append(spath)
+    artifacts.append(_write_csv(outdir, "kernel_errors.csv", ["mode", "oracle_error_fine", "oracle_error_coarse"],
+                                [(k + 1, float(fine[k]), float(coarse[k])) for k in range(ws.basis.n_modes)]))
+    artifacts.append(_write_csv(outdir, "series.csv", ["k", "max_error"],
+                                [(k, float(e)) for k, e in enumerate(rep.errors)]))
     return SuiteResult("kernels", rows, artifacts)
 
 
@@ -177,7 +180,7 @@ def _suite_forward(ws: _Workspace, outdir: str) -> SuiteResult:
     tv = solve_volterra(ws.state, u, ws.table)
     tc = solve_voc(ws.state, u, ws.table)
     worst = float(np.max(np.abs(tv.values - tc.values)))
-    rows.append(SummaryRow("two_route_max_error", worst, ws.tol("two_route"), worst <= ws.tol("two_route")))
+    rows.append(_at_most("two_route_max_error", worst, ws.tol("two_route")))
 
     # transformation check with lifted compatible data
     if ws.control.ddu is not None:
@@ -189,20 +192,17 @@ def _suite_forward(ws: _Workspace, outdir: str) -> SuiteResult:
         wave = simulate_damped_wave(v0, v1, ws.control, ws.table)
         mem = solve_volterra(StateSnapshot.initial(v0, yh), u, ws.table)
         terr = float(np.max(np.abs(wave.values - mem.values)))
-        rows.append(SummaryRow("transformation_max_error", terr, ws.tol("transformation"),
-                               terr <= ws.tol("transformation")))
+        rows.append(_at_most("transformation_max_error", terr, ws.tol("transformation")))
         traj = mem
     else:
         traj = solve_volterra(ws.state, u, ws.table)
 
-    path = os.path.join(outdir, "trajectory.csv")
     header = ["t"] + [f"mode_{k+1}" for k in range(ws.cfg.n_modes)] + ["norm_H"]
     body = [
         (float(t),) + tuple(float(x) for x in traj.values[j]) + (float(np.linalg.norm(traj.values[j])),)
         for j, t in enumerate(ws.grid.nodes)
     ]
-    _write_csv(path, header, body)
-    artifacts.append(path)
+    artifacts.append(_write_csv(outdir, "trajectory.csv", header, body))
     return SuiteResult("forward", rows, artifacts)
 
 
@@ -210,18 +210,16 @@ def _suite_optimize(ws: _Workspace, outdir: str) -> SuiteResult:
     rows, artifacts = [], []
     sol = solve_optimal(ws.state, ws.table)
     scale = 1.0 + float(np.max(np.abs(sol.u_plus.samples), initial=0.0))
-    rows.append(SummaryRow("gradient_norm_at_optimum", sol.residual, ws.tol("gradient_scale") * scale,
-                           sol.residual <= ws.tol("gradient_scale") * scale))
+    rows.append(_at_most("gradient_norm_at_optimum", sol.residual, ws.tol("gradient_scale") * scale))
 
     J = evaluate_cost(ws.state, sol.u_plus, ws.table)
     W2 = value_function(ws.state, ws.table)
     vtol = ws.tol("value_consistency") * (1.0 + abs(sol.W))
-    rows.append(SummaryRow("value_vs_cost", abs(W2 - J), vtol, abs(W2 - J) <= vtol))
+    rows.append(_at_most("value_vs_cost", abs(W2 - J), vtol))
 
     u2 = u_plus_control_side(ws.state, ws.table)
     rdiff = float(np.max(np.abs(sol.u_plus.samples - u2.samples)))
-    rows.append(SummaryRow("two_route_control", rdiff, ws.tol("route_agreement"),
-                           rdiff <= ws.tol("route_agreement")))
+    rows.append(_at_most("two_route_control", rdiff, ws.tol("route_agreement")))
 
     rng = np.random.default_rng(ws.seed + 3)
     slack = ws.tol("perturbation_slack")
@@ -236,16 +234,13 @@ def _suite_optimize(ws: _Workspace, outdir: str) -> SuiteResult:
             ok = ok and (J_pert >= J - slack)
     rows.append(SummaryRow("perturbation_min_excess", worst, slack, ok))
 
-    path = os.path.join(outdir, "optimal_control.csv")
-    _write_csv(path, ["t", "u0", "u1"],
-               [(float(t), float(sol.u_plus.samples[j, 0]), float(sol.u_plus.samples[j, 1]))
-                for j, t in enumerate(ws.grid.nodes)])
-    artifacts.append(path)
-    tpath = os.path.join(outdir, "optimal_trajectory.csv")
-    _write_csv(tpath, ["t"] + [f"mode_{k+1}" for k in range(ws.cfg.n_modes)],
-               [(float(t),) + tuple(float(x) for x in sol.v_plus.values[j])
-                for j, t in enumerate(ws.grid.nodes)])
-    artifacts.append(tpath)
+    artifacts.append(_write_csv(outdir, "optimal_control.csv", ["t", "u0", "u1"],
+                                [(float(t), float(sol.u_plus.samples[j, 0]), float(sol.u_plus.samples[j, 1]))
+                                 for j, t in enumerate(ws.grid.nodes)]))
+    artifacts.append(_write_csv(outdir, "optimal_trajectory.csv",
+                                ["t"] + [f"mode_{k+1}" for k in range(ws.cfg.n_modes)],
+                                [(float(t),) + tuple(float(x) for x in sol.v_plus.values[j])
+                                 for j, t in enumerate(ws.grid.nodes)]))
     asm = OperatorAssembly(ws.table, 0)
     state_cost = asm.inner_V(sol.v_plus.values, sol.v_plus.values)
     control_cost = asm.inner_U(sol.u_plus.samples, sol.u_plus.samples)
@@ -255,12 +250,11 @@ def _suite_optimize(ws: _Workspace, outdir: str) -> SuiteResult:
     evals = asm.control_normal_eigenvalues()
     rows.append(SummaryRow("normal_operator_condition", float(evals[-1] / evals[0]),
                            float("inf"), True))
-    cpath = os.path.join(outdir, "cost_breakdown.csv")
-    _write_csv(cpath, ["state_cost", "control_cost", "total", "value_function", "gradient_norm",
-                       "normal_min_eig", "normal_max_eig"],
-               [(float(state_cost), float(control_cost), float(J), float(W2), float(sol.residual),
-                 float(evals[0]), float(evals[-1]))])
-    artifacts.append(cpath)
+    artifacts.append(_write_csv(outdir, "cost_breakdown.csv",
+                                ["state_cost", "control_cost", "total", "value_function", "gradient_norm",
+                                 "normal_min_eig", "normal_max_eig"],
+                                [(float(state_cost), float(control_cost), float(J), float(W2),
+                                  float(sol.residual), float(evals[0]), float(evals[-1]))]))
     return SuiteResult("optimize", rows, artifacts)
 
 
@@ -276,14 +270,11 @@ def _suite_bellman(ws: _Workspace, outdir: str) -> SuiteResult:
             worst_tail = max(worst_tail, rep.tail_mismatch)
             worst_tel = max(worst_tel, rep.telescope_residual)
             body.append((si, t0, rep.tail_mismatch, rep.telescope_residual, rep.W_start, rep.W_restart))
-    rows.append(SummaryRow("bellman_tail_mismatch", worst_tail, ws.tol("bellman"),
-                           worst_tail <= ws.tol("bellman")))
-    rows.append(SummaryRow("bellman_telescope_residual", worst_tel, ws.tol("bellman"),
-                           worst_tel <= ws.tol("bellman")))
-    path = os.path.join(outdir, "bellman.csv")
-    _write_csv(path, ["state", "t0_index", "tail_mismatch", "telescope_residual", "W_start", "W_restart"],
-               [(a, b, float(c), float(d), float(e), float(f)) for a, b, c, d, e, f in body])
-    artifacts.append(path)
+    rows.append(_at_most("bellman_tail_mismatch", worst_tail, ws.tol("bellman")))
+    rows.append(_at_most("bellman_telescope_residual", worst_tel, ws.tol("bellman")))
+    artifacts.append(_write_csv(outdir, "bellman.csv",
+                                ["state", "t0_index", "tail_mismatch", "telescope_residual", "W_start", "W_restart"],
+                                [(a, b, float(c), float(d), float(e), float(f)) for a, b, c, d, e, f in body]))
     return SuiteResult("bellman", rows, artifacts)
 
 
@@ -292,8 +283,7 @@ def _suite_dissipation(ws: _Workspace, outdir: str, n_probe: int = 50) -> SuiteR
     sol = solve_optimal(ws.state, ws.table)
     rep_opt = dissipation_scan(ws.state, sol.u_plus, ws.table)
     band = ws.tol("dissipation_band")
-    rows.append(SummaryRow("dissipation_equality_band", rep_opt.max_abs_r, band,
-                           rep_opt.max_abs_r <= band))
+    rows.append(_at_most("dissipation_equality_band", rep_opt.max_abs_r, band))
 
     zero_state = bool(np.all(ws.v0 == 0.0) and np.all(ws.y0 == 0.0))
     probes = ws.probe_controls(n_probe)
@@ -312,7 +302,6 @@ def _suite_dissipation(ws: _Workspace, outdir: str, n_probe: int = 50) -> SuiteR
     rows.append(SummaryRow("dissipation_probe_floor", min_r, -floor, min_r >= -floor))
     rows.append(SummaryRow("dissipation_probes_escape_band", 1.0 if escaped else 0.0, 1.0, escaped))
 
-    path = os.path.join(outdir, "dissipation.csv")
     header = ["t", "W_optimal", "dW_optimal", "r_optimal", "min_probe_r"]
     probe_min = np.min(np.stack(r_cols), axis=0) if r_cols else np.zeros_like(rep_opt.r)
     body = [
@@ -320,8 +309,7 @@ def _suite_dissipation(ws: _Workspace, outdir: str, n_probe: int = 50) -> SuiteR
          float(probe_min[j]))
         for j in range(len(rep_opt.r))
     ]
-    _write_csv(path, header, body)
-    artifacts.append(path)
+    artifacts.append(_write_csv(outdir, "dissipation.csv", header, body))
     return SuiteResult("dissipation", rows, artifacts)
 
 
@@ -333,7 +321,7 @@ def _suite_riccati(ws: _Workspace, outdir: str) -> SuiteResult:
     rep = chain_rule_scan(warm, u_tail, ws.table)
     worst_chain = float(np.max(rep.relative)) if len(rep.relative) else 0.0
     tol = ws.tol("riccati_relative")
-    rows.append(SummaryRow("chain_rule_closure", worst_chain, tol, worst_chain <= tol))
+    rows.append(_at_most("chain_rule_closure", worst_chain, tol))
 
     # residual of the differential identity along the configured flow
     worst_res = 0.0
@@ -345,23 +333,20 @@ def _suite_riccati(ws: _Workspace, outdir: str) -> SuiteResult:
         rr = riccati_residual(st, ws.table)
         worst_res = max(worst_res, rr.relative)
         body.append((si, st.tau_index, rr.p_prime, rr.cross, rr.gain_sq, rr.vhat_sq, rr.residual, rr.relative))
-    rows.append(SummaryRow("riccati_relative_residual", worst_res, tol, worst_res <= tol))
+    rows.append(_at_most("riccati_relative_residual", worst_res, tol))
 
     term = terminal_P_check(ws.table, seed=ws.seed)
     rows.append(SummaryRow("terminal_value_exact_zero", abs(term.value_at_T), 0.0, term.value_at_T == 0.0))
-    rows.append(SummaryRow("terminal_one_panel_bound", term.value_near_T, term.near_T_bound,
-                           term.value_near_T <= term.near_T_bound))
+    rows.append(_at_most("terminal_one_panel_bound", term.value_near_T, term.near_T_bound))
 
-    path = os.path.join(outdir, "riccati.csv")
-    _write_csv(path, ["state", "theta_index", "p_prime", "cross", "gain_sq", "vhat_sq", "residual", "relative"],
-               [(a, b, float(c), float(d), float(e), float(f), float(g), float(h))
-                for a, b, c, d, e, f, g, h in body])
-    artifacts.append(path)
-    cpath = os.path.join(outdir, "chain_rule.csv")
-    _write_csv(cpath, ["theta_index", "fd", "formula", "residual", "relative"],
-               [(int(rep.indices[j]), float(rep.fd[j]), float(rep.formula[j]),
-                 float(rep.residual[j]), float(rep.relative[j])) for j in range(len(rep.indices))])
-    artifacts.append(cpath)
+    artifacts.append(_write_csv(outdir, "riccati.csv",
+                                ["state", "theta_index", "p_prime", "cross", "gain_sq", "vhat_sq", "residual",
+                                 "relative"],
+                                [(a, b, float(c), float(d), float(e), float(f), float(g), float(h))
+                                 for a, b, c, d, e, f, g, h in body]))
+    artifacts.append(_write_csv(outdir, "chain_rule.csv", ["theta_index", "fd", "formula", "residual", "relative"],
+                                [(int(rep.indices[j]), float(rep.fd[j]), float(rep.formula[j]),
+                                  float(rep.residual[j]), float(rep.relative[j])) for j in range(len(rep.indices))]))
     return SuiteResult("riccati", rows, artifacts)
 
 
@@ -371,8 +356,7 @@ def _suite_closed_loop(ws: _Workspace, outdir: str) -> SuiteResult:
     _traj, u_cl = closed_loop_simulate(ws.state, ws.table)
     d = u_cl.samples - sol.u_plus.samples
     mismatch = float(np.sqrt(OperatorAssembly(ws.table, 0).inner_U(d, d)))
-    rows.append(SummaryRow("closed_loop_l2_mismatch", mismatch, ws.tol("closed_loop"),
-                           mismatch <= ws.tol("closed_loop")))
+    rows.append(_at_most("closed_loop_l2_mismatch", mismatch, ws.tol("closed_loop")))
 
     # linearity of the gain in the state
     rng = np.random.default_rng(ws.seed + 6)
@@ -392,15 +376,12 @@ def _suite_closed_loop(ws: _Workspace, outdir: str) -> SuiteResult:
         g = feedback_gain(comb, ws.table)
         gp = a * feedback_gain(s1, ws.table) + b * feedback_gain(s2, ws.table)
         worst_lin = max(worst_lin, float(np.max(np.abs(g - gp))))
-    rows.append(SummaryRow("feedback_gain_linearity", worst_lin, ws.tol("feedback_linearity"),
-                           worst_lin <= ws.tol("feedback_linearity")))
+    rows.append(_at_most("feedback_gain_linearity", worst_lin, ws.tol("feedback_linearity")))
 
-    path = os.path.join(outdir, "closed_loop.csv")
-    _write_csv(path, ["t", "u_cl_0", "u_cl_1", "u_open_0", "u_open_1"],
-               [(float(t), float(u_cl.samples[j, 0]), float(u_cl.samples[j, 1]),
-                 float(sol.u_plus.samples[j, 0]), float(sol.u_plus.samples[j, 1]))
-                for j, t in enumerate(ws.grid.nodes)])
-    artifacts.append(path)
+    artifacts.append(_write_csv(outdir, "closed_loop.csv", ["t", "u_cl_0", "u_cl_1", "u_open_0", "u_open_1"],
+                                [(float(t), float(u_cl.samples[j, 0]), float(u_cl.samples[j, 1]),
+                                  float(sol.u_plus.samples[j, 0]), float(sol.u_plus.samples[j, 1]))
+                                 for j, t in enumerate(ws.grid.nodes)]))
     return SuiteResult("closed-loop", rows, artifacts)
 
 

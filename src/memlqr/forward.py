@@ -20,9 +20,10 @@ modes at once (lifted by the Dirichlet map, Crank-Nicolson), and is the
 transformation cross-check for both.
 
 Every history sum is carried by the exact exponential recurrences of
-memlqr.kernels (volterra_trapezoid, product_convolution), so each route costs
-O(n M) per trajectory.  The routes are causal: extend_state solves only the
-steps it keeps, and the values it keeps are those of the full solve.
+memlqr.kernels (volterra_trapezoid, product_convolution on the table's
+first-panel records), so each route costs O(n M) per trajectory.  The routes
+are causal: extend_state solves only the steps it keeps, and the values it
+keeps are those of the full solve.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import (KernelTable, TimeGrid, e_exponential_terms, product_convolution,
-                      volterra_trapezoid, z_exponential_terms)
+from .kernels import KernelTable, TimeGrid, product_convolution, volterra_trapezoid
 from .spectral import ModalVector, SpectralBasis
 
 __all__ = [
@@ -195,7 +195,7 @@ def _ad_samples(u: ControlSignal | None, table: KernelTable, start: int) -> np.n
 def control_field(u: ControlSignal, table: KernelTable) -> np.ndarray:
     """Control response -int_tau^t Z(t-s) A D u(s) ds by product integration."""
     ad = _ad_samples(u, table, u.start)
-    return -product_convolution(z_exponential_terms, table.basis.eigenvalues, table.grid.dt, ad)
+    return -product_convolution(table.panel_Z, table.grid.dt, ad)
 
 
 def solve_voc(state: StateSnapshot, u: ControlSignal | None, table: KernelTable) -> Trajectory:
@@ -234,7 +234,7 @@ def _volterra_steps(v_hat: np.ndarray, seed: np.ndarray, ad: np.ndarray | None, 
     R = E - N  # exact integral of the exponential forcing kernel
     F = E.T * v_hat[None, :] + R.T * seed[None, :]
     if ad is not None:
-        F -= product_convolution(e_exponential_terms, table.basis.eigenvalues, table.grid.dt, ad[: k + 1])
+        F -= product_convolution(table.panel_E, table.grid.dt, ad[: k + 1])
     v = np.zeros((k + 1, table.n_modes))
     v[0] = v_hat
     return volterra_trapezoid(table.basis.eigenvalues, N, table.grid.dt, v, F=F)

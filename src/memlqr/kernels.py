@@ -34,9 +34,12 @@ time loop by one running sum per term, S <- r (S + x) with r = exp(mu dt), in
 the manner of Lubich & Schaedle (2002), exact rather than approximate.
 volterra_trapezoid (Z, the series check and the Volterra forward route) and
 product_convolution (Q and the control responses) cost O(n M) instead of
-O(n M^2).  product_weights tabulates the same panel weights for every mode at
-once, from the same first-panel weights; weight_matrix lays one mode's out as
-a dense matrix, for memlqr.optimal's Lambda.
+O(n M^2).  The per-term coefficients depend only on (lambda, dt), so solve_Z
+derives each kernel's first-panel record (c, mu, a_loc, b_loc) once and
+keeps those of E and Z on the table; product_convolution and
+product_weights (the panel weights of every mode at once) read a record, and
+gap_weights gives the node weights omega = alpha + beta shifted that
+memlqr.optimal's Lambda and node forms and the riccati kernel pairings use.
 """
 
 from __future__ import annotations
@@ -59,9 +62,9 @@ __all__ = [
     "solve_Z",
     "series_Z_check",
     "product_weights",
+    "gap_weights",
     "product_convolution",
     "volterra_trapezoid",
-    "weight_matrix",
     "write_kernel_csv",
 ]
 
@@ -182,8 +185,8 @@ def _panel_moments(mu: complex, dt: float) -> tuple[complex, complex]:
     return m0, m1
 
 
-def _first_panel(kernel_terms, lam: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
-    """(c, mu, a_loc, b_loc), each (n, terms), for the kernels kernel_terms(lam[k]).
+def _first_panel(kernel_terms, lam: np.ndarray, dt: float) -> np.ndarray:
+    """The first-panel record of the kernels kernel_terms(lam[k]): (c, mu, a_loc, b_loc), complex (4, n, terms).
 
     A term c e^{mu t} weighs the left and right hat functions of the panel
     that starts g steps before the row's node by c e^{mu g dt} a_loc and
@@ -193,20 +196,21 @@ def _first_panel(kernel_terms, lam: np.ndarray, dt: float) -> tuple[np.ndarray, 
     c = np.array([[t[0] for t in terms] for terms in per_mode])
     mu = np.array([[t[1] for t in terms] for terms in per_mode])
     m0, m1 = np.vectorize(lambda z: _panel_moments(z, dt), otypes=[complex] * 2)(mu)
-    return c, mu, (dt * m0 - m1) / dt, m1 / dt
+    return np.array([c, mu, (dt * m0 - m1) / dt, m1 / dt])
 
 
-def product_weights(kernel_terms, lam: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+def product_weights(panel: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode left/right panel weights for int k(t_g - s) f(s) ds with f piecewise linear.
 
-    Row k is the kernel kernel_terms(lam[k]).  A panel [t_p, t_{p+1}] inside
-    a row with right endpoint t_j contributes f_p * alpha[k, j-p] +
-    f_{p+1} * beta[k, j-p]; alpha[:, 0] = beta[:, 0] = 0.
+    Row k is the kernel of the first-panel record panel (as solve_Z builds
+    it).  A panel [t_p, t_{p+1}] inside a row with right endpoint t_j
+    contributes f_p * alpha[k, j-p] + f_{p+1} * beta[k, j-p];
+    alpha[:, 0] = beta[:, 0] = 0.
     """
+    c, mu, a_loc, b_loc = panel
     dt = grid.dt
-    c, mu, a_loc, b_loc = _first_panel(kernel_terms, lam, dt)
     g = np.arange(1, grid.n_steps + 1)
-    alpha = np.zeros((len(lam), grid.n_steps + 1))
+    alpha = np.zeros((c.shape[0], grid.n_steps + 1))
     beta = np.zeros_like(alpha)
     for i in range(c.shape[1]):
         fac = c[:, i, None] * np.exp(mu[:, i, None] * g * dt)
@@ -215,37 +219,37 @@ def product_weights(kernel_terms, lam: np.ndarray, grid: TimeGrid) -> tuple[np.n
     return alpha, beta
 
 
-def weight_matrix(alpha: np.ndarray, beta: np.ndarray, m: int) -> np.ndarray:
-    """Dense (m+1)x(m+1) node-weight matrix of the causal product convolution."""
-    W = np.zeros((m + 1, m + 1))
-    if m == 0:
-        return W
-    j = np.arange(m + 1)[:, None]
-    l = np.arange(m + 1)[None, :]
-    gap = j - l
-    left = np.where(gap >= 1, alpha[np.clip(gap, 0, len(alpha) - 1)], 0.0)
-    right = np.where((gap >= 0) & (l >= 1), beta[np.clip(gap + 1, 0, len(beta) - 1)], 0.0)
-    return left + right
+def gap_weights(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """omega[g] = alpha[g] + beta[g+1], beta being 0 past the last column.
+
+    The weight of the node g steps before a row's end, shared by the panels
+    on both sides of it; the row's first node has alpha alone.
+    """
+    omega = alpha.copy()
+    omega[..., :-1] += beta[..., 1:]
+    return omega
 
 
 # ----------------------------------------------------------------------------
 # recursive convolution: one running sum per exponential term, O(n M)
 
 
-def product_convolution(kernel_terms, lam: np.ndarray, dt: float, density: np.ndarray) -> np.ndarray:
-    """Per-mode product convolution against product_weights(kernel_terms, lam, grid), by recurrences.
+def product_convolution(panel: np.ndarray, dt: float, density: np.ndarray) -> np.ndarray:
+    """Per-mode product convolution against product_weights(panel, grid), by recurrences.
 
-    density is (m+1, n), or (m+1, 1) for one density shared by every mode;
-    the result is (m+1, n) with row 0 zero.  A term c e^{mu t} has the
-    weights alpha[g] = Re(c a_loc rho^g), beta[g] = Re(c b_loc rho^g) with
-    rho = e^{mu dt}, so its left and right panel sums share one carry,
+    panel is a first-panel record (c, mu, a_loc, b_loc), such as the table's
+    panel_E or panel_Z; density is (m+1, n), or (m+1, 1) for one density
+    shared by every mode; the result is (m+1, n) with row 0 zero.  A term
+    c e^{mu t} has the weights alpha[g] = Re(c a_loc rho^g),
+    beta[g] = Re(c b_loc rho^g) with rho = e^{mu dt}, so its left and right
+    panel sums share one carry,
 
         P_j = rho P_{j-1} + (c rho a_loc) d_{j-1} + (c rho b_loc) d_j,
 
     and out_j is the sum over terms of Re(P_j).  The carry decays and both
     coefficients are finite first-panel weights, even for stiff modes.
     """
-    c, mu, a_loc, b_loc = _first_panel(kernel_terms, lam, dt)
+    c, mu, a_loc, b_loc = panel
     rho = np.exp(mu * dt)
     w_left = c * rho * a_loc
     w_right = c * rho * b_loc
@@ -306,7 +310,10 @@ class KernelTable:
 
     Arrays are n_modes x (n_steps+1), all filled by solve_Z.  The alpha/beta
     pairs are the product-integration panel weights of the Z and Q kernels;
-    Lambda, node_forms and the riccati kernel pairings draw from them.  The
+    Lambda, node_forms and the riccati kernel pairings draw from them through
+    gap_weights.  panel_E and panel_Z are the first-panel records
+    (c, mu, a_loc, b_loc) of E and Z, complex (4, n_modes, terms), that the
+    forward routes' product convolutions read.  The
     four private fields are filled on first use by memlqr.optimal: the input
     map Lambda on [0, T]; the start-0 state-side Cholesky factor L_0 that
     serves every start, held in block-generator form (optimal.StateFactor:
@@ -328,6 +335,8 @@ class KernelTable:
     beta_Z: np.ndarray
     alpha_Q: np.ndarray
     beta_Q: np.ndarray
+    panel_E: np.ndarray
+    panel_Z: np.ndarray
     _Lambda: np.ndarray | None = field(default=None, repr=False)
     _state_chol: object = field(default=None, repr=False)
     _control_chol: dict = field(default_factory=dict, repr=False)
@@ -341,8 +350,9 @@ class KernelTable:
 def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
     """Tabulate the resolvent family by the implicit trapezoid Volterra solve.
 
-    Z is solved on the grid; Z' = (lambda + 1) Z - Q and the product weights
-    of the Z and Q kernels are tabulated alongside.  Two grids are
+    Z is solved on the grid; Z' = (lambda + 1) Z - Q, the product weights
+    of the Z and Q kernels and the first-panel records of E and Z are
+    tabulated alongside, each record derived once here.  Two grids are
     rejected explicitly: one where the implicit step coefficient
     1 - (dt/2) N(0) vanishes (dt = 2 / N(0)), and one where a mode has
     |lambda| dt > log(DBL_MAX), so that exp(-mu dt) in the panel moments
@@ -372,12 +382,14 @@ def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
     x = np.zeros((M + 1, n))
     x[0] = 1.0
     Z = np.ascontiguousarray(volterra_trapezoid(lam, N, dt, x, F=E.T).T)
-    alpha_Z, beta_Z = product_weights(z_exponential_terms, lam, grid)
-    alpha_Q, beta_Q = product_weights(q_exponential_terms, lam, grid)
-    Q = np.ascontiguousarray(product_convolution(z_exponential_terms, lam, dt, np.exp(-t)[:, None]).T)
+    panel_E = _first_panel(e_exponential_terms, lam, dt)
+    panel_Z = _first_panel(z_exponential_terms, lam, dt)
+    alpha_Z, beta_Z = product_weights(panel_Z, grid)
+    alpha_Q, beta_Q = product_weights(_first_panel(q_exponential_terms, lam, dt), grid)
+    Q = np.ascontiguousarray(product_convolution(panel_Z, dt, np.exp(-t)[:, None]).T)
     Zp = (lam[:, None] + 1.0) * Z - Q
 
-    return KernelTable(basis, grid, E, N, Z, Zp, Q, alpha_Z, beta_Z, alpha_Q, beta_Q)
+    return KernelTable(basis, grid, E, N, Z, Zp, Q, alpha_Z, beta_Z, alpha_Q, beta_Q, panel_E, panel_Z)
 
 
 @dataclass(frozen=True)

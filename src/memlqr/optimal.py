@@ -53,7 +53,7 @@ from .forward import (
     response_field,
     solve_voc,
 )
-from .kernels import KernelTable, weight_matrix
+from .kernels import KernelTable, gap_weights
 
 __all__ = [
     "OperatorAssembly",
@@ -71,14 +71,19 @@ __all__ = [
 def _table_Lambda(table: KernelTable) -> np.ndarray:
     """Lambda on [0, T], built on first use and kept on the table.
 
-    Rows are stacked as (node, mode) and columns as (node, channel).
+    Rows are stacked as (node, mode) and columns as (node, channel).  Mode
+    k's node weights are lower-triangular Toeplitz in the gap j - l, the gap
+    weights omega of the Z kernel, except at the first node, which borders
+    one panel only and takes alpha.
     """
     if table._Lambda is None:
         M, n = table.grid.n_steps, table.n_modes
         ad = table.basis.ad_coeffs
+        omega = gap_weights(table.alpha_Z, table.beta_Z)
         blocks = np.empty((M + 1, n, M + 1, 2))
         for k in range(n):
-            Wk = weight_matrix(table.alpha_Z[k], table.beta_Z[k], M)
+            Wk = sla.toeplitz(omega[k], np.zeros(M + 1))
+            Wk[:, 0] = table.alpha_Z[k]
             blocks[:, k, :, :] = -Wk[:, :, None] * ad[k][None, None, :]
         table._Lambda = blocks.reshape((M + 1) * n, (M + 1) * 2)
     return table._Lambda
@@ -361,7 +366,7 @@ def _build_node_forms(table: KernelTable) -> NodeForms:
 
     # F: start-0 right-hand sides, rows (node, mode): the response columns
     # of x, the first four columns of B over sU, and the pairing weights
-    # omega[s] = alpha[s] + beta[s+1] over sV.  delta = sqrt(2) f_j[m] - F[m],
+    # omega (kernels.gap_weights) over sV.  delta = sqrt(2) f_j[m] - F[m],
     # the change of the last row at start j = M - m: zero for the response
     # columns, whose sV halves with the row weight; F itself for control node
     # 1, whose sU halves too when it is the last node (m = 1); and for the
@@ -373,9 +378,7 @@ def _build_node_forms(table: KernelTable) -> NodeForms:
     pairs = ((table.alpha_Z, table.beta_Z), (table.alpha_Q, table.beta_Q))
     for c, (kernel, (alpha, beta)) in enumerate(zip((table.Z, table.Q), pairs)):
         F[:, modes, c * n + modes] = sV * kernel.T
-        omega = alpha.copy()
-        omega[:, :-1] += beta[:, 1:]
-        F[:, modes, Om.start + c * n + modes] = omega.T / sV
+        F[:, modes, Om.start + c * n + modes] = gap_weights(alpha, beta).T / sV
         delta[:-1, modes, Om.start + c * n + modes] = (alpha[:, :-1] - beta[:, 1:]).T / np.sqrt(table.grid.dt)
     Y = factor.forward(asm.Lam, F.reshape(-1, cols), M + 1)[0].reshape(F.shape)
     head = np.cumsum(np.einsum("rkc,rkd->rcd", Y, Y[:, :, G]), axis=0)

@@ -60,7 +60,7 @@ from .forward import (
     solve_voc,
     state_coordinates,
 )
-from .kernels import KernelTable
+from .kernels import KernelTable, gap_weights
 from .optimal import OperatorAssembly, node_forms, solve_optimal
 from .spectral import ModalVector
 
@@ -124,6 +124,14 @@ class GeneratorImage:
     dy: np.ndarray  # -y_hat
 
 
+def _fd_derivative(values: np.ndarray, dt: float) -> np.ndarray:
+    """d/dt of node samples along axis 0 by np.gradient: central inside, one-sided at the
+    ends, second order from three nodes on, first order on two; zero on one node."""
+    if len(values) == 1:
+        return np.zeros_like(values)
+    return np.gradient(values, dt, axis=0, edge_order=2 if len(values) >= 3 else 1)
+
+
 _COMPAT_TOL = 1e-8  # relative tolerance of xi(tau) = v_hat for a state in the generator's domain
 
 
@@ -132,8 +140,7 @@ def apply_generator(state: StateSnapshot, table: KernelTable) -> GeneratorImage:
 
     Membership asks for a square-summable seed (automatic after truncation),
     a discrete-H1 history and the compatibility xi(tau) = v_hat; violating
-    states are rejected.  The history derivative uses second-order one-sided
-    stencils at the ends and central differences inside.
+    states are rejected.  The history derivative is _fd_derivative's stencil.
     """
     if not state.is_compatible(_COMPAT_TOL):
         raise ValueError("state violates the compatibility condition xi(tau) = v_hat")
@@ -141,11 +148,7 @@ def apply_generator(state: StateSnapshot, table: KernelTable) -> GeneratorImage:
     lam = table.basis.eigenvalues
     mem = memory_functional(state.xi, grid)
     dv = (lam + 1.0) * state.v_hat.coeffs - mem + state.y_hat.coeffs
-    i = state.tau_index
-    if i == 0:
-        dxi = dv[None, :].copy()
-    else:
-        dxi = np.gradient(state.xi, grid.dt, axis=0, edge_order=2 if i >= 2 else 1)
+    dxi = dv[None, :].copy() if state.tau_index == 0 else _fd_derivative(state.xi, grid.dt)
     return GeneratorImage(dv, dxi, -state.y_hat.coeffs)
 
 
@@ -170,14 +173,14 @@ def _kernel_pairings(phi: np.ndarray, table: KernelTable, start: int) -> tuple[n
     """Per-mode int_theta^T Z(s-theta) phi(s) ds and the same with the Q kernel.
 
     Exact panel moments against the piecewise-linear phi; the trapezoid
-    pairing would lose digits to the unresolved stiff layer of Z.
+    pairing would lose digits to the unresolved stiff layer of Z.  phi[s],
+    s steps after theta, weighs omega[s] (kernels.gap_weights), and phi[m],
+    at T, alpha[m] alone.
     """
     m = table.grid.n_steps - start
-    rev = phi[::-1].T
-    g = slice(m, 0, -1)
 
     def pair(alpha, beta):
-        return np.sum(rev[:, :m] * alpha[:, g] + rev[:, 1:] * beta[:, g], axis=1)
+        return np.einsum("sk,ks->k", phi[:m], gap_weights(alpha, beta)[:, :m]) + phi[m] * alpha[:, m]
 
     return pair(table.alpha_Z, table.beta_Z), pair(table.alpha_Q, table.beta_Q)
 
@@ -393,21 +396,6 @@ def value_scan_batch(state0: StateSnapshot, controls, table: KernelTable):
     """
     indices, W, trajs, _ = _value_scan(state0, controls, table)
     return indices, W, trajs
-
-
-def _fd_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """Central differences inside, second-order one-sided at the segment ends."""
-    out = np.empty_like(values)
-    if len(values) == 1:
-        out[0] = 0.0
-        return out
-    if len(values) == 2:
-        out[:] = (values[1] - values[0]) / dt
-        return out
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dt)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)
-    return out
 
 
 def dissipation_residual(W: np.ndarray, trajectory: Trajectory, u: ControlSignal,

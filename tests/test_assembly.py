@@ -2,7 +2,8 @@
 
 The input kernel depends only on t - s, so the assembly at start j must be
 exactly the leading block of the start-0 operator.  The reference builder
-below is the per-start construction from kernels.weight_matrix.  An
+below is the per-start construction from the gap-gather weight_matrix of
+test_recurrences, independent of the Toeplitz layout in optimal.  An
 assembly is a view: its only matrix is a slice of the table's Lambda, and
 the factors live on the table.
 """
@@ -18,9 +19,9 @@ from hypothesis import strategies as st
 
 from memlqr import ControlSignal, StateSnapshot, TimeGrid, Trajectory, build_basis, extend_state, solve_Z
 from memlqr import optimal
-from memlqr.kernels import weight_matrix
 from memlqr.optimal import OperatorAssembly, solve_optimal, value_function
 from memlqr.riccati import closed_loop_simulate, value_scan_batch
+from test_recurrences import weight_matrix
 
 
 def reference_Lambda(table, start):
@@ -81,12 +82,13 @@ def test_extend_state_rejects_a_foreign_trajectory_at_its_own_node():
 
 def test_weight_matrix_loop_runs_once_per_table(monkeypatch):
     calls = []
+    toeplitz = optimal.sla.toeplitz
 
-    def counting(alpha, beta, m):
-        calls.append(m)
-        return weight_matrix(alpha, beta, m)
+    def counting(c, r):
+        calls.append(len(c) - 1)
+        return toeplitz(c, r)
 
-    monkeypatch.setattr(optimal, "weight_matrix", counting)
+    monkeypatch.setattr(optimal.sla, "toeplitz", counting)
     n, M = 3, 12
     table = solve_Z(build_basis(n), TimeGrid(0.5, M))
     for j in range(M + 1):

@@ -1,5 +1,7 @@
 import dataclasses
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,16 +17,19 @@ from memlqr import (
     series_Z_check,
     solve_Z,
 )
+from memlqr import experiments, kernels
+from memlqr.config import load_config
 from memlqr.kernels import (
+    _first_panel,
     _panel_moments,
     e_exponential_terms,
+    gap_weights,
     oscillator_solution,
     product_weights,
     q_exponential_terms,
-    weight_matrix,
     z_exponential_terms,
 )
-from test_recurrences import conv_product
+from test_recurrences import conv_product, weight_matrix
 
 
 @pytest.fixture(scope="module")
@@ -96,10 +101,15 @@ def test_N_closed_form_matches_quadrature(unit_table, basis):
 # product-integration weights
 
 
+def e_weights(lam, grid):
+    """The panel weights of the one-mode kernel exp(lam t), as (1, M+1) alpha and beta."""
+    return product_weights(_first_panel(e_exponential_terms, np.array([lam]), grid.dt), grid)
+
+
 def test_panel_moments_against_quadrature():
     grid = TimeGrid(0.4, 20)
     lam = -30.0
-    (alpha,), (beta,) = product_weights(e_exponential_terms, np.array([lam]), grid)
+    (alpha,), (beta,) = e_weights(lam, grid)
     dt = grid.dt
     for g in (1, 2, 5):
         s = np.linspace(0.0, dt, 20_001)
@@ -115,7 +125,7 @@ def test_product_convolution_is_second_order():
     errs = []
     for M in (32, 64):
         grid = TimeGrid(0.5, M)
-        (alpha,), (beta,) = product_weights(e_exponential_terms, np.array([lam]), grid)
+        (alpha,), (beta,) = e_weights(lam, grid)
         t = grid.nodes
         f = np.sin(3 * t) + 0.5 * t
         approx = conv_product(alpha, beta, f)
@@ -127,7 +137,7 @@ def test_product_convolution_is_second_order():
 
 def test_weight_matrix_matches_convolution():
     grid = TimeGrid(0.3, 12)
-    (alpha,), (beta,) = product_weights(e_exponential_terms, np.array([-5.0]), grid)
+    (alpha,), (beta,) = e_weights(-5.0, grid)
     rng = np.random.default_rng(1)
     f = rng.standard_normal(grid.n_steps + 1)
     W = weight_matrix(alpha, beta, grid.n_steps)
@@ -170,6 +180,42 @@ def test_product_weights_match_the_scalar_loop(n, M, T):
 def test_product_weights_match_the_scalar_loop_on_the_stiff_grid():
     # mode 191 has |lambda| dt = 703.2, just below the overflow guard
     assert_weights_match_reference(solve_Z(build_basis(191), TimeGrid(0.5, 256)))
+
+
+def test_gap_weights_are_the_interior_columns_of_the_weight_matrix():
+    # column l >= 1 of a mode's dense weight matrix holds omega[g] at row l + g,
+    # and column 0 holds alpha: the same sums, so equal to the last bit
+    table = solve_Z(build_basis(191), TimeGrid(0.5, 256))
+    M = table.grid.n_steps
+    for alpha, beta in ((table.alpha_Z, table.beta_Z), (table.alpha_Q, table.beta_Q)):
+        omega = gap_weights(alpha, beta)
+        for k in range(table.n_modes):
+            W = weight_matrix(alpha[k], beta[k], M)
+            assert np.array_equal(W[:, 0], alpha[k])
+            for l in range(1, M + 1):
+                assert np.array_equal(W[l:, l], omega[k, : M + 1 - l])
+
+
+def test_first_panel_runs_three_times_per_table_and_nowhere_else(monkeypatch, tmp_path):
+    # the E, Z and Q records are derived once in solve_Z; every product
+    # convolution of the suites reads the table's records
+    callers, tables = [], []
+    first_panel, solve = kernels._first_panel, experiments.solve_Z
+
+    def counting_panel(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return first_panel(*args)
+
+    def counting_solve(*args):
+        tables.append(solve(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(kernels, "_first_panel", counting_panel)
+    monkeypatch.setattr(experiments, "solve_Z", counting_solve)
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "quick.ini"))
+    experiments.run_suite("all", cfg, str(tmp_path), tol_scale=50.0)
+    assert len(tables) == 2  # the configured grid and the kernels suite's coarse one
+    assert callers == ["solve_Z"] * (3 * len(tables))
 
 
 # ----------------------------------------------------------------------------

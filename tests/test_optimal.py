@@ -149,7 +149,7 @@ def test_lambda_impulse_reproduces_kernel_column(table, grid, basis):
     col = asm.Lam[:, 2 * l].reshape(grid.n_steps + 1, basis.n_modes)
     assert np.allclose(out, col, atol=1e-15)
     # and the column is the kernel samples scaled by the node weights
-    from memlqr.kernels import weight_matrix
+    from test_recurrences import weight_matrix
 
     k = 2
     Wk = weight_matrix(table.alpha_Z[k], table.beta_Z[k], grid.n_steps)

@@ -7,8 +7,9 @@ paired_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(paired_bench)
 
 
-def side(wall_s, failed, attempted):
-    return {"wall_s": wall_s, "peak_rss_mb": 100.0, "attempted": attempted, "failed": failed}
+def side(wall_s, failed, attempted, failed_checks=()):
+    return {"wall_s": wall_s, "peak_rss_mb": 100.0, "attempted": attempted, "failed": failed,
+            "failed_checks": list(failed_checks)}
 
 
 def test_summary_counts_wins_and_sums_the_checks_of_every_pair():
@@ -29,3 +30,13 @@ def test_summary_flags_a_larger_failed_share_of_the_change():
     summary = paired_bench.summarize(pairs)
     assert summary["checks"]["change_fails_larger_share"]
     assert summary["wall_s"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0, "n": 1}
+
+
+def test_summary_names_the_seeds_where_only_the_change_fails_a_check():
+    band = ["dissipation_equality_band"]
+    pairs = [{"seed": 7, "parent": side(2.0, 18, 378, band), "change": side(1.0, 21, 441, band)},
+             {"seed": 8, "parent": side(2.0, 0, 399), "change": side(1.0, 2, 441, ["closed_loop_l2_mismatch"])},
+             {"seed": 9, "parent": side(2.0, 1, 20, band), "change": side(1.0, 0, 20)}]
+    summary = paired_bench.summarize(pairs)
+    assert "failed_checks" not in summary
+    assert summary["checks"]["change_only_failures"] == {8: ["closed_loop_l2_mismatch"]}

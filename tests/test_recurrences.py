@@ -26,7 +26,7 @@ from memlqr import (
     solve_Z,
 )
 from memlqr.forward import control_field
-from memlqr.kernels import e_exponential_terms, product_weights
+from memlqr.kernels import product_weights
 from memlqr.riccati import _kernel_pairings
 
 RTOL = 1e-13
@@ -84,6 +84,19 @@ def conv_product(alpha, beta, density):
     return out
 
 
+def weight_matrix(alpha, beta, m):
+    """Dense (m+1)x(m+1) node-weight matrix of the causal product convolution, by a gap gather."""
+    W = np.zeros((m + 1, m + 1))
+    if m == 0:
+        return W
+    j = np.arange(m + 1)[:, None]
+    l = np.arange(m + 1)[None, :]
+    gap = j - l
+    left = np.where(gap >= 1, alpha[np.clip(gap, 0, len(alpha) - 1)], 0.0)
+    right = np.where((gap >= 0) & (l >= 1), beta[np.clip(gap + 1, 0, len(beta) - 1)], 0.0)
+    return left + right
+
+
 def reference_convolution(alpha, beta, density):
     """(m+1, n) per-mode conv_product of density columns against table weights."""
     return np.stack([conv_product(alpha[k], beta[k], density[:, k]) for k in range(density.shape[1])], axis=1)
@@ -96,7 +109,7 @@ def reference_volterra(state, u, table):
     seed = state.y_hat.coeffs - memory_functional(state.xi, grid)
     E = table.E[:, : m + 1]
     N = table.N[:, : m + 1]
-    alpha_E, beta_E = product_weights(e_exponential_terms, table.basis.eigenvalues, grid)
+    alpha_E, beta_E = product_weights(table.panel_E, grid)
     ctrl = reference_convolution(alpha_E, beta_E, u.samples @ table.basis.ad_coeffs.T)
     F = E.T * state.v_hat.coeffs[None, :] + (E - N).T * seed[None, :] - ctrl
     denom = 1.0 - 0.5 * dt * N[:, 0]

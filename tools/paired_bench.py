@@ -7,7 +7,11 @@ both checkouts, the parent first on odd seeds and the change first on even
 ones, and prints each side's median and quartiles of every end-to-end metric,
 the number of pairs the change wins on wall_s, and each side's failed and
 attempted checks summed over all pairs, flagged when the change fails a larger
-share of them than the parent.  --json also writes the pairs and that summary.
+share of them than the parent.  A seed's runs need not attempt the same number
+of checks on both sides, so that share moves with the seeds: each run's
+failing check names are also read from its bench/results record, printed per
+seed and side, and the summary names the seeds where the change fails a check
+that the parent passes.  --json also writes the pairs and that summary.
 """
 
 from __future__ import annotations
@@ -16,13 +20,16 @@ import argparse
 import json
 import statistics
 import subprocess
+from pathlib import Path
 
 
 def run(checkout: str, workload: str, seed: int) -> dict:
     cmd = ["python3", "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     line = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True).stdout.splitlines()[-1]
     rec = json.loads(line)
-    return dict({k: m["value"] for k, m in rec["metrics"].items()}, attempted=rec["attempted"], failed=rec["failed"])
+    details = json.loads((Path(checkout) / "bench" / "results" / f"{workload}.seed{seed}.trace0.json").read_text())
+    return dict({k: m["value"] for k, m in rec["metrics"].items()}, attempted=rec["attempted"], failed=rec["failed"],
+                failed_checks=details["failed_checks"])
 
 
 def quartiles(xs: list[float]) -> dict:
@@ -31,14 +38,18 @@ def quartiles(xs: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict]) -> dict:
-    """Quartiles of every metric per side, the change's wall_s wins, and the summed check counts."""
+    """Quartiles of every metric per side, the change's wall_s wins, the summed check counts,
+    and per seed the checks that fail on the change's side only."""
     sides = ("parent", "change")
-    metrics = [k for k in pairs[0]["parent"] if k not in ("attempted", "failed")]
+    metrics = [k for k in pairs[0]["parent"] if k not in ("attempted", "failed", "failed_checks")]
     summary = {k: {side: quartiles([pr[side][k] for pr in pairs]) for side in sides} for k in metrics}
     summary["wall_s"]["change_wins"] = f"{sum(pr['change']['wall_s'] < pr['parent']['wall_s'] for pr in pairs)}/{len(pairs)}"
     checks = {side: {k: sum(pr[side][k] for pr in pairs) for k in ("failed", "attempted")} for side in sides}
     p, c = checks["parent"], checks["change"]
     checks["change_fails_larger_share"] = c["failed"] * p["attempted"] > p["failed"] * c["attempted"]
+    new = {pr["seed"]: sorted(set(pr["change"]["failed_checks"]) - set(pr["parent"]["failed_checks"]))
+           for pr in pairs}
+    checks["change_only_failures"] = {seed: names for seed, names in new.items() if names}
     summary["checks"] = checks
     return summary
 
@@ -57,7 +68,8 @@ def main() -> None:
         pair = {"seed": seed, "first": order[0]}
         pair.update({side: run(getattr(a, side), a.workload, seed) for side in order})
         pairs.append(pair)
-        print(f"seed {seed}: wall_s parent {pair['parent']['wall_s']:.4g} change {pair['change']['wall_s']:.4g}")
+        print(f"seed {seed}: wall_s parent {pair['parent']['wall_s']:.4g} change {pair['change']['wall_s']:.4g}; "
+              f"failed checks parent {pair['parent']['failed_checks']} change {pair['change']['failed_checks']}")
     summary = summarize(pairs)
     print(json.dumps(summary, indent=1))
     checks = summary["checks"]
@@ -65,6 +77,8 @@ def main() -> None:
                                                   for side in ("parent", "change")))
     if checks["change_fails_larger_share"]:
         print("FLAG: the change fails a larger share of its checks than the parent")
+    for seed, names in checks["change_only_failures"].items():
+        print(f"FLAG: seed {seed}: the change fails {names}, which the parent passes")
     if a.json:
         with open(a.json, "w") as fh:
             json.dump({"workload": a.workload, "pairs": pairs, "summary": summary}, fh, indent=1)
