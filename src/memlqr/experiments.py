@@ -183,19 +183,15 @@ def _suite_forward(ws: _Workspace, outdir: str) -> SuiteResult:
     rows.append(_at_most("two_route_max_error", worst, ws.tol("two_route")))
 
     # transformation check with lifted compatible data
-    if ws.control.ddu is not None:
-        lift0 = ws.basis.dmap_coeffs @ ws.control.u(0.0)
-        lift1 = ws.basis.dmap_coeffs @ ws.control.du(0.0)
-        v0 = ws.v0 + lift0
-        v1 = ws.y0 * 0.5 + lift1  # reuse the seeded profile as a velocity recipe
-        yh = hat_y_from_initial(v0, v1, ws.control.u(0.0), ws.basis)
-        wave = simulate_damped_wave(v0, v1, ws.control, ws.table)
-        mem = solve_volterra(StateSnapshot.initial(v0, yh), u, ws.table)
-        terr = float(np.max(np.abs(wave.values - mem.values)))
-        rows.append(_at_most("transformation_max_error", terr, ws.tol("transformation")))
-        traj = mem
-    else:
-        traj = solve_volterra(ws.state, u, ws.table)
+    lift0 = ws.basis.dmap_coeffs @ ws.control.u(0.0)
+    lift1 = ws.basis.dmap_coeffs @ ws.control.du(0.0)
+    v0 = ws.v0 + lift0
+    v1 = ws.y0 * 0.5 + lift1  # reuse the seeded profile as a velocity recipe
+    yh = hat_y_from_initial(v0, v1, ws.control.u(0.0), ws.basis)
+    wave = simulate_damped_wave(v0, v1, ws.control, ws.table)
+    traj = solve_volterra(StateSnapshot.initial(v0, yh), u, ws.table)
+    terr = float(np.max(np.abs(wave.values - traj.values)))
+    rows.append(_at_most("transformation_max_error", terr, ws.tol("transformation")))
 
     header = ["t"] + [f"mode_{k+1}" for k in range(ws.cfg.n_modes)] + ["norm_H"]
     body = [
@@ -261,24 +257,23 @@ def _suite_optimize(ws: _Workspace, outdir: str) -> SuiteResult:
 def _suite_bellman(ws: _Workspace, outdir: str) -> SuiteResult:
     rows, artifacts = [], []
     body = []
-    worst_tail = 0.0
-    worst_tel = 0.0
-    states = [ws.state]
-    for si, st in enumerate(states):
-        for t0 in (ws.cfg.n_steps // 4, ws.cfg.n_steps // 2):
-            rep = bellman_check(st, t0, ws.table)
-            worst_tail = max(worst_tail, rep.tail_mismatch)
-            worst_tel = max(worst_tel, rep.telescope_residual)
-            body.append((si, t0, rep.tail_mismatch, rep.telescope_residual, rep.W_start, rep.W_restart))
+    for t0 in (ws.cfg.n_steps // 4, ws.cfg.n_steps // 2):
+        rep = bellman_check(ws.state, t0, ws.table)
+        body.append((0, t0, rep.tail_mismatch, rep.telescope_residual, rep.W_start, rep.W_restart))
+    worst_tail = max(row[2] for row in body)
+    worst_tel = max(row[3] for row in body)
     rows.append(_at_most("bellman_tail_mismatch", worst_tail, ws.tol("bellman")))
     rows.append(_at_most("bellman_telescope_residual", worst_tel, ws.tol("bellman")))
     artifacts.append(_write_csv(outdir, "bellman.csv",
                                 ["state", "t0_index", "tail_mismatch", "telescope_residual", "W_start", "W_restart"],
-                                [(a, b, float(c), float(d), float(e), float(f)) for a, b, c, d, e, f in body]))
+                                body))
     return SuiteResult("bellman", rows, artifacts)
 
 
-def _suite_dissipation(ws: _Workspace, outdir: str, n_probe: int = 50) -> SuiteResult:
+_N_PROBE = 50  # seeded probe controls of the dissipation suite
+
+
+def _suite_dissipation(ws: _Workspace, outdir: str) -> SuiteResult:
     rows, artifacts = [], []
     sol = solve_optimal(ws.state, ws.table)
     rep_opt = dissipation_scan(ws.state, sol.u_plus, ws.table)
@@ -286,7 +281,7 @@ def _suite_dissipation(ws: _Workspace, outdir: str, n_probe: int = 50) -> SuiteR
     rows.append(_at_most("dissipation_equality_band", rep_opt.max_abs_r, band))
 
     zero_state = bool(np.all(ws.v0 == 0.0) and np.all(ws.y0 == 0.0))
-    probes = ws.probe_controls(n_probe)
+    probes = ws.probe_controls(_N_PROBE)
     indices, Wmat, trajs = value_scan_batch(ws.state, probes, ws.table)
     min_r = np.inf
     escaped = True
@@ -303,7 +298,7 @@ def _suite_dissipation(ws: _Workspace, outdir: str, n_probe: int = 50) -> SuiteR
     rows.append(SummaryRow("dissipation_probes_escape_band", 1.0 if escaped else 0.0, 1.0, escaped))
 
     header = ["t", "W_optimal", "dW_optimal", "r_optimal", "min_probe_r"]
-    probe_min = np.min(np.stack(r_cols), axis=0) if r_cols else np.zeros_like(rep_opt.r)
+    probe_min = np.min(np.stack(r_cols), axis=0)
     body = [
         (float(ws.grid.nodes[j]), float(rep_opt.W[j]), float(rep_opt.dW[j]), float(rep_opt.r[j]),
          float(probe_min[j]))
@@ -341,9 +336,7 @@ def _suite_riccati(ws: _Workspace, outdir: str) -> SuiteResult:
 
     artifacts.append(_write_csv(outdir, "riccati.csv",
                                 ["state", "theta_index", "p_prime", "cross", "gain_sq", "vhat_sq", "residual",
-                                 "relative"],
-                                [(a, b, float(c), float(d), float(e), float(f), float(g), float(h))
-                                 for a, b, c, d, e, f, g, h in body]))
+                                 "relative"], body))
     artifacts.append(_write_csv(outdir, "chain_rule.csv", ["theta_index", "fd", "formula", "residual", "relative"],
                                 [(int(rep.indices[j]), float(rep.fd[j]), float(rep.formula[j]),
                                   float(rep.residual[j]), float(rep.relative[j])) for j in range(len(rep.indices))]))
@@ -398,12 +391,18 @@ COMMANDS = {
 
 def run_suite(command: str, cfg: ExperimentConfig, outdir: str,
               seed: int | None = None, tol_scale: float = 1.0) -> list[SuiteResult]:
-    """Run one named suite (or all) and write the per-suite summaries."""
-    os.makedirs(outdir, exist_ok=True)
-    ws = _Workspace(cfg, seed, tol_scale)
+    """Run one named suite (or all) and write the per-suite summaries.
+
+    Raises ValueError, before anything is written, for an unknown command or
+    a tol_scale that is not finite and positive.
+    """
     names = list(COMMANDS) if command == "all" else [command]
     if any(n not in COMMANDS for n in names):
         raise ValueError(f"unknown command {command!r}; choose from {list(COMMANDS)} or 'all'")
+    if not (np.isfinite(tol_scale) and tol_scale > 0):
+        raise ValueError(f"tol_scale must be finite and positive, got {tol_scale!r}")
+    os.makedirs(outdir, exist_ok=True)
+    ws = _Workspace(cfg, seed, tol_scale)
     results = []
     all_rows = []
     for name in names:

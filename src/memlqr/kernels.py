@@ -90,10 +90,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.t_final, self.n_steps + 1)
 
-    @property
-    def quad_weights(self) -> np.ndarray:
-        return self.segment_weights(0)
-
     def segment_weights(self, start: int) -> np.ndarray:
         """Trapezoid weights on [t_start, T]; zero weight for the empty segment."""
         m = self.n_steps - start

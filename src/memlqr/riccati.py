@@ -32,15 +32,15 @@ two routes for the first-node gain; so the chain-rule closure and
 dissipation suites confirm -||C1 S||^2 + ||[Lambda* H h](theta)||^2 and the
 control pairing, not the generator term.
 
-The single-state routes (P_form, P_prime_form, P_cross, feedback_gain,
-riccati_residual) build the per-start optimal.OperatorAssembly, a view of the
-one Lambda built for the whole table, and solve at their node on the start's
-control-side factor, which the table keeps.  The scans (value_scan_batch,
-dissipation_scan, chain_rule_scan, closed_loop_simulate) solve nothing per
-node and build no state per node: they carry a state's 2n coordinates
-x = (v_hat, y_hat - I_xi) (forward.state_coordinates) from node to node and
-read the table's optimal.node_forms, W_j = x^T P[j] x, the gain K[j] x and
-the pairings Pi[j] x.
+Every route reads the one Riccati operator, the table's optimal.node_forms,
+through a state's 2n coordinates x = (v_hat, y_hat - I_xi)
+(forward.state_coordinates): W_j = x^T P[j] x, the gain K[j] x and the
+kernel pairings Pi[j] x.  The single-state routes (P_form, P_prime_form,
+P_cross, feedback_gain) read them at their state's node and solve nothing;
+riccati_residual sets them against the start's control-side solve.  The
+scans (value_scan_batch, dissipation_scan, chain_rule_scan,
+closed_loop_simulate) solve nothing per node and build no state per node:
+they carry x from node to node.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ from .forward import (
     solve_voc,
     state_coordinates,
 )
-from .kernels import KernelTable, gap_weights
-from .optimal import OperatorAssembly, node_forms, solve_optimal
+from .kernels import KernelTable
+from .optimal import OperatorAssembly, node_forms, solve_optimal, u_plus_control_side
 from .spectral import ModalVector
 
 __all__ = [
@@ -157,79 +157,50 @@ def apply_generator(state: StateSnapshot, table: KernelTable) -> GeneratorImage:
 
 
 def P_form(s1: StateSnapshot, s2: StateSnapshot, table: KernelTable) -> float:
-    """Bilinear value form <P(theta) S1, S2> at the states' common node."""
+    """Bilinear value form <P(theta) S1, S2> = x1^T P[j] x2 at the states' common node j."""
     if s1.tau_index != s2.tau_index:
         raise ValueError("states live at different nodes")
-    asm = OperatorAssembly(table, s1.tau_index)
-    if asm.empty:
-        return 0.0
-    h1 = response_field(s1, table)
-    h2 = response_field(s2, table)
-    z1 = asm.solve_normal_control(asm.apply_Lambda_star(h1))
-    return asm.inner_V(h1, h2) - asm.inner_U(z1, asm.apply_Lambda_star(h2))
+    P = node_forms(table).P[s1.tau_index]
+    return float(state_coordinates(s1, table) @ P @ state_coordinates(s2, table))
 
 
-def _kernel_pairings(phi: np.ndarray, table: KernelTable, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode int_theta^T Z(s-theta) phi(s) ds and the same with the Q kernel.
-
-    Exact panel moments against the piecewise-linear phi; the trapezoid
-    pairing would lose digits to the unresolved stiff layer of Z.  phi[s],
-    s steps after theta, weighs omega[s] (kernels.gap_weights), and phi[m],
-    at T, alpha[m] alone.
-    """
-    m = table.grid.n_steps - start
-
-    def pair(alpha, beta):
-        return np.einsum("sk,ks->k", phi[:m], gap_weights(alpha, beta)[:, :m]) + phi[m] * alpha[:, m]
-
-    return pair(table.alpha_Z, table.beta_Z), pair(table.alpha_Q, table.beta_Q)
+def _node_terms(state: StateSnapshot, table: KernelTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First-node gain K[j, :2] x and kernel pairings (C, D) = Pi[j] x of H h at the state's node j."""
+    forms, j = node_forms(table), state.tau_index
+    x = state_coordinates(state, table)
+    C, D = np.split(forms.Pi[j] @ x, 2)
+    return forms.K[j, :2] @ x, C, D
 
 
 def P_cross(state: StateSnapshot, dv, dxi, dy, table: KernelTable) -> float:
     """Frozen-operator pairing <P S, X> + <X, P S> for a state-shaped triple X.
 
     The response of X is Z dv + Q (dy - I_dxi); its pairing against H h is
-    evaluated with exact kernel moments so stiff generator images (dv of
-    order lambda) do not contaminate the quadrature.
+    read off the node's exact kernel pairings, so stiff generator images
+    (dv of order lambda) do not contaminate the quadrature.
     """
-    asm = OperatorAssembly(table, state.tau_index)
-    if asm.empty:
-        return 0.0
-    phi, _ = asm.apply_H(response_field(state, table))
-    C, D = _kernel_pairings(phi, table, state.tau_index)
+    _, C, D = _node_terms(state, table)
     return _paired_cross(dv, dxi, dy, C, D, table)
 
 
 def _paired_cross(dv, dxi, dy, C: np.ndarray, D: np.ndarray, table: KernelTable) -> float:
     """cross(S, X) = 2 (dv . C + (dy - I_dxi) . D) from the kernel pairings (C, D) of H h."""
-    I = memory_functional(dxi, table.grid) if dxi is not None else np.zeros_like(np.asarray(dv))
-    seed = np.asarray(dy) - I
+    seed = np.asarray(dy) - memory_functional(dxi, table.grid)
     return 2.0 * float(np.dot(np.asarray(dv), C) + np.dot(seed, D))
-
-
-def _p_prime_and_cross(state: StateSnapshot, img: GeneratorImage, table: KernelTable) -> tuple[float, float]:
-    """<P'(theta) S, S> and cross(S, A_theta S) through one control-side solve for phi = H h.
-
-    <P'S, S> = -|v_hat|^2 + |g|^2 - cross(S, A_theta S), g = [Lambda* H h](theta).
-    """
-    asm = OperatorAssembly(table, state.tau_index)
-    vhat_sq = float(np.dot(state.v_hat.coeffs, state.v_hat.coeffs))
-    if asm.empty:
-        return -vhat_sq, 0.0
-    phi, _ = asm.apply_H(response_field(state, table))
-    gain = asm.apply_Lambda_star(phi)[0]
-    C, D = _kernel_pairings(phi, table, state.tau_index)
-    cross = _paired_cross(img.dv, img.dxi, img.dy, C, D, table)
-    return -vhat_sq + float(np.dot(gain, gain)) - cross, cross
 
 
 def P_prime_form(state: StateSnapshot, table: KernelTable) -> float:
     """Moving-operator derivative <P'(theta) S, S> (see the module docstring).
 
-    At theta = T every integral is empty and the form collapses to
+    <P'S, S> = -|v_hat|^2 + |g|^2 - cross(S, A_theta S), with the gain
+    g = [Lambda* H h](theta) = K[j, :2] x.  At theta = T every integral is
+    empty (row M of the node forms is zero) and the form collapses to
     -||v_hat||^2, matching the decay rate of W_theta ~ (T-theta)||v_hat||^2.
     """
-    return _p_prime_and_cross(state, apply_generator(state, table), table)[0]
+    gain, C, D = _node_terms(state, table)
+    img = apply_generator(state, table)
+    vhat_sq = float(np.dot(state.v_hat.coeffs, state.v_hat.coeffs))
+    return -vhat_sq + float(np.dot(gain, gain)) - _paired_cross(img.dv, img.dxi, img.dy, C, D, table)
 
 
 @dataclass
@@ -246,12 +217,14 @@ def riccati_residual(state: StateSnapshot, table: KernelTable) -> RiccatiReport:
     """Residual of the differential form of the value-function equation.
 
     Assembles <P'S,S> + (<PS,AS> + <AS,PS>) - ||B* P S||^2 + ||C1 S||^2.
-    The feedback norm comes from the state-side optimality solve, a separate
-    numerical route from the control-side pieces inside P'.
+    P' and the cross term read the node forms, off the state-side factor L_0;
+    the feedback norm comes from the start's control-side solve
+    (optimal.u_plus_control_side), a separate numerical route.
     """
-    p_prime, cross = _p_prime_and_cross(state, apply_generator(state, table), table)
-    sol = solve_optimal(state, table)
-    gain = sol.u_plus.samples[0]
+    img = apply_generator(state, table)
+    p_prime = P_prime_form(state, table)
+    cross = P_cross(state, img.dv, img.dxi, img.dy, table)
+    gain = u_plus_control_side(state, table).samples[0]
     gain_sq = float(np.dot(gain, gain))
     vhat_sq = float(np.dot(state.v_hat.coeffs, state.v_hat.coeffs))
     residual = p_prime + cross - gain_sq + vhat_sq
@@ -265,17 +238,12 @@ def riccati_residual(state: StateSnapshot, table: KernelTable) -> RiccatiReport:
 
 
 def feedback_gain(state: StateSnapshot, table: KernelTable) -> np.ndarray:
-    """Instantaneous feedback value -[B* P(t) S](t), the control-side route.
+    """Instantaneous feedback value -[B* P(t) S](t) = -K[j, :2] x at the state's node j.
 
     Equals the first node of the open-loop optimal control; at t = T the
-    horizon is empty and the gain vanishes.
+    horizon is empty and the gain vanishes (row M of the node forms is zero).
     """
-    asm = OperatorAssembly(table, state.tau_index)
-    if asm.empty:
-        return np.zeros(2)
-    h = response_field(state, table)
-    z = asm.solve_normal_control(asm.apply_Lambda_star(h))
-    return -z[0]
+    return -_node_terms(state, table)[0]
 
 
 def closed_loop_simulate(state0: StateSnapshot, table: KernelTable) -> tuple[Trajectory, ControlSignal]:

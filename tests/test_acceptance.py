@@ -203,7 +203,7 @@ def test_criterion_8_feedback_law(table, grid):
     st = seeded_state(900)
     sol = solve_optimal(st, table)
     _traj, u_cl = closed_loop_simulate(st, table)
-    wU = np.repeat(grid.quad_weights, 2)
+    wU = np.repeat(grid.segment_weights(0), 2)
     d = (u_cl.samples - sol.u_plus.samples).reshape(-1)
     mismatch = float(np.sqrt(np.dot(wU * d, d)))
     report(8, "closed-loop vs open-loop control (L2)", mismatch, 1e-3, mismatch <= 1e-3)

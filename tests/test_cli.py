@@ -160,6 +160,17 @@ def test_cli_bad_config_diagnostic(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_cli_rejects_an_invalid_tol_scale(tmp_path, capsys, scale):
+    # every threshold is scaled by it: a scale that is not finite and
+    # positive is a usage error, reported before any output is written
+    cfg = write_cfg(tmp_path, SMALL)
+    rc = main(["kernels", "--config", str(cfg), "--tol-scale", scale])
+    assert rc == 2
+    assert "tol_scale" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_all_zero_data(tmp_path):
     cfg = write_cfg(tmp_path, ZERO)
     out = tmp_path / "out"

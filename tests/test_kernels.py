@@ -58,7 +58,7 @@ def unit_table(basis):
 
 
 def test_grid_weights_sum_to_T(grid):
-    assert grid.quad_weights.sum() == pytest.approx(grid.t_final, rel=1e-14)
+    assert grid.segment_weights(0).sum() == pytest.approx(grid.t_final, rel=1e-14)
     assert grid.segment_weights(16).sum() == pytest.approx(grid.t_final - 16 * grid.dt, rel=1e-13)
     assert np.all(grid.segment_weights(grid.n_steps) == 0.0)
 

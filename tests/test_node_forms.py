@@ -2,9 +2,10 @@
 
 optimal.node_forms reads every node's value matrix P[j], first-step gain K[j]
 and kernel pairings Pi[j] off the start-0 state-side factor.  Each is checked
-here against the dense route at the same node: P_form, the control-side
-solve and riccati._kernel_pairings, over n <= 6, M <= 48, T in [0.1, 2],
-always at nodes 0, M - 2 and M - 1, where the last-row corrections differ.
+here against the dense control-side route at the same node (dense_routes):
+the value form, the first-step control and the kernel pairings of H h, over
+n <= 6, M <= 48, T in [0.1, 2], always at nodes 0, M - 2 and M - 1, where
+the last-row corrections differ.
 """
 
 import gc
@@ -14,11 +15,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlqr import (ControlSignal, P_form, StateSnapshot, TimeGrid, build_basis, chain_rule_scan,
+from dense_routes import kernel_pairings, value_form
+
+from memlqr import (ControlSignal, StateSnapshot, TimeGrid, build_basis, chain_rule_scan,
                     closed_loop_simulate, dissipation_scan, extend_state, solve_Z)
 from memlqr.forward import response_field, state_coordinates
 from memlqr.optimal import OperatorAssembly, node_forms
-from memlqr.riccati import _kernel_pairings, value_scan_batch
+from memlqr.riccati import value_scan_batch
 
 
 @st.composite
@@ -49,10 +52,10 @@ def test_node_forms_match_the_dense_routes(case, data):
         state = random_state(rng, j, n)
         x = state_coordinates(state, table)
         assert np.array_equal(forms.P[j], forms.P[j].T)
-        assert rel_err(x @ forms.P[j] @ x, P_form(state, state, table)) <= 1e-13
+        assert rel_err(x @ forms.P[j] @ x, value_form(state, state, table)) <= 1e-13
         phi, z = OperatorAssembly(table, j).apply_H(response_field(state, table))
         assert rel_err(forms.K[j] @ x, z[:2].reshape(-1)) <= 1e-13
-        assert rel_err(forms.Pi[j] @ x, np.concatenate(_kernel_pairings(phi, table, j))) <= 1e-13
+        assert rel_err(forms.Pi[j] @ x, np.concatenate(kernel_pairings(phi, table, j))) <= 1e-13
     assert not np.any(forms.P[M]) and not np.any(forms.K[M]) and not np.any(forms.Pi[M])
 
 
@@ -69,7 +72,7 @@ def test_value_scan_from_an_interior_start(case, data):
     indices, W, trajs = value_scan_batch(state, controls, table)
     assert W.shape == (M - i0 + 1, 2) and np.all(W[-1] == 0.0)
     for c, traj in enumerate(trajs):
-        ref = [P_form(s, s, table) for s in (extend_state(state, None, j, table, trajectory=traj) for j in indices)]
+        ref = [value_form(s, s, table) for s in (extend_state(state, None, j, table, trajectory=traj) for j in indices)]
         assert rel_err(W[:, c], np.array(ref)) <= 1e-13
 
 

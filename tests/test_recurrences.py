@@ -9,6 +9,7 @@ n <= 6, M <= 48, T in [0.1, 2], any start node.
 
 import numpy as np
 import pytest
+from dense_routes import kernel_pairings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_properties import problems, random_state
@@ -27,7 +28,6 @@ from memlqr import (
 )
 from memlqr.forward import control_field
 from memlqr.kernels import product_weights
-from memlqr.riccati import _kernel_pairings
 
 RTOL = 1e-13
 
@@ -230,7 +230,7 @@ def test_wave_matches_the_per_mode_loop(case):
 def test_kernel_pairings_match_the_loop(case):
     table, start, rng = case
     phi = rng.standard_normal((table.grid.n_steps - start + 1, table.n_modes))
-    for fast, ref in zip(_kernel_pairings(phi, table, start), reference_pairings(phi, table, start)):
+    for fast, ref in zip(kernel_pairings(phi, table, start), reference_pairings(phi, table, start)):
         assert_close(fast, ref, rtol=1e-14)
 
 

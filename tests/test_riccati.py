@@ -1,3 +1,4 @@
+import dense_routes
 import numpy as np
 import pytest
 
@@ -243,7 +244,7 @@ def test_closed_loop_tracks_open_loop(basis):
         st = smooth_state(rng, basis.n_modes)
         sol = solve_optimal(st, table)
         _traj, u_cl = closed_loop_simulate(st, table)
-        wU = np.repeat(grid.quad_weights, 2)
+        wU = np.repeat(grid.segment_weights(0), 2)
         d = (u_cl.samples - sol.u_plus.samples).reshape(-1)
         errs[M] = float(np.sqrt(np.dot(wU * d, d)))
     assert errs[48] < 5e-3
@@ -457,10 +458,9 @@ def control_solves(monkeypatch):
     return calls
 
 
-def test_chain_rule_scan_solves_each_node_once(control_solves, monkeypatch, basis, grid, interior_state):
-    # every node is solved once per table, inside optimal.node_forms: the
-    # scans read its rows, make no control-side solve and build assemblies
-    # at start 0 only
+@pytest.fixture
+def assembly_starts(monkeypatch):
+    """Start nodes of every OperatorAssembly built."""
     from memlqr.optimal import OperatorAssembly
 
     starts = []
@@ -471,6 +471,13 @@ def test_chain_rule_scan_solves_each_node_once(control_solves, monkeypatch, basi
         init(self, table, start)
 
     monkeypatch.setattr(OperatorAssembly, "__init__", counted)
+    return starts
+
+
+def test_chain_rule_scan_solves_each_node_once(control_solves, assembly_starts, basis, grid, interior_state):
+    # every node is solved once per table, inside optimal.node_forms: the
+    # scans read its rows, make no control-side solve and build assemblies
+    # at start 0 only
     table = solve_Z(basis, grid)
     i0 = grid.n_steps - 12
     warm = extend_state(interior_state, sine_control(grid, 16), i0, table)
@@ -481,7 +488,27 @@ def test_chain_rule_scan_solves_each_node_once(control_solves, monkeypatch, basi
     chain_rule_scan(warm, u, table)
     closed_loop_simulate(warm, table)
     assert control_solves == []
-    assert set(starts) == {0}
+    assert set(assembly_starts) == {0}
+    assert table._node_forms is forms
+
+
+def test_single_state_routes_read_the_node_forms(control_solves, assembly_starts, table, interior_state, grid):
+    # P_form, P_cross, P_prime_form and feedback_gain read the node forms at
+    # the state's node, an interior one and T: once the forms are built they
+    # make no control-side solve and build no assembly
+    from memlqr.optimal import node_forms
+
+    forms = node_forms(table)
+    terminal = extend_state(interior_state, None, grid.n_steps, table)
+    control_solves.clear()
+    assembly_starts.clear()
+    for st in (interior_state, terminal):
+        img = apply_generator(st, table)
+        P_form(st, st, table)
+        P_cross(st, img.dv, img.dxi, img.dy, table)
+        P_prime_form(st, table)
+        feedback_gain(st, table)
+    assert control_solves == [] and assembly_starts == []
     assert table._node_forms is forms
 
 
@@ -528,7 +555,7 @@ def test_riccati_residual_solves_once(control_solves, table, interior_state):
 def test_chain_rule_scan_matches_the_separate_routes(table, grid, basis, interior_state):
     # the scan's finite difference is exactly that of the value scan; its
     # formula reads the node forms, so it matches P' and the cross pairing
-    # evaluated on their own dense routes at roundoff (worst measured 1.4e-17)
+    # evaluated on the dense control-side routes at roundoff (worst measured 3.9e-17)
     i0 = grid.n_steps - 8
     warm = extend_state(interior_state, sine_control(grid, 16), i0, table)
     u = sine_control(grid, i0)
@@ -539,5 +566,5 @@ def test_chain_rule_scan_matches_the_separate_routes(table, grid, basis, interio
         st = extend_state(warm, None, j, table, trajectory=trajs[0])
         img = apply_generator(st, table)
         dv_ctrl = img.dv - basis.ad_coeffs @ u.samples[j - i0]
-        ref = P_prime_form(st, table) + P_cross(st, dv_ctrl, img.dxi, img.dy, table)
+        ref = dense_routes.p_prime(st, table) + dense_routes.cross(st, dv_ctrl, img.dxi, img.dy, table)
         assert abs(rep.formula[pos] - ref) <= 1e-12 * (1.0 + abs(rep.formula[pos]))
