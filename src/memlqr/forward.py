@@ -180,7 +180,7 @@ def response_field(state: StateSnapshot, table: KernelTable) -> np.ndarray:
     """Uncontrolled response h(t) = Z(t - tau) x_v + Q(t - tau) x_s on [tau, T]."""
     m = table.grid.n_steps - state.tau_index
     xv, xs = np.split(state_coordinates(state, table), 2)
-    return table.Z[:, : m + 1].T * xv[None, :] + table.Q[:, : m + 1].T * xs[None, :]
+    return table.Z_exact[:, : m + 1].T * xv[None, :] + table.Q[:, : m + 1].T * xs[None, :]
 
 
 def _ad_samples(u: ControlSignal | None, table: KernelTable, start: int) -> np.ndarray | None:

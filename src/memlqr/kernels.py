@@ -19,12 +19,15 @@ equation), which yields a machine-precision oracle through the roots of
 mu^2 - lambda mu - lambda.
 
 Quadrature: Z is tabulated by the plain implicit-trapezoid Volterra solve
-(diagonal coefficient 1 - (dt/2) N(0)).  Every kernel-weighted convolution
-downstream uses second-order product integration instead: the density is
-interpolated piecewise-linearly and the exponential-sum kernel is integrated
-exactly on each panel.  Plain trapezoid on those convolutions loses three to
-four digits on the stiffest modes (|lambda| dt ~ 1), which the product rule
-avoids at identical cost.
+(diagonal coefficient 1 - (dt/2) N(0)); that table is the object the kernel
+oracle and the series check measure.  The response of a state and the
+one-panel step of the optimality system read Z and Q as their exact
+exponential sums instead, tabulated once per table (Z_exact, Q).  Every
+kernel-weighted convolution uses second-order product integration: the
+density is interpolated piecewise-linearly and the exponential-sum kernel
+is integrated exactly on each panel.  Plain trapezoid on those convolutions
+loses three to four digits on the stiffest modes (|lambda| dt ~ 1), which
+the product rule avoids at identical cost.
 
 Exponential sums: the roots of mu^2 - lambda mu - lambda are distinct for
 every lambda but 0 and -4, and no interval eigenvalue -(n pi)^2 is either, so
@@ -33,13 +36,15 @@ term for E, two for Z, four for Q.  Each history sum is carried through the
 time loop by one running sum per term, S <- r (S + x) with r = exp(mu dt), in
 the manner of Lubich & Schaedle (2002), exact rather than approximate.
 volterra_trapezoid (Z, the series check and the Volterra forward route) and
-product_convolution (Q and the control responses) cost O(n M) instead of
+product_convolution (the control responses) cost O(n M) instead of
 O(n M^2).  The per-term coefficients depend only on (lambda, dt), so solve_Z
-derives each kernel's first-panel record (c, mu, a_loc, b_loc) once and
-keeps those of E and Z on the table; product_convolution and
-product_weights (the panel weights of every mode at once) read a record, and
-gap_weights gives the node weights omega = alpha + beta shifted that
-memlqr.optimal's Lambda and node forms and the riccati kernel pairings use.
+derives each kernel's first-panel record (c, mu, a_1, b_1) once and keeps
+those of E, Z and Q on the table.  (a_1, b_1) are the term's gap-1 panel
+weights, built from moments in which no exponential grows, so any grid
+gives finite weights.  product_convolution and product_weights (the panel
+weights of every mode at once) read a record, and gap_weights gives the
+node weights omega = alpha + beta shifted that memlqr.optimal's Lambda
+uses.
 """
 
 from __future__ import annotations
@@ -165,28 +170,29 @@ def q_exponential_terms(lam: float) -> list[tuple[complex, complex]]:
 # product integration: exact exponential panel moments, piecewise-linear density
 
 
-_LOG_MAX = float(np.log(np.finfo(float).max))  # largest x with exp(x) finite, ~709.78
-
-
 def _panel_moments(mu: complex, dt: float) -> tuple[complex, complex]:
-    """m_k = int_0^dt s^k exp(-mu s) ds for k = 0, 1 (series for small mu dt)."""
+    """m_k = int_0^dt s^k exp(mu (dt - s)) ds for k = 0, 1 (series for small mu dt).
+
+    These are the moments of the panel one step before a node, so no
+    exponential larger than 1 appears for a decaying term:
+    m_0 = expm1(mu dt) / mu and m_1 = (m_0 - dt) / mu.
+    """
     z = mu * dt
     if abs(z) < 1e-4:
-        m0 = dt * (1 - z / 2 + z**2 / 6 - z**3 / 24 + z**4 / 120)
-        m1 = dt**2 * (0.5 - z / 3 + z**2 / 8 - z**3 / 30 + z**4 / 144)
+        m0 = dt * (1 + z / 2 + z**2 / 6 + z**3 / 24 + z**4 / 120)
+        m1 = dt**2 * (0.5 + z / 6 + z**2 / 24 + z**3 / 120 + z**4 / 720)
         return m0, m1
-    em = np.exp(-z)
-    m0 = (1.0 - em) / mu
-    m1 = (m0 - dt * em) / mu
+    m0 = np.expm1(z) / mu
+    m1 = (m0 - dt) / mu
     return m0, m1
 
 
 def _first_panel(kernel_terms, lam: np.ndarray, dt: float) -> np.ndarray:
-    """The first-panel record of the kernels kernel_terms(lam[k]): (c, mu, a_loc, b_loc), complex (4, n, terms).
+    """The first-panel record of the kernels kernel_terms(lam[k]): (c, mu, a_1, b_1), complex (4, n, terms).
 
     A term c e^{mu t} weighs the left and right hat functions of the panel
-    that starts g steps before the row's node by c e^{mu g dt} a_loc and
-    c e^{mu g dt} b_loc.
+    that starts g >= 1 steps before the row's node by c rho^{g-1} a_1 and
+    c rho^{g-1} b_1, rho = e^{mu dt}: (a_1, b_1) are its gap-1 weights.
     """
     per_mode = [kernel_terms(float(l)) for l in lam]
     c = np.array([[t[0] for t in terms] for terms in per_mode])
@@ -203,15 +209,14 @@ def product_weights(panel: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.n
     contributes f_p * alpha[k, j-p] + f_{p+1} * beta[k, j-p];
     alpha[:, 0] = beta[:, 0] = 0.
     """
-    c, mu, a_loc, b_loc = panel
-    dt = grid.dt
-    g = np.arange(1, grid.n_steps + 1)
+    c, mu, a1, b1 = panel
+    g = np.arange(grid.n_steps)
     alpha = np.zeros((c.shape[0], grid.n_steps + 1))
     beta = np.zeros_like(alpha)
     for i in range(c.shape[1]):
-        fac = c[:, i, None] * np.exp(mu[:, i, None] * g * dt)
-        alpha[:, 1:] += np.real(fac * a_loc[:, i, None])
-        beta[:, 1:] += np.real(fac * b_loc[:, i, None])
+        fac = c[:, i, None] * np.exp(mu[:, i, None] * g * grid.dt)
+        alpha[:, 1:] += np.real(fac * a1[:, i, None])
+        beta[:, 1:] += np.real(fac * b1[:, i, None])
     return alpha, beta
 
 
@@ -233,22 +238,22 @@ def gap_weights(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def product_convolution(panel: np.ndarray, dt: float, density: np.ndarray) -> np.ndarray:
     """Per-mode product convolution against product_weights(panel, grid), by recurrences.
 
-    panel is a first-panel record (c, mu, a_loc, b_loc), such as the table's
+    panel is a first-panel record (c, mu, a_1, b_1), such as the table's
     panel_E or panel_Z; density is (m+1, n), or (m+1, 1) for one density
     shared by every mode; the result is (m+1, n) with row 0 zero.  A term
-    c e^{mu t} has the weights alpha[g] = Re(c a_loc rho^g),
-    beta[g] = Re(c b_loc rho^g) with rho = e^{mu dt}, so its left and right
-    panel sums share one carry,
+    c e^{mu t} has the weights alpha[g] = Re(c a_1 rho^{g-1}),
+    beta[g] = Re(c b_1 rho^{g-1}) with rho = e^{mu dt}, so its left and
+    right panel sums share one carry,
 
-        P_j = rho P_{j-1} + (c rho a_loc) d_{j-1} + (c rho b_loc) d_j,
+        P_j = rho P_{j-1} + (c a_1) d_{j-1} + (c b_1) d_j,
 
     and out_j is the sum over terms of Re(P_j).  The carry decays and both
-    coefficients are finite first-panel weights, even for stiff modes.
+    coefficients are finite gap-1 weights, even for stiff modes.
     """
-    c, mu, a_loc, b_loc = panel
+    c, mu, a1, b1 = panel
     rho = np.exp(mu * dt)
-    w_left = c * rho * a_loc
-    w_right = c * rho * b_loc
+    w_left = c * a1
+    w_right = c * b1
     d = np.asarray(density, dtype=float)[:, :, None]
     P = np.zeros(c.shape, dtype=complex)
     out = np.zeros((d.shape[0], c.shape[0]))
@@ -304,20 +309,19 @@ def volterra_trapezoid(lam: np.ndarray, N: np.ndarray, dt: float, x: np.ndarray,
 class KernelTable:
     """Per-mode samples of E, N, Z, Z' and Q on the grid, plus product weights.
 
-    Arrays are n_modes x (n_steps+1), all filled by solve_Z.  The alpha/beta
-    pairs are the product-integration panel weights of the Z and Q kernels;
-    Lambda, node_forms and the riccati kernel pairings draw from them through
-    gap_weights.  panel_E and panel_Z are the first-panel records
-    (c, mu, a_loc, b_loc) of E and Z, complex (4, n_modes, terms), that the
-    forward routes' product convolutions read.  The
-    four private fields are filled on first use by memlqr.optimal: the input
-    map Lambda on [0, T]; the start-0 state-side Cholesky factor L_0 that
-    serves every start, held in block-generator form (optimal.StateFactor:
-    per-group diagonal blocks and generators, and every node's diagonal block
-    and restarted last block, never a matrix of order (M+1) n); the
-    control-side Cholesky factor of each start that asked for one; and the
-    per-node forms that the riccati scans read (optimal.NodeForms).  They
-    hold arrays only, never an object that refers back to the table.
+    Arrays are n_modes x (n_steps+1), all filled by solve_Z.  Z is the
+    Volterra solve and Z_exact the exact exponential sum of the same kernel;
+    Q is an exact sum too.  The alpha/beta pairs are the product-integration
+    panel weights of the Z and Q kernels; Lambda and the one-panel step draw
+    from them.  panel_E, panel_Z and panel_Q
+    are the first-panel records (c, mu, a_1, b_1) of E, Z and Q, complex
+    (4, n_modes, terms), that the product convolutions and the node forms'
+    pairings read.  The three private fields are filled on first use by
+    memlqr.optimal: the input map Lambda on [0, T]; the control-side
+    Cholesky factor of each start that asked for one; and the per-node forms
+    of the backward Riccati recursion that solve_optimal and the riccati
+    scans read (optimal.NodeForms).  They hold arrays only, never an object
+    that refers back to the table.
     """
 
     basis: SpectralBasis
@@ -325,6 +329,7 @@ class KernelTable:
     E: np.ndarray
     N: np.ndarray
     Z: np.ndarray
+    Z_exact: np.ndarray
     Zp: np.ndarray
     Q: np.ndarray
     alpha_Z: np.ndarray
@@ -333,8 +338,8 @@ class KernelTable:
     beta_Q: np.ndarray
     panel_E: np.ndarray
     panel_Z: np.ndarray
+    panel_Q: np.ndarray
     _Lambda: np.ndarray | None = field(default=None, repr=False)
-    _state_chol: object = field(default=None, repr=False)
     _control_chol: dict = field(default_factory=dict, repr=False)
     _node_forms: object = field(default=None, repr=False)
 
@@ -346,15 +351,14 @@ class KernelTable:
 def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
     """Tabulate the resolvent family by the implicit trapezoid Volterra solve.
 
-    Z is solved on the grid; Z' = (lambda + 1) Z - Q, the product weights
-    of the Z and Q kernels and the first-panel records of E and Z are
-    tabulated alongside, each record derived once here.  Two grids are
-    rejected explicitly: one where the implicit step coefficient
-    1 - (dt/2) N(0) vanishes (dt = 2 / N(0)), and one where a mode has
-    |lambda| dt > log(DBL_MAX), so that exp(-mu dt) in the panel moments
-    would overflow into NaN product weights.  So is an eigenvalue in
-    {0, -4}, where the characteristic roots coincide, and lambda = -1,
-    where N and the Volterra weights divide by lambda + 1 = 0.
+    Z is solved on the grid.  Z_exact and Q are summed term by term from Z's
+    (c, mu): Z = Re sum c e^{mu t} and Q = Re sum c (e^{mu t} - e^{-t}) / (mu + 1).
+    Z' = (lambda + 1) Z - Q, the product weights of the Z and Q kernels and
+    the first-panel records of E, Z and Q are tabulated alongside, each
+    record derived once here.  A grid where the implicit step coefficient
+    1 - (dt/2) N(0) vanishes (dt = 2 / N(0)) is rejected explicitly.  So is
+    an eigenvalue in {0, -4}, where the characteristic roots coincide, and
+    lambda = -1, where N and the Volterra weights divide by lambda + 1 = 0.
     """
     M = grid.n_steps
     dt = grid.dt
@@ -369,23 +373,25 @@ def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
     denom = 1.0 - 0.5 * dt * N[:, 0]
     if np.any(np.abs(denom) < 1e-12):
         raise ValueError("implicit step coefficient vanished; dt too large for this kernel")
-    stiff = np.abs(basis.eigenvalues) * dt
-    if np.any(stiff > _LOG_MAX):
-        k = int(np.argmax(stiff > _LOG_MAX))
-        raise ValueError(f"mode {k + 1} has |lambda| dt = {stiff[k]:.1f} > log(DBL_MAX) = {_LOG_MAX:.2f}; "
-                         "its panel moments would overflow (refine the grid or use fewer modes)")
 
     x = np.zeros((M + 1, n))
     x[0] = 1.0
     Z = np.ascontiguousarray(volterra_trapezoid(lam, N, dt, x, F=E.T).T)
     panel_E = _first_panel(e_exponential_terms, lam, dt)
     panel_Z = _first_panel(z_exponential_terms, lam, dt)
+    panel_Q = _first_panel(q_exponential_terms, lam, dt)
     alpha_Z, beta_Z = product_weights(panel_Z, grid)
-    alpha_Q, beta_Q = product_weights(_first_panel(q_exponential_terms, lam, dt), grid)
-    Q = np.ascontiguousarray(product_convolution(panel_Z, dt, np.exp(-t)[:, None]).T)
+    alpha_Q, beta_Q = product_weights(panel_Q, grid)
+    Z_exact = np.zeros((n, M + 1))
+    Q = np.zeros((n, M + 1))
+    for c, mu in zip(panel_Z[0].T, panel_Z[1].T):
+        e = np.exp(mu[:, None] * t)
+        Z_exact += np.real(c[:, None] * e)
+        Q += np.real((c / (mu + 1.0))[:, None] * (e - np.exp(-t)))
     Zp = (lam[:, None] + 1.0) * Z - Q
 
-    return KernelTable(basis, grid, E, N, Z, Zp, Q, alpha_Z, beta_Z, alpha_Q, beta_Q, panel_E, panel_Z)
+    return KernelTable(basis, grid, E, N, Z, Z_exact, Zp, Q, alpha_Z, beta_Z, alpha_Q, beta_Q,
+                       panel_E, panel_Z, panel_Q)
 
 
 @dataclass(frozen=True)

@@ -217,8 +217,8 @@ def riccati_residual(state: StateSnapshot, table: KernelTable) -> RiccatiReport:
     """Residual of the differential form of the value-function equation.
 
     Assembles <P'S,S> + (<PS,AS> + <AS,PS>) - ||B* P S||^2 + ||C1 S||^2.
-    P' and the cross term read the node forms, off the state-side factor L_0;
-    the feedback norm comes from the start's control-side solve
+    P' and the cross term read the node forms, off the backward Riccati
+    recursion; the feedback norm comes from the start's control-side solve
     (optimal.u_plus_control_side), a separate numerical route.
     """
     img = apply_generator(state, table)

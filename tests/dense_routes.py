@@ -1,19 +1,30 @@
-"""The control-side routes that the node forms replace, kept as dense references.
+"""The dense routes that the node forms replace, kept as references.
 
-riccati's single-state routes read optimal.node_forms, built off the
-state-side Cholesky factor L_0.  The routes below solve at the state's node
-on the start's control-side Cholesky factor of I + B^T B instead
-(OperatorAssembly.solve_normal_control and apply_H), so a test that sets
-the two against each other compares two factorizations.  The P' and cross
-routes take phi = H h from the control side and hold for a state before T.
+riccati's single-state routes and solve_optimal read optimal.node_forms,
+built by a backward Riccati recursion.  The routes below solve at the
+state's node on the start's control-side Cholesky factor of I + B^T B
+instead (OperatorAssembly.solve_normal_control and apply_H), or on a dense
+Cholesky factor of that start's own I + B B^T (dense_state_solve), so a
+test that sets them against the node forms compares a recursion with a
+factorization.  The P' and cross routes take phi = H h from the control
+side and hold for a state before T.
 """
 
 import numpy as np
+import scipy.linalg as sla
 
 from memlqr import apply_generator, memory_functional
 from memlqr.forward import response_field
 from memlqr.kernels import gap_weights
 from memlqr.optimal import OperatorAssembly
+
+
+def dense_state_solve(asm, g):
+    """(I + Lambda Lambda*)^-1 g by a Cholesky factor of this start's own I + B B^T, B = sqrt(D_V) Lambda sqrt(D_U)^-1."""
+    sV = np.sqrt(asm.wV)
+    B = sV[:, None] * asm.Lam / np.sqrt(asm.wU)[None, :]
+    factor = sla.cho_factor(np.eye(B.shape[0]) + B @ B.T, lower=True)
+    return (sla.cho_solve(factor, sV * g.reshape(-1)) / sV).reshape(g.shape)
 
 
 def value_form(s1, s2, table):

@@ -120,7 +120,7 @@ def test_table_is_freed_without_the_cycle_collector():
         state = StateSnapshot.initial([1.0, 0.5, 0.25], [0.0, 0.1, 0.0])
         solve_optimal(state, table)
         value_function(state, table)
-        assert table._state_chol is not None and table._control_chol
+        assert table._node_forms is not None and table._control_chol
         ref = weakref.ref(table)
         del table
         assert ref() is None

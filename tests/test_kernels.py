@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
 from memlqr import (
     SpectralBasis,
@@ -148,14 +148,17 @@ def test_weight_matrix_matches_convolution():
 
 
 def reference_product_weights(terms, grid):
-    """One mode's panel weights by the per-term scalar loop that solve_Z's vectorized form replaced."""
+    """One mode's panel weights by the per-term scalar loop that solve_Z's vectorized form replaced.
+
+    A term's weights at gap g >= 1 are c e^{mu (g-1) dt} times its gap-1 weights.
+    """
     dt = grid.dt
     g = np.arange(1, grid.n_steps + 1)
     alpha = np.zeros(grid.n_steps + 1)
     beta = np.zeros(grid.n_steps + 1)
     for c, mu in terms:
         m0, m1 = _panel_moments(mu, dt)
-        fac = c * np.exp(mu * g * dt)
+        fac = c * np.exp(mu * (g - 1) * dt)
         alpha[1:] += np.real(fac * ((dt * m0 - m1) / dt))
         beta[1:] += np.real(fac * (m1 / dt))
     return alpha, beta
@@ -178,8 +181,19 @@ def test_product_weights_match_the_scalar_loop(n, M, T):
 
 
 def test_product_weights_match_the_scalar_loop_on_the_stiff_grid():
-    # mode 191 has |lambda| dt = 703.2, just below the overflow guard
+    # mode 191 has |lambda| dt = 703.2
     assert_weights_match_reference(solve_Z(build_basis(191), TimeGrid(0.5, 256)))
+
+
+@pytest.mark.parametrize("mu, dt", [(-1.0, 1 / 512), (-9.0, 1 / 512), (-30.0, 0.02), (-5000.0, 1 / 512),
+                                    (-0.04, 1 / 512)])
+def test_panel_moments_match_quad(mu, dt):
+    # m_k = int_0^dt s^k e^{mu (dt - s)} ds, the last case on the series branch;
+    # e^{mu dt} times moments formed with e^{-mu dt} lose m_1 to 7.8e-12 at mu = -1
+    for k, m in enumerate(_panel_moments(complex(mu), dt)):
+        ref = quad(lambda s: s**k * np.exp(mu * (dt - s)), 0.0, dt, epsabs=0.0, epsrel=1e-13)[0]
+        assert m.imag == 0.0
+        assert abs(m.real - ref) <= 1e-13 * abs(ref)
 
 
 def test_gap_weights_are_the_interior_columns_of_the_weight_matrix():
@@ -258,6 +272,17 @@ def test_z_terms_reproduce_oracle(basis):
         assert np.allclose(vals, Z_oracle(basis, k, t), atol=1e-12)
 
 
+def test_exact_sums_match_the_oracle(table, basis):
+    # Z_exact is Z's exponential sum on the grid, and Q = int_0^t e^{-(t-s)} Z(s) ds
+    t = table.grid.nodes
+    for k in range(basis.n_modes):
+        assert np.max(np.abs(table.Z_exact[k] - Z_oracle(basis, k, t))) <= 1e-13
+    for k, j in [(0, 64), (3, 5), (5, 32)]:
+        ref = quad(lambda s: np.exp(-(t[j] - s)) * Z_oracle(basis, k, s), 0.0, t[j], epsabs=1e-15, epsrel=1e-13)[0]
+        assert abs(table.Q[k, j] - ref) <= 1e-13
+    assert np.all(table.Q[:, 0] == 0.0)
+
+
 # ----------------------------------------------------------------------------
 # the Volterra solve
 
@@ -296,13 +321,12 @@ def test_solve_Z_rejects_eigenvalue_minus_one():
             solve_Z(basis, TimeGrid(0.5, 8))
 
 
-def test_solve_Z_rejects_overflowing_panel_moments():
-    # T = 0.5, M = 256: mode 192 has |lambda| dt = 710.6 > log(DBL_MAX), where
-    # exp(-mu dt) overflows; mode 191 (703.2) still builds finite weights
-    grid = TimeGrid(0.5, 256)
-    with pytest.raises(ValueError, match=r"mode 192 has \|lambda\| dt = 710\.6"):
-        solve_Z(build_basis(192), grid)
-    table = solve_Z(build_basis(191), grid)
+def test_solve_Z_stays_finite_past_log_dbl_max():
+    # T = 0.5, M = 256: mode 192 has |lambda| dt = 710.6 > log(DBL_MAX), so
+    # e^{-mu dt} would overflow; the panel moments form no growing exponential,
+    # so every array of the table is finite and the grid needs no guard
+    table = solve_Z(build_basis(192), TimeGrid(0.5, 256))
+    assert np.max(np.abs(table.basis.eigenvalues)) * table.grid.dt == pytest.approx(710.6, abs=0.1)
     for f in dataclasses.fields(table):
         value = getattr(table, f.name)
         if isinstance(value, np.ndarray):

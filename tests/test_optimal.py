@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from dense_routes import dense_state_solve
 
 from memlqr import (
     ControlSignal,
@@ -55,9 +56,10 @@ def test_gamma_zero(table, basis):
 
 
 def test_gamma_unit_mode_is_Z_column(table, basis):
+    # h reads the exact exponential sum of Z, not the Volterra table
     n = basis.n_modes
     out = response_field(StateSnapshot.initial(np.eye(n)[0], np.zeros(n)), table)
-    assert np.all(out[:, 0] == table.Z[0])
+    assert np.all(out[:, 0] == table.Z_exact[0])
     assert np.all(out[:, 1:] == 0.0)
 
 
@@ -292,7 +294,7 @@ def test_apply_H_agrees_with_spd_route(table, grid, basis):
     rng = np.random.default_rng(15)
     g = rng.standard_normal((grid.n_steps + 1, basis.n_modes))
     asm = OperatorAssembly(table, 0)
-    assert np.max(np.abs(asm.apply_H(g)[0] - asm.solve_normal_state(g))) < 1e-10
+    assert np.max(np.abs(asm.apply_H(g)[0] - dense_state_solve(asm, g))) < 1e-10
 
 
 # ----------------------------------------------------------------------------
