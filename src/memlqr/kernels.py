@@ -316,12 +316,10 @@ class KernelTable:
     from them.  panel_E, panel_Z and panel_Q
     are the first-panel records (c, mu, a_1, b_1) of E, Z and Q, complex
     (4, n_modes, terms), that the product convolutions and the node forms'
-    pairings read.  The three private fields are filled on first use by
-    memlqr.optimal: the input map Lambda on [0, T]; the control-side
-    Cholesky factor of each start that asked for one; and the per-node forms
-    of the backward Riccati recursion that solve_optimal and the riccati
-    scans read (optimal.NodeForms).  They hold arrays only, never an object
-    that refers back to the table.
+    pairings read.  The private field is filled on first use by
+    memlqr.optimal with the per-node forms of the backward Riccati recursion
+    that solve_optimal and the riccati scans read (optimal.NodeForms); it
+    holds arrays only, never an object that refers back to the table.
     """
 
     basis: SpectralBasis
@@ -339,8 +337,6 @@ class KernelTable:
     panel_E: np.ndarray
     panel_Z: np.ndarray
     panel_Q: np.ndarray
-    _Lambda: np.ndarray | None = field(default=None, repr=False)
-    _control_chol: dict = field(default_factory=dict, repr=False)
     _node_forms: object = field(default=None, repr=False)
 
     @property
@@ -353,7 +349,7 @@ def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
 
     Z is solved on the grid.  Z_exact and Q are summed term by term from Z's
     (c, mu): Z = Re sum c e^{mu t} and Q = Re sum c (e^{mu t} - e^{-t}) / (mu + 1).
-    Z' = (lambda + 1) Z - Q, the product weights of the Z and Q kernels and
+    Z' = (lambda + 1) Z_exact - Q, the product weights of the Z and Q kernels and
     the first-panel records of E, Z and Q are tabulated alongside, each
     record derived once here.  A grid where the implicit step coefficient
     1 - (dt/2) N(0) vanishes (dt = 2 / N(0)) is rejected explicitly.  So is
@@ -388,7 +384,7 @@ def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
         e = np.exp(mu[:, None] * t)
         Z_exact += np.real(c[:, None] * e)
         Q += np.real((c / (mu + 1.0))[:, None] * (e - np.exp(-t)))
-    Zp = (lam[:, None] + 1.0) * Z - Q
+    Zp = (lam[:, None] + 1.0) * Z_exact - Q
 
     return KernelTable(basis, grid, E, N, Z, Z_exact, Zp, Q, alpha_Z, beta_Z, alpha_Q, beta_Q,
                        panel_E, panel_Z, panel_Q)

@@ -5,12 +5,12 @@ The input-to-state map is the block-lower-triangular operator
     (Lambda u)(t) = -int_tau^t K(t-s) u(s) ds,      K(t) = Z(t) A D,
 
 discretized with the shared product-integration weights of the kernel table.
-K depends only on t - s, so the discrete Lambda on [t_j, T] is the leading
-((M-j+1) n) x ((M-j+1) 2) block of the Lambda on [0, T]: it is built once per
-table and the per-start operator is that slice of it.  Adjoints are taken
-with respect to the trapezoid-weighted inner products, so Lambda* is an
-exact transpose and the normal operator I + Lambda Lambda* is symmetric
-positive definite in the weighted metric.  The optimal pair is
+K depends only on t - s, so mode k's weights on [t_j, T] are Toeplitz in the
+gap: an OperatorAssembly keeps the start's slices of the table's Z weights
+and applies Lambda by per-mode direct sums, never forming a matrix.  Adjoints
+are taken with respect to the trapezoid-weighted inner products, so Lambda*
+is an exact transpose and the normal operator I + Lambda Lambda* is
+symmetric positive definite in the weighted metric.  The optimal pair is
 
     v+ = (I + Lambda Lambda*)^-1 h,     u+ = -Lambda* v+,
 
@@ -19,7 +19,7 @@ apply_H goes through the control side by the push-through identity
 
     (I + Lambda Lambda*)^-1 g = g - Lambda z,   z = (I + Lambda* Lambda)^-1 Lambda* g,
 
-so it solves with the start's control-side Cholesky factor of order (m+1) 2.
+and solves for z by conjugate gradients (Hestenes & Stiefel, 1952).
 
 The state-side route is a Riccati recursion instead of a factorization.  A
 state enters the system only through x = (v_hat, y_hat - I_xi) in R^{2n},
@@ -30,12 +30,11 @@ and the control at both panel ends (_one_panel_step).  node_forms runs one
 backward sweep of O(M n^3) work over z = (x, u) on that step; it gives every
 node's value matrix, first-step gains and kernel pairings, and
 solve_optimal is a forward sweep on them, so no matrix of order (M+1) n is
-formed and the verification scans never solve per node.  The control-side
-factors stay as the independent second route.
+formed and the verification scans never solve per node.  The matrix-free
+control side stays as the independent second route.
 
-The table keeps Lambda, the node forms and one control-side factor per
-start; an OperatorAssembly is a view of them and of the start's weights,
-cheap to build at every call.
+The table keeps the node forms; an OperatorAssembly is a view of the table's
+weights at one start, cheap to build at every call.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .forward import (
     ControlSignal,
@@ -68,38 +66,16 @@ __all__ = [
 ]
 
 
-def _table_Lambda(table: KernelTable) -> np.ndarray:
-    """Lambda on [0, T], built on first use and kept on the table.
-
-    Rows are stacked as (node, mode) and columns as (node, channel).  Mode
-    k's node weights are lower-triangular Toeplitz in the gap j - l, the gap
-    weights omega of the Z kernel, except at the first node, which borders
-    one panel only and takes alpha.
-    """
-    if table._Lambda is None:
-        M, n = table.grid.n_steps, table.n_modes
-        ad = table.basis.ad_coeffs
-        omega = gap_weights(table.alpha_Z, table.beta_Z)
-        blocks = np.empty((M + 1, n, M + 1, 2))
-        for k in range(n):
-            Wk = sla.toeplitz(omega[k], np.zeros(M + 1))
-            Wk[:, 0] = table.alpha_Z[k]
-            blocks[:, k, :, :] = -Wk[:, :, None] * ad[k][None, None, :]
-        table._Lambda = blocks.reshape((M + 1) * n, (M + 1) * 2)
-    return table._Lambda
-
-
 class OperatorAssembly:
-    """Lambda on [t_start, T]: a view of the table's Lambda, its weights and its factors.
+    """Lambda on [t_start, T], applied matrix-free from the table's Z weights.
 
-    Lam is the leading block of the table-wide Lambda.  Fields are stacked
-    row-major as (node, mode) and controls as (node, channel).  wV / wU are
-    the trapezoid node weights repeated per component; the scaled matrix
-    B = sqrt(D_V) Lambda sqrt(D_U)^-1 makes the two normal systems
-    I + B B^T (state side) and I + B^T B (control side) plainly symmetric.
-    B is formed only as a temporary while the control-side factor is built;
-    the start's control-side factor lives on the table in _control_chol, so
-    an assembly holds no matrix of its own.
+    Fields are stacked row-major as (node, mode) and controls as (node,
+    channel); wV / wU are the trapezoid node weights repeated per component.
+    Mode k's block of Lambda is -W_k (x) ad_k^T, W_k lower-triangular
+    Toeplitz in the gap weights omega_k (kernels.gap_weights) except for its
+    first column, which borders one panel only and takes alpha_k.  The
+    assembly keeps those two (n, m+1) slices and applies Lambda and Lambda*
+    by per-mode direct sums, O(n m^2) per product; it holds no matrix.
     """
 
     def __init__(self, table: KernelTable, start: int):
@@ -111,15 +87,8 @@ class OperatorAssembly:
         self.wV = np.repeat(w, self.n)
         self.wU = np.repeat(w, 2)
         self.empty = self.m == 0
-        self.Lam = _table_Lambda(table)[: (self.m + 1) * self.n, : (self.m + 1) * 2]
-        self._sV = np.sqrt(self.wV)
-        self._sU = np.sqrt(self.wU)
-
-    def scaled(self) -> np.ndarray:
-        """B = sqrt(D_V) Lambda sqrt(D_U)^-1, a fresh temporary scaled in place."""
-        B = self._sV[:, None] * self.Lam
-        B /= self._sU
-        return B
+        self.alpha = table.alpha_Z[:, : self.m + 1]
+        self.omega = gap_weights(self.alpha, table.beta_Z[:, : self.m + 1])
 
     # -- elementary applications -------------------------------------------------
 
@@ -127,37 +96,72 @@ class OperatorAssembly:
         """u is (m+1, 2); returns the H-valued field (m+1, n)."""
         if self.empty:
             return np.zeros((1, self.n))
-        return (self.Lam @ u.reshape(-1)).reshape(self.m + 1, self.n)
+        a = self.table.basis.ad_coeffs @ u.T  # (A D u) per mode, (n, m+1)
+        a0 = a[:, 0].copy()
+        a[:, 0] = 0.0
+        out = np.array([np.convolve(wk, ak)[: self.m + 1] for wk, ak in zip(self.omega, a)])
+        return -(out + self.alpha * a0[:, None]).T
 
     def apply_Lambda_star(self, v: np.ndarray) -> np.ndarray:
         """Exact weighted transpose; v is (m+1, n), the result (m+1, 2)."""
         if self.empty:
             return np.zeros((1, 2))
-        return ((self.Lam.T @ (self.wV * v.reshape(-1))) / self.wU).reshape(self.m + 1, 2)
+        y = (self.wV * v.reshape(-1)).reshape(self.m + 1, self.n).T
+        b = np.array([np.correlate(yk, wk, "full")[self.m :] for yk, wk in zip(y, self.omega)])
+        b[:, 0] = np.sum(self.alpha * y, axis=1)
+        return -(b.T @ self.table.basis.ad_coeffs) / self.wU.reshape(self.m + 1, 2)
 
-    # -- factorizations ----------------------------------------------------------
-
-    def _control_factor(self) -> np.ndarray:
-        """Lower Cholesky factor of this start's I + B^T B, built on first use and kept on the table."""
-        factors = self.table._control_chol
-        if self.start not in factors:
-            B = self.scaled()
-            A = B.T @ B
-            A[np.diag_indices_from(A)] += 1.0
-            factors[self.start] = sla.cho_factor(A.T, lower=True, overwrite_a=True)[0]
-        return factors[self.start]
-
-    def control_normal_eigenvalues(self) -> np.ndarray:
-        """Ascending spectrum of the weighted control-side normal operator I + B^T B."""
-        B = self.scaled()
-        return sla.eigvalsh(np.eye((self.m + 1) * 2) + B.T @ B)
+    # -- the control-side normal operator I + Lambda* Lambda ----------------------
 
     def solve_normal_control(self, r: np.ndarray) -> np.ndarray:
-        """(I + Lambda* Lambda)^-1 r on control fields; r is (m+1, 2)."""
+        """(I + Lambda* Lambda)^-1 r on control fields by conjugate gradients; r is (m+1, 2).
+
+        The operator is self-adjoint and at least the identity in the
+        weighted metric, so CG (Hestenes & Stiefel, 1952) runs in inner_U and
+        stops once |res|_U <= 1e-15 |r|_U.  A residual that is not finite, or
+        no convergence within 2 (m+1) iterations, raises LinAlgError.
+        """
         if self.empty:
             return r.copy()
-        sol = sla.cho_solve((self._control_factor(), True), self._sU * r.reshape(-1))
-        return (sol / self._sU).reshape(self.m + 1, 2)
+        z, res, p = np.zeros_like(r), r.copy(), r.copy()
+        rr = self.inner_U(r, r)
+        stop = 1e-30 * rr
+        for _ in range(2 * (self.m + 1)):
+            if not rr > stop:
+                break
+            Ap = p + self.apply_Lambda_star(self.apply_Lambda(p))
+            step = rr / self.inner_U(p, Ap)
+            z += step * p
+            res -= step * Ap
+            rr, rr_prev = self.inner_U(res, res), rr
+            p = res + (rr / rr_prev) * p
+        if not (np.isfinite(rr) and rr <= stop):
+            raise np.linalg.LinAlgError(f"conjugate gradients on I + Lambda* Lambda stopped at |res|^2 = {rr:.3e}")
+        return z
+
+    def control_normal_max_eigenvalue(self) -> float:
+        """lambda_max of I + Lambda* Lambda by a power iteration in the weighted metric.
+
+        Lambda* Lambda is positive semidefinite, so lambda_min >= 1 and
+        lambda_max bounds the condition number.  From the ones vector the
+        Rayleigh quotient rises; the iteration stops once it rises by at most
+        1e-15 of itself, and raises LinAlgError when the quotient is not
+        finite or 10000 iterations pass.
+        """
+        if self.empty:
+            return 1.0
+        x = np.ones((self.m + 1, 2))
+        q = 0.0
+        for _ in range(10000):
+            x /= np.sqrt(self.inner_U(x, x))
+            y = x + self.apply_Lambda_star(self.apply_Lambda(x))
+            q, q_prev = self.inner_U(x, y), q
+            if not np.isfinite(q):
+                break
+            if q - q_prev <= 1e-15 * q:
+                return q
+            x = y
+        raise np.linalg.LinAlgError(f"power iteration on I + Lambda* Lambda stopped at {q:.3e}")
 
     def apply_H(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(H g, z) on the control side: z = (I + Lambda* Lambda)^-1 Lambda* g and H g = g - Lambda z.
@@ -332,7 +336,7 @@ def evaluate_cost(state: StateSnapshot, u: ControlSignal, table: KernelTable) ->
 
 
 def value_function(state: StateSnapshot, table: KernelTable) -> float:
-    """Minimum cost-to-go <H h, h> through apply_H's control-side factor, independent of solve_optimal's recursion."""
+    """Minimum cost-to-go <H h, h> through apply_H's conjugate gradients, independent of solve_optimal's recursion."""
     asm = OperatorAssembly(table, state.tau_index)
     h = response_field(state, table)
     return asm.inner_V(asm.apply_H(h)[0], h)

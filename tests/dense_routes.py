@@ -1,13 +1,15 @@
-"""The dense routes that the node forms replace, kept as references.
+"""The dense routes that the node forms and the matrix-free control side replace, kept as references.
 
 riccati's single-state routes and solve_optimal read optimal.node_forms,
 built by a backward Riccati recursion.  The routes below solve at the
-state's node on the start's control-side Cholesky factor of I + B^T B
-instead (OperatorAssembly.solve_normal_control and apply_H), or on a dense
-Cholesky factor of that start's own I + B B^T (dense_state_solve), so a
-test that sets them against the node forms compares a recursion with a
-factorization.  The P' and cross routes take phi = H h from the control
-side and hold for a state before T.
+state's node by conjugate gradients on the control side instead
+(OperatorAssembly.solve_normal_control and apply_H), or on a dense Cholesky
+factor of that start's own I + B B^T (dense_state_solve), so a test that
+sets them against the node forms compares a recursion with an iteration or
+a factorization.  The dense Lambda itself (reference_Lambda) is assembled
+from the per-mode gap-gather weight matrices (weight_matrix), independent
+of the direct sums in optimal.  The P' and cross routes take phi = H h from
+the control side and hold for a state before T.
 """
 
 import numpy as np
@@ -19,10 +21,42 @@ from memlqr.kernels import gap_weights
 from memlqr.optimal import OperatorAssembly
 
 
+def weight_matrix(alpha, beta, m):
+    """Dense (m+1)x(m+1) node-weight matrix of the causal product convolution, by a gap gather."""
+    W = np.zeros((m + 1, m + 1))
+    if m == 0:
+        return W
+    j = np.arange(m + 1)[:, None]
+    l = np.arange(m + 1)[None, :]
+    gap = j - l
+    left = np.where(gap >= 1, alpha[np.clip(gap, 0, len(alpha) - 1)], 0.0)
+    right = np.where((gap >= 0) & (l >= 1), beta[np.clip(gap + 1, 0, len(beta) - 1)], 0.0)
+    return left + right
+
+
+def reference_Lambda(table, start):
+    """Lambda on [t_start, T] assembled directly from the per-mode weight matrices."""
+    m = table.grid.n_steps - start
+    n = table.n_modes
+    if m == 0:
+        return np.zeros((n, 2))
+    ad = table.basis.eigenvalues[:, None] * table.basis.dmap_coeffs
+    blocks = np.empty((m + 1, n, m + 1, 2))
+    for k in range(n):
+        Wk = weight_matrix(table.alpha_Z[k], table.beta_Z[k], m)
+        blocks[:, k, :, :] = -Wk[:, :, None] * ad[k][None, None, :]
+    return blocks.reshape((m + 1) * n, (m + 1) * 2)
+
+
+def scaled_Lambda(asm):
+    """B = sqrt(D_V) Lambda sqrt(D_U)^-1 of the reference Lambda at asm's start."""
+    return np.sqrt(asm.wV)[:, None] * reference_Lambda(asm.table, asm.start) / np.sqrt(asm.wU)[None, :]
+
+
 def dense_state_solve(asm, g):
-    """(I + Lambda Lambda*)^-1 g by a Cholesky factor of this start's own I + B B^T, B = sqrt(D_V) Lambda sqrt(D_U)^-1."""
+    """(I + Lambda Lambda*)^-1 g by a Cholesky factor of this start's own I + B B^T."""
     sV = np.sqrt(asm.wV)
-    B = sV[:, None] * asm.Lam / np.sqrt(asm.wU)[None, :]
+    B = scaled_Lambda(asm)
     factor = sla.cho_factor(np.eye(B.shape[0]) + B @ B.T, lower=True)
     return (sla.cho_solve(factor, sV * g.reshape(-1)) / sV).reshape(g.shape)
 

@@ -1,41 +1,41 @@
-"""One Lambda per kernel table: per-start slices, lifetime.
+"""One set of Z weights per kernel table: matrix-free per-start views, lifetime.
 
-The input kernel depends only on t - s, so the assembly at start j must be
-exactly the leading block of the start-0 operator.  The reference builder
-below is the per-start construction from the gap-gather weight_matrix of
-test_recurrences, independent of the Toeplitz layout in optimal.  An
-assembly is a view: its only matrix is a slice of the table's Lambda, and
-the factors live on the table.
+The input kernel depends only on t - s, so the assembly at start j must
+apply exactly the leading block of the start-0 operator.  The reference is
+dense_routes.reference_Lambda, the per-start construction from the
+gap-gather weight_matrix, independent of the direct sums in optimal.  An
+assembly is a view: it holds no matrix, only the start's weight slices, and
+the conjugate-gradient solve and the power iteration on I + Lambda* Lambda
+are checked against dense references here.
 """
 
+import dataclasses
 import gc
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_routes import reference_Lambda, scaled_Lambda
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlqr import ControlSignal, StateSnapshot, TimeGrid, Trajectory, build_basis, extend_state, solve_Z
-from memlqr import optimal
+from memlqr import StateSnapshot, TimeGrid, Trajectory, build_basis, experiments, extend_state, solve_Z
+from memlqr.config import load_config
 from memlqr.optimal import OperatorAssembly, solve_optimal, value_function
-from memlqr.riccati import closed_loop_simulate, value_scan_batch
-from test_recurrences import weight_matrix
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def reference_Lambda(table, start):
-    """Lambda on [t_start, T] assembled directly from the per-mode weight matrices."""
-    m = table.grid.n_steps - start
-    n = table.n_modes
-    if m == 0:
-        return np.zeros((n, 2))
-    ad = table.basis.eigenvalues[:, None] * table.basis.dmap_coeffs
-    blocks = np.empty((m + 1, n, m + 1, 2))
-    for k in range(n):
-        Wk = weight_matrix(table.alpha_Z[k], table.beta_Z[k], m)
-        blocks[:, k, :, :] = -Wk[:, :, None] * ad[k][None, None, :]
-    return blocks.reshape((m + 1) * n, (m + 1) * 2)
+def lambda_matrix(asm):
+    """The matrix of asm.apply_Lambda, column by column on the unit controls."""
+    cols = []
+    for i in range((asm.m + 1) * 2):
+        u = np.zeros((asm.m + 1) * 2)
+        u[i] = 1.0
+        cols.append(asm.apply_Lambda(u.reshape(asm.m + 1, 2)).reshape(-1))
+    return np.stack(cols, axis=1)
 
 
 @st.composite
@@ -50,7 +50,7 @@ def table_and_start(draw):
 @given(table_and_start())
 def test_assembly_is_the_leading_block(case):
     table, j = case
-    assert np.array_equal(OperatorAssembly(table, j).Lam, reference_Lambda(table, j))
+    assert np.array_equal(lambda_matrix(OperatorAssembly(table, j)), reference_Lambda(table, j))
 
 
 @settings(max_examples=40, deadline=None)
@@ -80,25 +80,6 @@ def test_extend_state_rejects_a_foreign_trajectory_at_its_own_node():
         extend_state(state, None, 0, table, trajectory=Trajectory(1, np.zeros((8, 2))))
 
 
-def test_weight_matrix_loop_runs_once_per_table(monkeypatch):
-    calls = []
-    toeplitz = optimal.sla.toeplitz
-
-    def counting(c, r):
-        calls.append(len(c) - 1)
-        return toeplitz(c, r)
-
-    monkeypatch.setattr(optimal.sla, "toeplitz", counting)
-    n, M = 3, 12
-    table = solve_Z(build_basis(n), TimeGrid(0.5, M))
-    for j in range(M + 1):
-        OperatorAssembly(table, j)
-    state = StateSnapshot.initial([1.0, -0.5, 0.25], [0.2, 0.1, 0.0])
-    closed_loop_simulate(state, table)
-    value_scan_batch(state, [ControlSignal.zeros(table.grid)], table)
-    assert calls == [M] * n
-
-
 @settings(max_examples=30, deadline=None)
 @given(table_and_start())
 def test_assembly_holds_no_matrix_but_the_lambda_slice(case):
@@ -108,9 +89,8 @@ def test_assembly_holds_no_matrix_but_the_lambda_slice(case):
     solve_optimal(state, table)
     asm = OperatorAssembly(table, j)
     arrays = {k: v for k, v in vars(asm).items() if isinstance(v, np.ndarray)}
-    assert np.shares_memory(arrays.pop("Lam"), table._Lambda)
     for name, v in arrays.items():
-        assert v.ndim == 1 and v.size <= (asm.m + 1) * max(asm.n, 2), name
+        assert v.size <= max(asm.n, 2) * (asm.m + 1), name
 
 
 def test_table_is_freed_without_the_cycle_collector():
@@ -120,7 +100,7 @@ def test_table_is_freed_without_the_cycle_collector():
         state = StateSnapshot.initial([1.0, 0.5, 0.25], [0.0, 0.1, 0.0])
         solve_optimal(state, table)
         value_function(state, table)
-        assert table._node_forms is not None and table._control_chol
+        assert table._node_forms is not None
         ref = weakref.ref(table)
         del table
         assert ref() is None
@@ -131,24 +111,39 @@ def test_table_is_freed_without_the_cycle_collector():
 def test_control_normal_spectrum_matches_state_side():
     table = solve_Z(build_basis(3), TimeGrid(0.5, 16))
     asm = OperatorAssembly(table, 4)
-    evals = asm.control_normal_eigenvalues()
-    B = np.sqrt(asm.wV)[:, None] * asm.Lam / np.sqrt(asm.wU)[None, :]
+    B = scaled_Lambda(asm)
     state_side = np.linalg.eigvalsh(np.eye(B.shape[0]) + B @ B.T)
-    assert evals[0] >= 1.0 - 1e-12
-    assert np.all(np.diff(evals) >= 0.0)
-    assert evals[-1] == pytest.approx(state_side[-1], rel=1e-12)
+    lam_max = asm.control_normal_max_eigenvalue()
+    assert lam_max >= 1.0
+    assert lam_max == pytest.approx(state_side[-1], rel=1e-12)
 
 
-def test_control_factor_holds_one_scaled_temporary():
-    # B = sqrt(D_V) Lambda sqrt(D_U)^-1 is scaled in place, so forming the
-    # factor of I + B^T B never holds two B-sized arrays at once
-    table = solve_Z(build_basis(8), TimeGrid(0.5, 128))
-    asm = OperatorAssembly(table, 0)
-    normal_bytes = asm.Lam.shape[1] ** 2 * asm.Lam.itemsize
+@pytest.mark.parametrize("n, M, start", [(3, 8, 0), (8, 64, 16), (5, 40, 39)])
+def test_power_iteration_matches_the_dense_spectrum(n, M, start):
+    asm = OperatorAssembly(solve_Z(build_basis(n), TimeGrid(0.5, M)), start)
+    B = scaled_Lambda(asm)
+    ref = np.linalg.eigvalsh(np.eye(B.shape[1]) + B.T @ B)[-1]
+    assert asm.control_normal_max_eigenvalue() == pytest.approx(ref, rel=1e-13)
+
+
+def test_normal_control_solve_raises_on_a_nan_right_hand_side():
+    asm = OperatorAssembly(solve_Z(build_basis(3), TimeGrid(0.5, 16)), 2)
+    r = np.ones((asm.m + 1, 2))
+    r[5, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        asm.solve_normal_control(r)
+
+
+def test_all_allocates_no_block_of_the_dense_lambda(tmp_path):
+    # `memlqr all` on quick.ini at the desk scale's 256 steps: the traced
+    # peak of the whole run, which grows like M, stays below one dense
+    # Lambda of (M+1) n x 2 (M+1) doubles, so no such block is ever formed
+    cfg = dataclasses.replace(load_config(CONFIGS / "quick.ini"), n_steps=256)
+    dense_bytes = (cfg.n_steps + 1) * cfg.n_modes * 2 * (cfg.n_steps + 1) * 8
     tracemalloc.start()
     try:
-        asm._control_factor()
+        experiments.run_suite("all", cfg, str(tmp_path), tol_scale=50.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * asm.Lam.nbytes + normal_bytes
+    assert peak < dense_bytes

@@ -1,10 +1,14 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memlqr
 from memlqr.cli import main
 from memlqr.config import ConfigError, DEFAULT_TOLERANCES, build_control, build_initial_data, load_config
 
@@ -213,3 +217,12 @@ def test_cli_seed_override(tmp_path):
     assert rc == 0
     payload = json.loads((out / "summary.json").read_text())
     assert payload["seed"] == 99
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    src = str(Path(memlqr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", "import memlqr, sys; print('scipy' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

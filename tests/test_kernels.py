@@ -29,7 +29,8 @@ from memlqr.kernels import (
     q_exponential_terms,
     z_exponential_terms,
 )
-from test_recurrences import conv_product, weight_matrix
+from dense_routes import weight_matrix
+from test_recurrences import conv_product
 
 
 @pytest.fixture(scope="module")
@@ -363,6 +364,15 @@ def test_Z_prime_matches_analytic_derivative(basis):
         dz = sum(np.real(c * mu * np.exp(mu * t)) for c, mu in terms)
         scale = 1.0 + np.abs(dz)
         assert np.max(np.abs(table.Zp[k] - dz) / scale) < 1e-3
+
+
+def test_Z_prime_is_the_derivative_of_the_exact_sum(basis):
+    # Zp = (lambda + 1) Z_exact - Q is Re sum c mu e^{mu t} over Z's terms
+    # to roundoff; the Volterra Z in its place would leave the O(dt^2) error
+    table = solve_Z(basis, TimeGrid(0.5, 128))
+    c, mu = table.panel_Z[0], table.panel_Z[1]
+    dz = np.real(np.einsum("kt,kt,ktj->kj", c, mu, np.exp(mu[:, :, None] * table.grid.nodes)))
+    assert np.max(np.abs(table.Zp - dz) / (1.0 + np.abs(dz))) < 1e-12
 
 
 def test_Z_commutes_with_A(table, basis):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from dense_routes import dense_state_solve
+from dense_routes import dense_state_solve, reference_Lambda, scaled_Lambda, weight_matrix
 
 from memlqr import (
     ControlSignal,
@@ -126,8 +126,9 @@ def test_lambda_causality(table, grid, basis):
     out = asm.apply_Lambda(u)
     assert np.all(out[:20] == 0.0)
     assert np.any(out[20:] != 0.0)
-    # first row of the dense block is identically zero: (Lambda u)(tau) = 0
-    assert np.all(asm.Lam[: basis.n_modes, :] == 0.0)
+    # the first row is identically zero: (Lambda u)(tau) = 0 for every u
+    rng = np.random.default_rng(0)
+    assert np.all(asm.apply_Lambda(rng.standard_normal(u.shape))[0] == 0.0)
 
 
 def test_lambda_adjoint_identity(table, grid, basis):
@@ -148,11 +149,9 @@ def test_lambda_impulse_reproduces_kernel_column(table, grid, basis):
     u = np.zeros((grid.n_steps + 1, 2))
     u[l, 0] = 1.0
     out = asm.apply_Lambda(u)
-    col = asm.Lam[:, 2 * l].reshape(grid.n_steps + 1, basis.n_modes)
+    col = reference_Lambda(table, 0)[:, 2 * l].reshape(grid.n_steps + 1, basis.n_modes)
     assert np.allclose(out, col, atol=1e-15)
     # and the column is the kernel samples scaled by the node weights
-    from test_recurrences import weight_matrix
-
     k = 2
     Wk = weight_matrix(table.alpha_Z[k], table.beta_Z[k], grid.n_steps)
     lam_d = basis.eigenvalues[k] * basis.dmap_coeffs[k, 0]
@@ -303,7 +302,7 @@ def test_apply_H_agrees_with_spd_route(table, grid, basis):
 
 def test_normal_operator_positive_definite(table, basis):
     asm = OperatorAssembly(table, 30)
-    B = asm.scaled()
+    B = scaled_Lambda(asm)
     A = np.eye((asm.m + 1) * basis.n_modes) + B @ B.T
     evals = sla.eigvalsh(A)
     assert evals.min() >= 1.0 - 1e-12

@@ -84,19 +84,6 @@ def conv_product(alpha, beta, density):
     return out
 
 
-def weight_matrix(alpha, beta, m):
-    """Dense (m+1)x(m+1) node-weight matrix of the causal product convolution, by a gap gather."""
-    W = np.zeros((m + 1, m + 1))
-    if m == 0:
-        return W
-    j = np.arange(m + 1)[:, None]
-    l = np.arange(m + 1)[None, :]
-    gap = j - l
-    left = np.where(gap >= 1, alpha[np.clip(gap, 0, len(alpha) - 1)], 0.0)
-    right = np.where((gap >= 0) & (l >= 1), beta[np.clip(gap + 1, 0, len(beta) - 1)], 0.0)
-    return left + right
-
-
 def reference_convolution(alpha, beta, density):
     """(m+1, n) per-mode conv_product of density columns against table weights."""
     return np.stack([conv_product(alpha[k], beta[k], density[:, k]) for k in range(density.shape[1])], axis=1)

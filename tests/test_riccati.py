@@ -21,7 +21,6 @@ from memlqr import (
     riccati_residual,
     solve_Z,
     solve_optimal,
-    solve_voc,
     solve_volterra,
     state_norm_sq,
     terminal_P_check,

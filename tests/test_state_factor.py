@@ -3,19 +3,19 @@
 solve_optimal is a forward sweep on the node forms of one backward Riccati
 recursion, and no state-side factor is formed; the two-field system
 [[I, -Lambda], [Lambda*, I]] has an identity (1,1) block, so
-OperatorAssembly.apply_H solves it by the push-through identity on the
-start's control-side Cholesky factor of I + B^T B.  The dense routes they
-replace, a per-start Cholesky of I + B B^T (dense_routes.dense_state_solve)
-and an LU of the whole block matrix, are kept here as references.  Draws
-follow test_properties: n <= 6, M <= 48, T in [0.1, 2]; bounds are
-relative to 1 + max|reference|.
+OperatorAssembly.apply_H solves it by the push-through identity with
+conjugate gradients on I + Lambda* Lambda.  The dense routes they replace, a
+per-start Cholesky of I + B B^T (dense_routes.dense_state_solve) and an LU
+of the whole block matrix on dense_routes.reference_Lambda, are kept here as
+references.  Draws follow test_properties: n <= 6, M <= 48, T in [0.1, 2];
+bounds are relative to 1 + max|reference|.
 """
 
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
-from dense_routes import dense_state_solve
+from dense_routes import dense_state_solve, reference_Lambda
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_node_forms import problems, random_state
@@ -35,10 +35,11 @@ def rel_err(value, ref):
 def block_lu_solve(asm, g):
     """[[I, -Lambda], [Lambda*, I]] (phi, psi) = (g, 0) by one dense LU of the block matrix."""
     nv, nu = (asm.m + 1) * asm.n, (asm.m + 1) * 2
+    lam = reference_Lambda(asm.table, asm.start)
     blk = np.zeros((nv + nu, nv + nu))
     blk[:nv, :nv] = np.eye(nv)
-    blk[:nv, nv:] = -asm.Lam
-    blk[nv:, :nv] = (asm.Lam.T * asm.wV[None, :]) / asm.wU[:, None]
+    blk[:nv, nv:] = -lam
+    blk[nv:, :nv] = (lam.T * asm.wV[None, :]) / asm.wU[:, None]
     blk[nv:, nv:] = np.eye(nu)
     sol = sla.lu_solve(sla.lu_factor(blk), np.concatenate([g.reshape(-1), np.zeros(nu)]))
     return sol[:nv].reshape(asm.m + 1, asm.n), sol[nv:].reshape(asm.m + 1, 2)
@@ -77,10 +78,9 @@ def test_apply_H_matches_the_block_lu(case, data):
 
 
 def test_all_forms_only_control_side_factors_and_the_node_forms_once(monkeypatch, tmp_path):
-    # one `memlqr all` on quick.ini: every Cholesky factor is a control-side
-    # one, of order 2 (m+1) <= 2 (M+1), one per start that asks; no
-    # state-side factor (np.linalg.cholesky) and no LU is formed, and the
-    # node forms are built once for the configured table
+    # one `memlqr all` on quick.ini: the control side runs conjugate
+    # gradients, so no Cholesky factor and no LU is formed on either side,
+    # and the node forms are built once for the configured table
     cfg = load_config(CONFIGS / "quick.ini")
     M = cfg.n_steps
     orders = {"cho_factor": [], "cholesky": [], "lu": []}
@@ -102,7 +102,5 @@ def test_all_forms_only_control_side_factors_and_the_node_forms_once(monkeypatch
     monkeypatch.setattr(sla, "lu_factor", counted("lu", sla.lu_factor))
     monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
     experiments.run_suite("all", cfg, str(tmp_path), tol_scale=50.0)
-    control = orders["cho_factor"]
-    assert control and max(control) <= 2 * (M + 1) and len(control) == len(set(control))
-    assert orders["cholesky"] == [] and orders["lu"] == []
+    assert orders == {"cho_factor": [], "cholesky": [], "lu": []}
     assert len(built) == 1 and built[0].grid.n_steps == M
