@@ -7,7 +7,6 @@ structure of the optimal control is verified at desk scale on the interval.
 """
 
 from .spectral import (
-    ModalVector,
     SpectralBasis,
     build_basis,
 )

@@ -362,8 +362,8 @@ def _suite_closed_loop(ws: _Workspace, outdir: str) -> SuiteResult:
     for _ in range(5):
         s1, s2 = rand_state(), rand_state()
         a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        comb = StateSnapshot(i, a * s1.v_hat.coeffs + b * s2.v_hat.coeffs,
-                             a * s1.xi + b * s2.xi, a * s1.y_hat.coeffs + b * s2.y_hat.coeffs)
+        comb = StateSnapshot(i, a * s1.v_hat + b * s2.v_hat,
+                             a * s1.xi + b * s2.xi, a * s1.y_hat + b * s2.y_hat)
         g = feedback_gain(comb, ws.table)
         gp = a * feedback_gain(s1, ws.table) + b * feedback_gain(s2, ws.table)
         worst_lin = max(worst_lin, float(np.max(np.abs(g - gp))))

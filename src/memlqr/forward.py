@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import KernelTable, TimeGrid, product_convolution, volterra_trapezoid
-from .spectral import ModalVector, SpectralBasis
+from .spectral import SpectralBasis
 
 __all__ = [
     "StateSnapshot",
@@ -45,62 +45,58 @@ __all__ = [
     "memory_functional",
     "state_coordinates",
     "response_field",
+    "segment_samples",
     "control_field",
     "solve_volterra",
+    "volterra_steps",
     "solve_voc",
     "simulate_damped_wave",
     "extend_state",
 ]
 
 
-def _coeffs(v) -> np.ndarray:
-    if isinstance(v, ModalVector):
-        return v.coeffs
-    return np.asarray(v, dtype=float)
-
-
 @dataclass
 class StateSnapshot:
     """State (v_hat, xi, y_hat) anchored at grid node tau_index.
 
-    xi has exactly tau_index+1 forward-time samples; for states produced by
-    propagation xi[-1] equals v_hat (the compatibility condition).  y_hat is
-    tagged as a dual-space object; after truncation it is just coefficients.
+    v_hat and y_hat are the (n,) modal coefficients of the present value and
+    the forcing seed (a dual-space object); xi holds exactly tau_index+1
+    forward-time samples, (tau_index+1, n).  Every entry must be finite.  For
+    states produced by propagation xi[-1] equals v_hat (compatibility).
     """
 
     tau_index: int
-    v_hat: ModalVector
+    v_hat: np.ndarray
     xi: np.ndarray
-    y_hat: ModalVector
+    y_hat: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.v_hat, ModalVector):
-            self.v_hat = ModalVector(_coeffs(self.v_hat))
-        if not isinstance(self.y_hat, ModalVector):
-            self.y_hat = ModalVector(_coeffs(self.y_hat))
+        self.v_hat = np.asarray(self.v_hat, dtype=float)
         self.xi = np.asarray(self.xi, dtype=float)
-        n = self.v_hat.coeffs.shape[0]
+        self.y_hat = np.asarray(self.y_hat, dtype=float)
+        if self.v_hat.ndim != 1:
+            raise ValueError("v_hat must be one dimensional")
+        n = self.v_hat.shape[0]
         if self.xi.shape != (self.tau_index + 1, n):
             raise ValueError("history must hold tau_index+1 samples per mode")
-        if self.y_hat.coeffs.shape != (n,):
+        if self.y_hat.shape != (n,):
             raise ValueError("y_hat dimension mismatch")
-        if not np.all(np.isfinite(self.xi)):
-            raise ValueError("history entries must be finite")
+        if not all(np.all(np.isfinite(a)) for a in (self.v_hat, self.xi, self.y_hat)):
+            raise ValueError("state entries must be finite")
 
     @property
     def n_modes(self) -> int:
-        return self.v_hat.coeffs.shape[0]
+        return self.v_hat.shape[0]
 
     @classmethod
     def initial(cls, v_hat, y_hat) -> "StateSnapshot":
         """State at tau = 0; the history degenerates to the present value."""
-        v = _coeffs(v_hat)
-        return cls(0, ModalVector(v.copy()), v[None, :].copy(),
-                   ModalVector(_coeffs(y_hat)))
+        v = np.asarray(v_hat, dtype=float)
+        return cls(0, v.copy(), v[None, :].copy(), y_hat)
 
     def is_compatible(self, tol: float = 1e-9) -> bool:
-        scale = 1.0 + float(np.max(np.abs(self.v_hat.coeffs)))
-        return bool(np.max(np.abs(self.xi[-1] - self.v_hat.coeffs)) <= tol * scale)
+        scale = 1.0 + float(np.max(np.abs(self.v_hat)))
+        return bool(np.max(np.abs(self.xi[-1] - self.v_hat)) <= tol * scale)
 
 
 @dataclass
@@ -143,7 +139,7 @@ class SmoothControl:
         return ControlSignal(start, vals)
 
 
-def hat_y_from_initial(v0, v1, u_trace, basis: SpectralBasis) -> ModalVector:
+def hat_y_from_initial(v0, v1, u_trace, basis: SpectralBasis) -> np.ndarray:
     """Forcing seed v1 - v0 - lap(v0), with lap(v0) = A (v0 - D u_trace).
 
     v0 must represent a field whose boundary trace is u_trace; the lift
@@ -152,9 +148,9 @@ def hat_y_from_initial(v0, v1, u_trace, basis: SpectralBasis) -> ModalVector:
     ub = np.asarray(u_trace, dtype=float)
     if ub.shape != (2,):
         raise ValueError("boundary data must have two components")
-    c0, c1 = _coeffs(v0), _coeffs(v1)
+    c0, c1 = np.asarray(v0, dtype=float), np.asarray(v1, dtype=float)
     lap = basis.eigenvalues * (c0 - basis.dmap_coeffs @ ub)
-    return ModalVector(c1 - c0 - lap)
+    return c1 - c0 - lap
 
 
 def memory_functional(xi: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -173,7 +169,7 @@ def memory_functional(xi: np.ndarray, grid: TimeGrid) -> np.ndarray:
 
 def state_coordinates(state: StateSnapshot, table: KernelTable) -> np.ndarray:
     """x = (v_hat, y_hat - I_xi), the 2n numbers through which the dynamics and the forms see a state."""
-    return np.concatenate([state.v_hat.coeffs, state.y_hat.coeffs - memory_functional(state.xi, table.grid)])
+    return np.concatenate([state.v_hat, state.y_hat - memory_functional(state.xi, table.grid)])
 
 
 def response_field(state: StateSnapshot, table: KernelTable) -> np.ndarray:
@@ -183,27 +179,25 @@ def response_field(state: StateSnapshot, table: KernelTable) -> np.ndarray:
     return table.Z_exact[:, : m + 1].T * xv[None, :] + table.Q[:, : m + 1].T * xs[None, :]
 
 
-def _ad_samples(u: ControlSignal | None, table: KernelTable, start: int) -> np.ndarray | None:
-    """(m+1, n) samples of A D u(t) on [t_start, T]; None without a control."""
+def segment_samples(u: ControlSignal | None, table: KernelTable, start: int) -> np.ndarray | None:
+    """u's (m+1, 2) samples on [t_start, T], None without a control; ValueError unless u spans them."""
     if u is None:
         return None
     if u.start != start or u.samples.shape[0] != table.grid.n_steps - start + 1:
         raise ValueError("control segment must start at the state's node and end at T")
-    return u.samples @ table.basis.ad_coeffs.T
+    return u.samples
 
 
 def control_field(u: ControlSignal, table: KernelTable) -> np.ndarray:
     """Control response -int_tau^t Z(t-s) A D u(s) ds by product integration."""
-    ad = _ad_samples(u, table, u.start)
+    ad = segment_samples(u, table, u.start) @ table.basis.ad_coeffs.T
     return -product_convolution(table.panel_Z, table.grid.dt, ad)
 
 
 def solve_voc(state: StateSnapshot, u: ControlSignal | None, table: KernelTable) -> Trajectory:
     """Variation-of-constants route: v = h + (control response), no implicit solve."""
     v = response_field(state, table)
-    if u is not None:
-        if u.start != state.tau_index:
-            raise ValueError("control segment must start at the state's node")
+    if segment_samples(u, table, state.tau_index) is not None:
         v = v + control_field(u, table)
     return Trajectory(state.tau_index, v)
 
@@ -218,23 +212,23 @@ def solve_volterra(state: StateSnapshot, u: ControlSignal | None, table: KernelT
     """
     i = state.tau_index
     xv, xs = np.split(state_coordinates(state, table), 2)
-    return Trajectory(i, _volterra_steps(xv, xs, _ad_samples(u, table, i), table, table.grid.n_steps - i))
+    return Trajectory(i, volterra_steps(xv, xs, segment_samples(u, table, i), table, table.grid.n_steps - i))
 
 
-def _volterra_steps(v_hat: np.ndarray, seed: np.ndarray, ad: np.ndarray | None, table: KernelTable,
-                    k: int) -> np.ndarray:
+def volterra_steps(v_hat: np.ndarray, seed: np.ndarray, u: np.ndarray | None, table: KernelTable,
+                   k: int) -> np.ndarray:
     """The first k Volterra steps from x = (v_hat, seed), values at nodes tau .. tau + k.
 
-    ad holds at least k + 1 samples of A D u from tau on, or is None without
-    a control.  Every stage is causal, so these rows are bitwise those of the
+    u holds at least k + 1 control samples from tau on, or is None without a
+    control.  Every stage is causal, so these rows are bitwise those of the
     full solve.
     """
     E = table.E[:, : k + 1]
     N = table.N[:, : k + 1]
     R = E - N  # exact integral of the exponential forcing kernel
     F = E.T * v_hat[None, :] + R.T * seed[None, :]
-    if ad is not None:
-        F -= product_convolution(table.panel_E, table.grid.dt, ad[: k + 1])
+    if u is not None:
+        F -= product_convolution(table.panel_E, table.grid.dt, (u @ table.basis.ad_coeffs.T)[: k + 1])
     v = np.zeros((k + 1, table.n_modes))
     v[0] = v_hat
     return volterra_trapezoid(table.basis.eigenvalues, N, table.grid.dt, v, F=F)
@@ -263,8 +257,8 @@ def simulate_damped_wave(v0, v1, control: SmoothControl, table: KernelTable) -> 
     Du = u_s @ d.T
     g = ddu_s @ d.T  # (D u'')_n samples
 
-    w0 = _coeffs(v0) - Du[0]
-    w1 = _coeffs(v1) - np.asarray(control.du(0.0), dtype=float) @ d.T
+    w0 = np.asarray(v0, dtype=float) - Du[0]
+    w1 = np.asarray(v1, dtype=float) - np.asarray(control.du(0.0), dtype=float) @ d.T
 
     lam = basis.eigenvalues
     A = np.zeros((n, 2, 2))
@@ -274,7 +268,7 @@ def simulate_damped_wave(v0, v1, control: SmoothControl, table: KernelTable) -> 
     Ap = np.eye(2) + 0.5 * dt * A
     solve_step = np.linalg.inv(Am)
     V = np.zeros((M + 1, n))
-    V[0] = _coeffs(v0)
+    V[0] = v0
     x = np.stack([w0, w1], axis=1)
     b = np.zeros((n, 2))
     for j in range(1, M + 1):
@@ -311,14 +305,9 @@ def extend_state(
     k = t1_index - i
     if trajectory is None:
         xv, xs = np.split(state_coordinates(state, table), 2)
-        values = _volterra_steps(xv, xs, _ad_samples(u, table, i), table, k)
+        values = volterra_steps(xv, xs, segment_samples(u, table, i), table, k)
     else:
         values = trajectory.values
     xi_new = np.vstack([state.xi, values[1 : k + 1]])
     decay = np.exp(-(table.grid.dt * k))
-    return StateSnapshot(
-        t1_index,
-        ModalVector(values[k].copy()),
-        xi_new,
-        ModalVector(decay * state.y_hat.coeffs),
-    )
+    return StateSnapshot(t1_index, values[k].copy(), xi_new, decay * state.y_hat)

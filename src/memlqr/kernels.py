@@ -42,9 +42,9 @@ derives each kernel's first-panel record (c, mu, a_1, b_1) once and keeps
 those of E, Z and Q on the table.  (a_1, b_1) are the term's gap-1 panel
 weights, built from moments in which no exponential grows, so any grid
 gives finite weights.  product_convolution and product_weights (the panel
-weights of every mode at once) read a record, and gap_weights gives the
-node weights omega = alpha + beta shifted that memlqr.optimal's Lambda
-uses.
+weights of every mode at once) read a record.  Lambda's weights are the one
+dense pair the table stores: Z's alpha and the node weights
+omega = alpha + beta shifted (gap_weights), formed once in solve_Z.
 """
 
 from __future__ import annotations
@@ -307,19 +307,19 @@ def volterra_trapezoid(lam: np.ndarray, N: np.ndarray, dt: float, x: np.ndarray,
 
 @dataclass
 class KernelTable:
-    """Per-mode samples of E, N, Z, Z' and Q on the grid, plus product weights.
+    """Per-mode samples of E, N, Z, Z' and Q on the grid, plus Lambda's weights.
 
     Arrays are n_modes x (n_steps+1), all filled by solve_Z.  Z is the
     Volterra solve and Z_exact the exact exponential sum of the same kernel;
-    Q is an exact sum too.  The alpha/beta pairs are the product-integration
-    panel weights of the Z and Q kernels; Lambda and the one-panel step draw
-    from them.  panel_E, panel_Z and panel_Q
+    Q is an exact sum too.  alpha_Z and omega_Z, Z's left panel weights and
+    node weights (product_weights, gap_weights), are the only dense weights
+    kept; memlqr.optimal's Lambda slices them.  panel_E, panel_Z and panel_Q
     are the first-panel records (c, mu, a_1, b_1) of E, Z and Q, complex
-    (4, n_modes, terms), that the product convolutions and the node forms'
-    pairings read.  The private field is filled on first use by
-    memlqr.optimal with the per-node forms of the backward Riccati recursion
-    that solve_optimal and the riccati scans read (optimal.NodeForms); it
-    holds arrays only, never an object that refers back to the table.
+    (4, n_modes, terms), read by the product convolutions, the one-panel
+    step and the node forms' pairings.  The private field holds the node
+    forms of the backward Riccati recursion (optimal.NodeForms), filled by
+    memlqr.optimal on first use; arrays only, never an object that refers
+    back to the table.
     """
 
     basis: SpectralBasis
@@ -331,9 +331,7 @@ class KernelTable:
     Zp: np.ndarray
     Q: np.ndarray
     alpha_Z: np.ndarray
-    beta_Z: np.ndarray
-    alpha_Q: np.ndarray
-    beta_Q: np.ndarray
+    omega_Z: np.ndarray
     panel_E: np.ndarray
     panel_Z: np.ndarray
     panel_Q: np.ndarray
@@ -349,9 +347,9 @@ def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
 
     Z is solved on the grid.  Z_exact and Q are summed term by term from Z's
     (c, mu): Z = Re sum c e^{mu t} and Q = Re sum c (e^{mu t} - e^{-t}) / (mu + 1).
-    Z' = (lambda + 1) Z_exact - Q, the product weights of the Z and Q kernels and
+    Z' = (lambda + 1) Z_exact - Q, Lambda's weights alpha_Z and omega_Z and
     the first-panel records of E, Z and Q are tabulated alongside, each
-    record derived once here.  A grid where the implicit step coefficient
+    derived once here.  A grid where the implicit step coefficient
     1 - (dt/2) N(0) vanishes (dt = 2 / N(0)) is rejected explicitly.  So is
     an eigenvalue in {0, -4}, where the characteristic roots coincide, and
     lambda = -1, where N and the Volterra weights divide by lambda + 1 = 0.
@@ -376,8 +374,7 @@ def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
     panel_E = _first_panel(e_exponential_terms, lam, dt)
     panel_Z = _first_panel(z_exponential_terms, lam, dt)
     panel_Q = _first_panel(q_exponential_terms, lam, dt)
-    alpha_Z, beta_Z = product_weights(panel_Z, grid)
-    alpha_Q, beta_Q = product_weights(panel_Q, grid)
+    alpha_Z, beta = product_weights(panel_Z, grid)
     Z_exact = np.zeros((n, M + 1))
     Q = np.zeros((n, M + 1))
     for c, mu in zip(panel_Z[0].T, panel_Z[1].T):
@@ -386,7 +383,7 @@ def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
         Q += np.real((c / (mu + 1.0))[:, None] * (e - np.exp(-t)))
     Zp = (lam[:, None] + 1.0) * Z_exact - Q
 
-    return KernelTable(basis, grid, E, N, Z, Z_exact, Zp, Q, alpha_Z, beta_Z, alpha_Q, beta_Q,
+    return KernelTable(basis, grid, E, N, Z, Z_exact, Zp, Q, alpha_Z, gap_weights(alpha_Z, beta),
                        panel_E, panel_Z, panel_Q)
 
 

@@ -7,10 +7,11 @@ The input-to-state map is the block-lower-triangular operator
 discretized with the shared product-integration weights of the kernel table.
 K depends only on t - s, so mode k's weights on [t_j, T] are Toeplitz in the
 gap: an OperatorAssembly keeps the start's slices of the table's Z weights
-and applies Lambda by per-mode direct sums, never forming a matrix.  Adjoints
-are taken with respect to the trapezoid-weighted inner products, so Lambda*
-is an exact transpose and the normal operator I + Lambda Lambda* is
-symmetric positive definite in the weighted metric.  The optimal pair is
+and applies Lambda by per-mode direct sums, never forming a matrix; every
+v = h + Lambda u of this module is formed there.  Adjoints are taken with
+respect to the trapezoid-weighted inner products, so Lambda* is an exact
+transpose and the normal operator I + Lambda Lambda* is symmetric positive
+definite in the weighted metric.  The optimal pair is
 
     v+ = (I + Lambda Lambda*)^-1 h,     u+ = -Lambda* v+,
 
@@ -48,10 +49,10 @@ from .forward import (
     StateSnapshot,
     Trajectory,
     response_field,
-    solve_voc,
+    segment_samples,
     state_coordinates,
 )
-from .kernels import KernelTable, gap_weights
+from .kernels import KernelTable, TimeGrid, product_weights
 
 __all__ = [
     "OperatorAssembly",
@@ -72,10 +73,12 @@ class OperatorAssembly:
     Fields are stacked row-major as (node, mode) and controls as (node,
     channel); wV / wU are the trapezoid node weights repeated per component.
     Mode k's block of Lambda is -W_k (x) ad_k^T, W_k lower-triangular
-    Toeplitz in the gap weights omega_k (kernels.gap_weights) except for its
+    Toeplitz in the gap weights omega_k (the table's omega_Z) except for its
     first column, which borders one panel only and takes alpha_k.  The
-    assembly keeps those two (n, m+1) slices and applies Lambda and Lambda*
-    by per-mode direct sums, O(n m^2) per product; it holds no matrix.
+    assembly keeps views of the table's alpha_Z and omega_Z, first m+1
+    columns, and applies Lambda and Lambda* by per-mode direct sums,
+    O(n m^2) per product; it holds no matrix.  omega[:, m] meets only the
+    node-0 density, which the sums zero, so no per-start omega is formed.
     """
 
     def __init__(self, table: KernelTable, start: int):
@@ -88,7 +91,7 @@ class OperatorAssembly:
         self.wU = np.repeat(w, 2)
         self.empty = self.m == 0
         self.alpha = table.alpha_Z[:, : self.m + 1]
-        self.omega = gap_weights(self.alpha, table.beta_Z[:, : self.m + 1])
+        self.omega = table.omega_Z[:, : self.m + 1]
 
     # -- elementary applications -------------------------------------------------
 
@@ -226,12 +229,15 @@ def _one_panel_step(table: KernelTable) -> tuple[np.ndarray, np.ndarray, np.ndar
     response from (v, s) is (Z v + Q s, -Q v + (Z - (lambda + 2) Q) s).  A
     control linear on the panel adds -(A D) times the gap-1 Z weights to v
     and +(A D) times the gap-1 Q weights to s: the step of v is Lambda's.
+    The gap-1 weights are the product weights of a one-panel grid.
     """
     lam, ad = table.basis.eigenvalues, table.basis.ad_coeffs
     Z, Q = table.Z_exact[:, 1], table.Q[:, 1]
     A = np.block([[np.diag(Z), np.diag(Q)], [np.diag(-Q), np.diag(Z - (lam + 2.0) * Q)]])
-    B0 = np.concatenate([-table.alpha_Z[:, 1, None] * ad, table.alpha_Q[:, 1, None] * ad])
-    B1 = np.concatenate([-table.beta_Z[:, 1, None] * ad, table.beta_Q[:, 1, None] * ad])
+    one_panel = TimeGrid(table.grid.dt, 1)
+    (aZ, bZ), (aQ, bQ) = (product_weights(p, one_panel) for p in (table.panel_Z, table.panel_Q))
+    B0 = np.concatenate([-aZ[:, 1, None] * ad, aQ[:, 1, None] * ad])
+    B1 = np.concatenate([-bZ[:, 1, None] * ad, bQ[:, 1, None] * ad])
     return A, B0, B1
 
 
@@ -324,15 +330,16 @@ def u_plus_control_side(state: StateSnapshot, table: KernelTable) -> ControlSign
 
 
 def evaluate_cost(state: StateSnapshot, u: ControlSignal, table: KernelTable) -> float:
-    """Quadratic cost of (state, u); the trajectory rides the resolvent route.
+    """Quadratic cost of (state, u), with v = h + Lambda u by the start's OperatorAssembly.
 
-    Using solve_voc keeps the cost evaluation in the same discrete family as
-    the optimality system, so the value-function identity holds to solver
-    precision instead of to the cross-scheme O(dt^2).
+    That is the Lambda of the optimality system itself, so the
+    value-function identity holds to solver precision instead of to the
+    cross-scheme O(dt^2).  u must run from the state's node to T.
     """
     asm = OperatorAssembly(table, state.tau_index)
-    v = solve_voc(state, u, table)
-    return asm.inner_V(v.values, v.values) + asm.inner_U(u.samples, u.samples)
+    us = segment_samples(u, table, state.tau_index)
+    v = response_field(state, table) + asm.apply_Lambda(us)
+    return asm.inner_V(v, v) + asm.inner_U(us, us)
 
 
 def value_function(state: StateSnapshot, table: KernelTable) -> float:
@@ -345,5 +352,6 @@ def value_function(state: StateSnapshot, table: KernelTable) -> float:
 def cost_gradient(state: StateSnapshot, u: ControlSignal, table: KernelTable) -> np.ndarray:
     """Frechet gradient 2 (u + Lambda* (h + Lambda u)) in the weighted metric."""
     asm = OperatorAssembly(table, state.tau_index)
-    v = response_field(state, table) + asm.apply_Lambda(u.samples)
-    return 2.0 * (u.samples + asm.apply_Lambda_star(v))
+    us = segment_samples(u, table, state.tau_index)
+    v = response_field(state, table) + asm.apply_Lambda(us)
+    return 2.0 * (us + asm.apply_Lambda_star(v))

@@ -53,16 +53,15 @@ from .forward import (
     ControlSignal,
     StateSnapshot,
     Trajectory,
-    _volterra_steps,
     extend_state,
     memory_functional,
     response_field,
     solve_voc,
     state_coordinates,
+    volterra_steps,
 )
 from .kernels import KernelTable
 from .optimal import OperatorAssembly, node_forms, solve_optimal, u_plus_control_side
-from .spectral import ModalVector
 
 __all__ = [
     "GeneratorImage",
@@ -98,12 +97,12 @@ def state_inner(s1: StateSnapshot, s2: StateSnapshot, table: KernelTable) -> flo
         raise ValueError("states live at different nodes")
     grid = table.grid
     i = s1.tau_index
-    out = float(np.dot(s1.v_hat.coeffs, s2.v_hat.coeffs))
+    out = float(np.dot(s1.v_hat, s2.v_hat))
     if i > 0:
         w = grid.segment_weights(grid.n_steps - i)  # trapezoid weights on i panels
         out += float(np.sum(w[:, None] * s1.xi * s2.xi))
     lam2 = table.basis.eigenvalues**2
-    out += float(np.dot(s1.y_hat.coeffs / lam2, s2.y_hat.coeffs))
+    out += float(np.dot(s1.y_hat / lam2, s2.y_hat))
     return out
 
 
@@ -147,9 +146,9 @@ def apply_generator(state: StateSnapshot, table: KernelTable) -> GeneratorImage:
     grid = table.grid
     lam = table.basis.eigenvalues
     mem = memory_functional(state.xi, grid)
-    dv = (lam + 1.0) * state.v_hat.coeffs - mem + state.y_hat.coeffs
+    dv = (lam + 1.0) * state.v_hat - mem + state.y_hat
     dxi = dv[None, :].copy() if state.tau_index == 0 else _fd_derivative(state.xi, grid.dt)
-    return GeneratorImage(dv, dxi, -state.y_hat.coeffs)
+    return GeneratorImage(dv, dxi, -state.y_hat)
 
 
 # ----------------------------------------------------------------------------
@@ -199,7 +198,7 @@ def P_prime_form(state: StateSnapshot, table: KernelTable) -> float:
     """
     gain, C, D = _node_terms(state, table)
     img = apply_generator(state, table)
-    vhat_sq = float(np.dot(state.v_hat.coeffs, state.v_hat.coeffs))
+    vhat_sq = float(np.dot(state.v_hat, state.v_hat))
     return -vhat_sq + float(np.dot(gain, gain)) - _paired_cross(img.dv, img.dxi, img.dy, C, D, table)
 
 
@@ -226,7 +225,7 @@ def riccati_residual(state: StateSnapshot, table: KernelTable) -> RiccatiReport:
     cross = P_cross(state, img.dv, img.dxi, img.dy, table)
     gain = u_plus_control_side(state, table).samples[0]
     gain_sq = float(np.dot(gain, gain))
-    vhat_sq = float(np.dot(state.v_hat.coeffs, state.v_hat.coeffs))
+    vhat_sq = float(np.dot(state.v_hat, state.v_hat))
     residual = p_prime + cross - gain_sq + vhat_sq
     denom = state_norm_sq(state, table)
     return RiccatiReport(p_prime, cross, gain_sq, vhat_sq, residual,
@@ -260,16 +259,15 @@ def closed_loop_simulate(state0: StateSnapshot, table: KernelTable) -> tuple[Tra
     i0 = state0.tau_index
     m = grid.n_steps - i0
     K = node_forms(table).K
-    ad = table.basis.ad_coeffs
     u_cl = np.zeros((m + 1, 2))
     v_cl = np.zeros((m + 1, state0.n_modes))
-    v_cl[0] = state0.v_hat.coeffs
+    v_cl[0] = state0.v_hat
     s = np.split(state_coordinates(state0, table), 2)[1]
     xi_last = state0.xi[-1]
     for step, j in enumerate(range(i0, grid.n_steps)):
         u2 = -(K[j] @ np.concatenate([v_cl[step], s])).reshape(2, 2)
         u_cl[step] = u2[0]
-        v_cl[step + 1] = _volterra_steps(v_cl[step], s, u2 @ ad.T, table, 1)[1]
+        v_cl[step + 1] = volterra_steps(v_cl[step], s, u2, table, 1)[1]
         s = _advance_seed(s, xi_last, v_cl[step + 1], grid.dt)
         xi_last = v_cl[step + 1]
     # empty horizon at T: zero gain
@@ -441,7 +439,7 @@ def chain_rule_scan(state0: StateSnapshot, u: ControlSignal, table: KernelTable)
     hist_sq = v_sq.copy()
     hist_sq[0] = np.dot(state0.xi[-1], state0.xi[-1])
     past = np.concatenate([[0.0], np.cumsum(0.5 * dt * (hist_sq[:-1] + hist_sq[1:]))])
-    seed_sq = np.dot(state0.y_hat.coeffs / table.basis.eigenvalues**2, state0.y_hat.coeffs)
+    seed_sq = np.dot(state0.y_hat / table.basis.eigenvalues**2, state0.y_hat)
     decay = np.exp(-(dt * np.arange(len(indices))))
     norm_sq = state_norm_sq(state0, table) + (v_sq - v_sq[0]) + past + (decay**2 - 1.0) * seed_sq
 
@@ -473,7 +471,7 @@ def terminal_P_check(table: KernelTable, seed: int = 0) -> TerminalReport:
     def frozen(i):
         xi = np.zeros((i + 1, n))
         xi[-1] = v
-        return StateSnapshot(i, ModalVector(v.copy()), xi, ModalVector(np.zeros(n)))
+        return StateSnapshot(i, v.copy(), xi, np.zeros(n))
 
     sT = frozen(M)
     val_T = P_form(sT, sT, table)

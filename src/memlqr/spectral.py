@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "SpectralBasis",
-    "ModalVector",
     "build_basis",
 ]
 
@@ -50,23 +49,6 @@ class SpectralBasis:
     def ad_coeffs(self) -> np.ndarray:
         """(n_modes, 2) coefficients of A D: column c is A D applied to unit data c."""
         return self.eigenvalues[:, None] * self.dmap_coeffs
-
-
-@dataclass
-class ModalVector:
-    """Truncated eigencoefficients of an H-valued element."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.ndim != 1:
-            raise ValueError("ModalVector coefficients must be one dimensional")
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("ModalVector coefficients must be finite")
-
-    def copy(self) -> "ModalVector":
-        return ModalVector(self.coeffs.copy())
 
 
 def build_basis(n_modes: int) -> SpectralBasis:

@@ -17,7 +17,7 @@ import scipy.linalg as sla
 
 from memlqr import apply_generator, memory_functional
 from memlqr.forward import response_field
-from memlqr.kernels import gap_weights
+from memlqr.kernels import gap_weights, product_weights
 from memlqr.optimal import OperatorAssembly
 
 
@@ -41,9 +41,10 @@ def reference_Lambda(table, start):
     if m == 0:
         return np.zeros((n, 2))
     ad = table.basis.eigenvalues[:, None] * table.basis.dmap_coeffs
+    alpha, beta = product_weights(table.panel_Z, table.grid)
     blocks = np.empty((m + 1, n, m + 1, 2))
     for k in range(n):
-        Wk = weight_matrix(table.alpha_Z[k], table.beta_Z[k], m)
+        Wk = weight_matrix(alpha[k], beta[k], m)
         blocks[:, k, :, :] = -Wk[:, :, None] * ad[k][None, None, :]
     return blocks.reshape((m + 1) * n, (m + 1) * 2)
 
@@ -86,7 +87,7 @@ def kernel_pairings(phi, table, start):
     def pair(alpha, beta):
         return np.einsum("sk,ks->k", phi[:m], gap_weights(alpha, beta)[:, :m]) + phi[m] * alpha[:, m]
 
-    return pair(table.alpha_Z, table.beta_Z), pair(table.alpha_Q, table.beta_Q)
+    return tuple(pair(*product_weights(p, table.grid)) for p in (table.panel_Z, table.panel_Q))
 
 
 def _phi_terms(state, table):
@@ -106,5 +107,5 @@ def p_prime(state, table):
     """<P'(theta) S, S> = -|v_hat|^2 + |[Lambda* H h](theta)|^2 - cross(S, A_theta S)."""
     gain = _phi_terms(state, table)[0]
     img = apply_generator(state, table)
-    vhat_sq = float(np.dot(state.v_hat.coeffs, state.v_hat.coeffs))
+    vhat_sq = float(np.dot(state.v_hat, state.v_hat))
     return -vhat_sq + float(np.dot(gain, gain)) - cross(state, img.dv, img.dxi, img.dy, table)

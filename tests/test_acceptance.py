@@ -217,8 +217,8 @@ def test_criterion_8_feedback_law(table, grid):
         s1 = StateSnapshot(i, xi1[-1].copy(), xi1, rng.standard_normal(N_MODES))
         s2 = StateSnapshot(i, xi2[-1].copy(), xi2, rng.standard_normal(N_MODES))
         a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        comb = StateSnapshot(i, a * s1.v_hat.coeffs + b * s2.v_hat.coeffs,
-                             a * s1.xi + b * s2.xi, a * s1.y_hat.coeffs + b * s2.y_hat.coeffs)
+        comb = StateSnapshot(i, a * s1.v_hat + b * s2.v_hat,
+                             a * s1.xi + b * s2.xi, a * s1.y_hat + b * s2.y_hat)
         g = feedback_gain(comb, table)
         gp = a * feedback_gain(s1, table) + b * feedback_gain(s2, table)
         worst = max(worst, float(np.max(np.abs(g - gp))))

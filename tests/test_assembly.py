@@ -64,13 +64,13 @@ def test_extend_state_along_trajectory_is_concatenation_and_decay(n, M, data):
     xi = rng.standard_normal((i0 + 1, n))
     state = StateSnapshot(i0, xi[-1].copy(), xi, rng.standard_normal(n))
     values = rng.standard_normal((M - i0 + 1, n))
-    values[0] = state.v_hat.coeffs
+    values[0] = state.v_hat
     out = extend_state(state, None, j, table, trajectory=Trajectory(i0, values))
     k = j - i0
     assert out.tau_index == j
-    assert np.array_equal(out.v_hat.coeffs, values[k])
+    assert np.array_equal(out.v_hat, values[k])
     assert np.array_equal(out.xi, np.concatenate([xi, values[1 : k + 1]]))
-    assert np.array_equal(out.y_hat.coeffs, np.exp(-k * grid.dt) * state.y_hat.coeffs)
+    assert np.array_equal(out.y_hat, np.exp(-k * grid.dt) * state.y_hat)
 
 
 def test_extend_state_rejects_a_foreign_trajectory_at_its_own_node():

@@ -167,12 +167,17 @@ def reference_product_weights(terms, grid):
 
 def assert_weights_match_reference(table):
     # the same scalar arithmetic in the same order, so equal to the last bit
+    weights = {z_exponential_terms: product_weights(table.panel_Z, table.grid),
+               q_exponential_terms: product_weights(table.panel_Q, table.grid)}
     for k, lam in enumerate(table.basis.eigenvalues):
-        for terms, alpha, beta in ((z_exponential_terms, table.alpha_Z, table.beta_Z),
-                                   (q_exponential_terms, table.alpha_Q, table.beta_Q)):
+        for terms, (alpha, beta) in weights.items():
             ref_alpha, ref_beta = reference_product_weights(terms(lam), table.grid)
             assert np.array_equal(alpha[k], ref_alpha)
             assert np.array_equal(beta[k], ref_beta)
+    # the table keeps Lambda's weights only: Z's alpha and its node weights
+    alpha, beta = weights[z_exponential_terms]
+    assert np.array_equal(table.alpha_Z, alpha)
+    assert np.array_equal(table.omega_Z, gap_weights(alpha, beta))
 
 
 @settings(max_examples=40, deadline=None)
@@ -202,7 +207,7 @@ def test_gap_weights_are_the_interior_columns_of_the_weight_matrix():
     # and column 0 holds alpha: the same sums, so equal to the last bit
     table = solve_Z(build_basis(191), TimeGrid(0.5, 256))
     M = table.grid.n_steps
-    for alpha, beta in ((table.alpha_Z, table.beta_Z), (table.alpha_Q, table.beta_Q)):
+    for alpha, beta in (product_weights(p, table.grid) for p in (table.panel_Z, table.panel_Q)):
         omega = gap_weights(alpha, beta)
         for k in range(table.n_modes):
             W = weight_matrix(alpha[k], beta[k], M)
@@ -212,25 +217,32 @@ def test_gap_weights_are_the_interior_columns_of_the_weight_matrix():
 
 
 def test_first_panel_runs_three_times_per_table_and_nowhere_else(monkeypatch, tmp_path):
-    # the E, Z and Q records are derived once in solve_Z; every product
-    # convolution of the suites reads the table's records
-    callers, tables = [], []
-    first_panel, solve = kernels._first_panel, experiments.solve_Z
+    # the E, Z and Q records, and Lambda's node weights, are derived once in
+    # solve_Z; every product convolution and every Lambda of the suites reads
+    # the table's
+    callers, gap_callers, tables = [], [], []
+    first_panel, gap, solve = kernels._first_panel, kernels.gap_weights, experiments.solve_Z
 
     def counting_panel(*args):
         callers.append(sys._getframe(1).f_code.co_name)
         return first_panel(*args)
+
+    def counting_gap(*args):
+        gap_callers.append(sys._getframe(1).f_code.co_name)
+        return gap(*args)
 
     def counting_solve(*args):
         tables.append(solve(*args))
         return tables[-1]
 
     monkeypatch.setattr(kernels, "_first_panel", counting_panel)
+    monkeypatch.setattr(kernels, "gap_weights", counting_gap)
     monkeypatch.setattr(experiments, "solve_Z", counting_solve)
     cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "quick.ini"))
     experiments.run_suite("all", cfg, str(tmp_path), tol_scale=50.0)
     assert len(tables) == 2  # the configured grid and the kernels suite's coarse one
     assert callers == ["solve_Z"] * (3 * len(tables))
+    assert gap_callers == ["solve_Z"] * len(tables)
 
 
 # ----------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import gc
 import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,8 @@ from dense_routes import kernel_pairings, value_form
 from memlqr import (ControlSignal, StateSnapshot, TimeGrid, build_basis, chain_rule_scan,
                     closed_loop_simulate, dissipation_scan, extend_state, solve_Z)
 from memlqr.forward import response_field, state_coordinates
-from memlqr.optimal import OperatorAssembly, node_forms
+from memlqr.kernels import product_weights
+from memlqr.optimal import OperatorAssembly, _one_panel_step, node_forms
 from memlqr.riccati import value_scan_batch
 
 
@@ -82,14 +84,14 @@ def per_node_closed_loop(state0, table):
     K = node_forms(table).K
     u_cl = np.zeros((M - i0 + 1, 2))
     v_cl = np.zeros((M - i0 + 1, table.n_modes))
-    v_cl[0] = state0.v_hat.coeffs
+    v_cl[0] = state0.v_hat
     cur = state0
     for step, j in enumerate(range(i0, M)):
         u_loc = np.zeros((M - j + 1, 2))
         u_loc[:2] = -(K[j] @ state_coordinates(cur, table)).reshape(2, 2)
         u_cl[step] = u_loc[0]
         cur = extend_state(cur, ControlSignal(j, u_loc), j + 1, table)
-        v_cl[step + 1] = cur.v_hat.coeffs
+        v_cl[step + 1] = cur.v_hat
     return v_cl, u_cl
 
 
@@ -134,3 +136,16 @@ def test_node_forms_hold_no_reference_to_their_table():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("n, M, T", [(191, 256, 0.5), (8, 256, 0.5), (3, 8, 10.0)])
+def test_one_panel_step_reads_column_1_of_the_product_weights(n, M, T):
+    # B0 and B1 are -/+ A D times the gap-1 Z and Q weights, bitwise; mode 191
+    # of the first shape has |lambda| dt = 703, and at the last one a plain
+    # np.sum over Q's four terms already differs in the last bit
+    table = solve_Z(build_basis(n), TimeGrid(T, M))
+    _, B0, B1 = _one_panel_step(table)
+    ad = table.basis.ad_coeffs
+    (aZ, bZ), (aQ, bQ) = (product_weights(p, table.grid) for p in (table.panel_Z, table.panel_Q))
+    assert np.array_equal(B0, np.concatenate([-aZ[:, 1, None] * ad, aQ[:, 1, None] * ad]))
+    assert np.array_equal(B1, np.concatenate([-bZ[:, 1, None] * ad, bQ[:, 1, None] * ad]))

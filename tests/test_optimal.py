@@ -11,6 +11,7 @@ from memlqr import (
     build_basis,
     cost_gradient,
     evaluate_cost,
+    extend_state,
     solve_Z,
     solve_optimal,
     solve_voc,
@@ -18,6 +19,7 @@ from memlqr import (
     value_function,
 )
 from memlqr.forward import response_field
+from memlqr.kernels import product_weights
 from memlqr.optimal import OperatorAssembly
 from scipy.integrate import simpson
 
@@ -153,7 +155,8 @@ def test_lambda_impulse_reproduces_kernel_column(table, grid, basis):
     assert np.allclose(out, col, atol=1e-15)
     # and the column is the kernel samples scaled by the node weights
     k = 2
-    Wk = weight_matrix(table.alpha_Z[k], table.beta_Z[k], grid.n_steps)
+    alpha, beta = product_weights(table.panel_Z, grid)
+    Wk = weight_matrix(alpha[k], beta[k], grid.n_steps)
     lam_d = basis.eigenvalues[k] * basis.dmap_coeffs[k, 0]
     assert np.allclose(out[:, k], -lam_d * Wk[:, l], atol=1e-15)
 
@@ -213,6 +216,16 @@ def test_gradient_matches_finite_differences(table, grid, basis):
         assert abs(directional - asm.inner_U(g, du)) < 1e-6 * (1 + abs(directional))
 
 
+def test_cost_and_gradient_reject_a_control_off_the_state_segment(table, grid, basis):
+    # the state sits at node 5: a control that starts elsewhere, or stops short of T, is refused
+    st = extend_state(random_state(np.random.default_rng(10), basis.n_modes), None, 5, table)
+    m = grid.n_steps - 5
+    for u in (ControlSignal(0, np.zeros((m + 1, 2))), ControlSignal(5, np.zeros((m, 2)))):
+        for f in (evaluate_cost, cost_gradient):
+            with pytest.raises(ValueError, match="control segment"):
+                f(st, u, table)
+
+
 def test_optimal_cost_dominates_perturbations(table, grid, basis):
     rng = np.random.default_rng(9)
     st = random_state(rng, basis.n_modes)
@@ -255,7 +268,7 @@ def test_cost_homogeneity(table, grid, basis):
     st = random_state(rng, basis.n_modes)
     u = ControlSignal(0, rng.standard_normal((grid.n_steps + 1, 2)))
     J = evaluate_cost(st, u, table)
-    st2 = StateSnapshot.initial(2 * st.v_hat.coeffs, 2 * st.y_hat.coeffs)
+    st2 = StateSnapshot.initial(2 * st.v_hat, 2 * st.y_hat)
     J2 = evaluate_cost(st2, ControlSignal(0, 2 * u.samples), table)
     assert J2 == pytest.approx(4 * J, rel=1e-12)
 
@@ -325,7 +338,7 @@ def test_optimal_control_lipschitz_in_state(table, basis):
     sol1 = solve_optimal(st1, table)
     sol2 = solve_optimal(st2, table)
     du = np.abs(sol1.u_plus.samples - sol2.u_plus.samples).max()
-    dstate = np.abs(st1.v_hat.coeffs - st2.v_hat.coeffs).max() + np.abs(
-        st1.y_hat.coeffs - st2.y_hat.coeffs
+    dstate = np.abs(st1.v_hat - st2.v_hat).max() + np.abs(
+        st1.y_hat - st2.y_hat
     ).max()
     assert du <= 5.0 * dstate

@@ -67,8 +67,8 @@ def test_feedback_gain_is_linear(case):
     n = table.n_modes
     s1, s2 = random_state(rng, start, n), random_state(rng, start, n)
     a, b = rng.uniform(-2.0, 2.0, 2)
-    comb = StateSnapshot(start, a * s1.v_hat.coeffs + b * s2.v_hat.coeffs, a * s1.xi + b * s2.xi,
-                         a * s1.y_hat.coeffs + b * s2.y_hat.coeffs)
+    comb = StateSnapshot(start, a * s1.v_hat + b * s2.v_hat, a * s1.xi + b * s2.xi,
+                         a * s1.y_hat + b * s2.y_hat)
     g1, g2 = feedback_gain(s1, table), feedback_gain(s2, table)
     err = np.max(np.abs(feedback_gain(comb, table) - (a * g1 + b * g2)))
     assert err <= 1e-12 * (1.0 + abs(a) * np.max(np.abs(g1)) + abs(b) * np.max(np.abs(g2)))

@@ -93,15 +93,15 @@ def reference_volterra(state, u, table):
     grid = table.grid
     m = grid.n_steps - state.tau_index
     dt = grid.dt
-    seed = state.y_hat.coeffs - memory_functional(state.xi, grid)
+    seed = state.y_hat - memory_functional(state.xi, grid)
     E = table.E[:, : m + 1]
     N = table.N[:, : m + 1]
     alpha_E, beta_E = product_weights(table.panel_E, grid)
     ctrl = reference_convolution(alpha_E, beta_E, u.samples @ table.basis.ad_coeffs.T)
-    F = E.T * state.v_hat.coeffs[None, :] + (E - N).T * seed[None, :] - ctrl
+    F = E.T * state.v_hat[None, :] + (E - N).T * seed[None, :] - ctrl
     denom = 1.0 - 0.5 * dt * N[:, 0]
     v = np.zeros((m + 1, table.n_modes))
-    v[0] = state.v_hat.coeffs
+    v[0] = state.v_hat
     for j in range(1, m + 1):
         s = 0.5 * N[:, j] * v[0]
         if j > 1:
@@ -140,7 +140,7 @@ def product_Q(table):
 
 def reference_product_Q(table):
     chi = np.repeat(np.exp(-table.grid.nodes)[:, None], table.n_modes, axis=1)
-    return reference_convolution(table.alpha_Z, table.beta_Z, chi)
+    return reference_convolution(*product_weights(table.panel_Z, table.grid), chi)
 
 
 def reference_pairings(phi, table, start):
@@ -149,9 +149,10 @@ def reference_pairings(phi, table, start):
     D = np.zeros(table.n_modes)
     rev = phi[::-1]
     g = slice(m, 0, -1)
+    (aZ, bZ), (aQ, bQ) = (product_weights(p, table.grid) for p in (table.panel_Z, table.panel_Q))
     for k in range(table.n_modes):
-        C[k] = np.dot(rev[:m, k], table.alpha_Z[k, g]) + np.dot(rev[1:, k], table.beta_Z[k, g])
-        D[k] = np.dot(rev[:m, k], table.alpha_Q[k, g]) + np.dot(rev[1:, k], table.beta_Q[k, g])
+        C[k] = np.dot(rev[:m, k], aZ[k, g]) + np.dot(rev[1:, k], bZ[k, g])
+        D[k] = np.dot(rev[:m, k], aQ[k, g]) + np.dot(rev[1:, k], bQ[k, g])
     return C, D
 
 
@@ -181,7 +182,7 @@ def test_Z_and_Q_match_the_dense_loops(case):
 def test_control_field_matches_conv_product(case):
     table, start, rng = case
     u = ControlSignal(start, rng.standard_normal((table.grid.n_steps - start + 1, 2)))
-    ref = -reference_convolution(table.alpha_Z, table.beta_Z, u.samples @ table.basis.ad_coeffs.T)
+    ref = -reference_convolution(*product_weights(table.panel_Z, table.grid), u.samples @ table.basis.ad_coeffs.T)
     assert_close(control_field(u, table), ref)
 
 
@@ -211,7 +212,7 @@ def test_extend_state_is_the_slice_of_the_full_solve(case, data):
     full = solve_volterra(state, u, table).values
     out = extend_state(state, u, j, table)
     assert np.array_equal(out.xi[start + 1 :], full[1 : j - start + 1])
-    assert np.array_equal(out.v_hat.coeffs, full[j - start])
+    assert np.array_equal(out.v_hat, full[j - start])
 
 
 @settings(max_examples=20, deadline=None)
@@ -243,7 +244,7 @@ def test_stiff_grid_stays_finite_and_matches_the_references():
     start = 64
     state = random_state(rng, start, table.n_modes)
     u = ControlSignal(start, rng.standard_normal((table.grid.n_steps - start + 1, 2)))
-    ref = -reference_convolution(table.alpha_Z, table.beta_Z, u.samples @ table.basis.ad_coeffs.T)
+    ref = -reference_convolution(*product_weights(table.panel_Z, table.grid), u.samples @ table.basis.ad_coeffs.T)
     assert_close(control_field(u, table), ref)
     assert_close(solve_volterra(state, u, table).values, reference_volterra(state, u, table))
     v0, v1 = rng.standard_normal((2, table.n_modes))

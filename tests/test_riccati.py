@@ -198,8 +198,8 @@ def test_gain_linearity(table, grid, basis):
     s1, s2 = rand_state(), rand_state()
     a, b = 0.7, -1.4
     comb = StateSnapshot(
-        i, a * s1.v_hat.coeffs + b * s2.v_hat.coeffs, a * s1.xi + b * s2.xi,
-        a * s1.y_hat.coeffs + b * s2.y_hat.coeffs,
+        i, a * s1.v_hat + b * s2.v_hat, a * s1.xi + b * s2.xi,
+        a * s1.y_hat + b * s2.y_hat,
     )
     g = feedback_gain(comb, table)
     g_parts = a * feedback_gain(s1, table) + b * feedback_gain(s2, table)
@@ -214,7 +214,7 @@ def test_one_step_advance_matches_volterra(table, grid, basis, interior_state):
     u = sine_control(grid, interior_state.tau_index)
     traj = solve_volterra(interior_state, u, table)
     stepped = extend_state(interior_state, u, interior_state.tau_index + 1, table)
-    assert np.all(stepped.v_hat.coeffs == traj.values[1])
+    assert np.all(stepped.v_hat == traj.values[1])
     assert stepped.tau_index == interior_state.tau_index + 1
 
 
