@@ -239,11 +239,12 @@ def product_convolution(panel: np.ndarray, dt: float, density: np.ndarray) -> np
     """Per-mode product convolution against product_weights(panel, grid), by recurrences.
 
     panel is a first-panel record (c, mu, a_1, b_1), such as the table's
-    panel_E or panel_Z; density is (m+1, n), or (m+1, 1) for one density
-    shared by every mode; the result is (m+1, n) with row 0 zero.  A term
-    c e^{mu t} has the weights alpha[g] = Re(c a_1 rho^{g-1}),
-    beta[g] = Re(c b_1 rho^{g-1}) with rho = e^{mu dt}, so its left and
-    right panel sums share one carry,
+    panel_E or panel_Z; density is (m+1, ..., n), time first and mode last
+    with any batch axes between, and a mode axis of 1 shares one density
+    with every mode; the result is (m+1, ..., n) with row 0 zero, and each
+    density of a batch gets the bits it gets alone.  A term c e^{mu t} has
+    the weights alpha[g] = Re(c a_1 rho^{g-1}), beta[g] = Re(c b_1 rho^{g-1})
+    with rho = e^{mu dt}, so its left and right panel sums share one carry,
 
         P_j = rho P_{j-1} + (c a_1) d_{j-1} + (c b_1) d_j,
 
@@ -254,12 +255,12 @@ def product_convolution(panel: np.ndarray, dt: float, density: np.ndarray) -> np
     rho = np.exp(mu * dt)
     w_left = c * a1
     w_right = c * b1
-    d = np.asarray(density, dtype=float)[:, :, None]
-    P = np.zeros(c.shape, dtype=complex)
-    out = np.zeros((d.shape[0], c.shape[0]))
+    d = np.asarray(density, dtype=float)[..., None]
+    P = np.zeros(np.broadcast_shapes(d.shape[1:], c.shape), dtype=complex)
+    out = np.zeros(d.shape[:1] + P.shape[:-1])
     for j in range(1, d.shape[0]):
         P = rho * P + (w_left * d[j - 1] + w_right * d[j])
-        out[j] = P.real.sum(axis=1)
+        out[j] = P.real.sum(axis=-1)
     return out
 
 

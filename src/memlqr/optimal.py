@@ -28,11 +28,13 @@ and with h and Lambda built from the exact exponential sums of Z and Q the
 discrete system is the exact sampling of a 2n-dimensional linear system
 under a piecewise-linear control: node j + 1's x follows from node j's x
 and the control at both panel ends (_one_panel_step).  node_forms runs one
-backward sweep of O(M n^3) work over z = (x, u) on that step; it gives every
-node's value matrix, first-step gains and kernel pairings, and
-solve_optimal is a forward sweep on them, so no matrix of order (M+1) n is
-formed and the verification scans never solve per node.  The matrix-free
-control side stays as the independent second route.
+backward sweep of O(M n^3) work over z = (x, u) on that step, whose loop
+holds only the sequential part; every node's value matrix, first-step gains
+and kernel pairings follow in batched operations after it.  solve_optimal
+is a forward sweep on them, so no matrix of order (M+1) n is formed and the
+verification scans never solve per node.  The matrix-free control side
+stays as the independent second route; its condition bound is a Lanczos
+iteration.
 
 The table keeps the node forms; an OperatorAssembly is a view of the table's
 weights at one start, cheap to build at every call.
@@ -143,28 +145,35 @@ class OperatorAssembly:
         return z
 
     def control_normal_max_eigenvalue(self) -> float:
-        """lambda_max of I + Lambda* Lambda by a power iteration in the weighted metric.
+        """lambda_max of I + Lambda* Lambda by Lanczos in the weighted metric (Lanczos, 1950).
 
         Lambda* Lambda is positive semidefinite, so lambda_min >= 1 and
-        lambda_max bounds the condition number.  From the ones vector the
-        Rayleigh quotient rises; the iteration stops once it rises by at most
-        1e-15 of itself, and raises LinAlgError when the quotient is not
-        finite or 10000 iterations pass.
+        lambda_max bounds the condition number.  From the ones vector each
+        step applies the operator once and orthogonalizes against every
+        earlier vector, twice; the top Ritz value (eigvalsh of the
+        tridiagonal) rises, and the iteration stops once it rises by at most
+        1e-15 of itself or the Krylov space is exhausted, never later:
+        orthogonality is lost past convergence.  A Ritz value that is not
+        finite, or 200 steps, raise LinAlgError.
         """
         if self.empty:
             return 1.0
-        x = np.ones((self.m + 1, 2))
-        q = 0.0
-        for _ in range(10000):
-            x /= np.sqrt(self.inner_U(x, x))
-            y = x + self.apply_Lambda_star(self.apply_Lambda(x))
-            q, q_prev = self.inner_U(x, y), q
-            if not np.isfinite(q):
+        q = np.ones(2 * (self.m + 1))
+        V, T, theta = [q / np.sqrt(self.inner_U(q, q))], np.zeros((201, 201)), 0.0
+        for i in range(200):
+            r = V[i] + self.apply_Lambda_star(self.apply_Lambda(V[i].reshape(-1, 2))).reshape(-1)
+            T[i, i] = self.inner_U(V[i], r)
+            Vm = np.array(V)
+            for _ in range(2):
+                r -= (Vm * self.wU) @ r @ Vm
+            T[i + 1, i] = np.sqrt(self.inner_U(r, r))
+            theta, prev = np.linalg.eigvalsh(T[: i + 1, : i + 1])[-1], theta
+            if not np.isfinite(theta):
                 break
-            if q - q_prev <= 1e-15 * q:
-                return q
-            x = y
-        raise np.linalg.LinAlgError(f"power iteration on I + Lambda* Lambda stopped at {q:.3e}")
+            if theta - prev <= 1e-15 * theta or len(V) == q.size or T[i + 1, i] == 0.0:
+                return float(theta)
+            V.append(r / T[i + 1, i])
+        raise np.linalg.LinAlgError(f"Lanczos on I + Lambda* Lambda stopped at {theta:.3e}")
 
     def apply_H(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(H g, z) on the control side: z = (I + Lambda* Lambda)^-1 Lambda* g and H g = g - Lambda z.
@@ -246,16 +255,24 @@ def _riccati_recursion(table: KernelTable) -> NodeForms:
 
     The tail cost V_j(z) = z^T S_j z weighs node j by dt and node M by dt/2,
     so S_M = (dt/2) D, D picking v and u.  Minimizing over u_{j+1} gives the
-    step gain and S_j; minimizing V_j - (dt/2) z^T D z over u_j (node j now
-    starts the horizon, with half weight) gives P[j] and K[j, :2], and the
-    step gain at (x, -K[j, :2] x) gives K[j, 2:].
+    step gain and S_j, the only sequential work.  Node j starting the
+    horizon, with half weight, is S_j - (dt/2) D, whose blocks each step
+    stores; after the sweep one batched solve over u_j gives K[:, :2] and
+    P[j] = S_xx - S_xu K[j, :2], and the step gain at z_j = (x, -K[j, :2] x)
+    gives K[:, 2:].
 
     The pairings of Pi are sums over the optimal v from node j on, and
     every gap weight is a sum of terms c rho^{g-1} (a_1, b_1) over the
-    first-panel records.  So per mode and term one row R_j over z carries
-    sum_{s >= 0} rho^s v_{j+s} back through the steps, R_j = e_v + rho R_{j+1}
-    step[j], with T_j = e_v step[M-1] ... step[j] for node M, and the
-    pairing at j is Re sum c (a_1 R_{j+1} step[j] + b_1 (R_j - rho^{M-j} T_j)).
+    first-panel records.  So per mode and term, both records stacked, one
+    row R_j over z carries sum_{s >= 0} rho^s v_{j+s} back through the
+    steps, R_j = e_v + rho R_{j+1} step[j], with T_j = e_v step[M-1] ...
+    step[j] for node M, and the pairing of z_j is
+
+        Re sum c (a_1 + b_1 rho) R_{j+1} step[j] + Re sum c b_1 (e_v - rho^{M-j} T_j),
+
+    whose u-part is folded in after the sweep like P's.  Every row, T's
+    included, passes step[j] in one real matrix product on the float view
+    of the complex rows, and one einsum weighs them into the pairings.
     """
     M, n, dt = table.grid.n_steps, table.n_modes, table.grid.dt
     nx, nz = 2 * n, 2 * n + 2
@@ -264,12 +281,18 @@ def _riccati_recursion(table: KernelTable) -> NodeForms:
     F[:nx] = np.hstack([A, B0])
     G = np.vstack([B1, np.eye(2)])
     D = np.diag(np.r_[np.ones(n), np.zeros(n), np.ones(2)])
-    P, K, Pi = np.zeros((M + 1, nx, nx)), np.zeros((M + 1, 4, nx)), np.zeros((M + 1, nx, nx))
-    step = np.zeros((M + 1, nz, nz))
     panels = (table.panel_Z, table.panel_Q)
-    ev = np.eye(nz)[:n]
-    R = [np.broadcast_to(ev[:, None], (n, p.shape[2], nz)).astype(complex) for p in panels]
-    T = ev
+    c, mu, a1, b1 = np.concatenate(panels, axis=2)
+    record = np.repeat(np.eye(2, dtype=bool), [p.shape[2] for p in panels], axis=1)[:, None]
+    rho = np.exp(mu * dt)
+    cb1, terms = record * c * b1, mu.shape[1] + 1
+    w = np.concatenate([record * c * (a1 + b1 * rho), np.zeros((2, n, 1))], axis=2)  # the last term is T's
+    w = np.stack([w.real, -w.imag], axis=3)  # Re(w y) against (Re y, Im y)
+    scale = np.concatenate([rho, np.ones((n, 1))], axis=1).reshape(-1)
+    P, K, Pi = np.zeros((M + 1, nx, nx)), np.zeros((M + 1, 4, nx)), np.zeros((M + 1, nx, nx))
+    step, S_uu, Pi_u = np.zeros((M + 1, nz, nz)), np.zeros((M, 2, 2)), np.zeros((M, nx, 2))
+    Y = np.repeat(np.eye(nz, n, dtype=complex), terms, axis=1)  # the rows as columns, per mode: R's terms, then T
+    E = Y * (np.arange(Y.shape[1]) % terms < terms - 1)  # e_v on R's columns
     S = 0.5 * dt * D
     for j in range(M - 1, -1, -1):
         SG = S @ G
@@ -277,17 +300,18 @@ def _riccati_recursion(table: KernelTable) -> NodeForms:
         S = F.T @ S @ step[j] + dt * D
         S = 0.5 * (S + S.T)
         Sr = S - 0.5 * dt * D
-        Kj = np.linalg.solve(Sr[nx:, nx:], Sr[nx:, :nx])
-        P[j] = Sr[:nx, :nx] - Sr[:nx, nx:] @ Kj
-        X = np.vstack([np.eye(nx), -Kj])  # z_j = X x
-        K[j] = np.vstack([Kj, -step[j, nx:] @ X])
-        T = T @ step[j]
-        for i, (c, mu, a1, b1) in enumerate(panels):
-            RA = R[i] @ step[j]
-            R[i] = ev[:, None] + np.exp(mu * dt)[:, :, None] * RA
-            tail = np.exp(mu * (M - j) * dt)[:, :, None] * T[:, None]
-            pair = np.real(np.einsum("kt,ktz->kz", c * a1, RA) + np.einsum("kt,ktz->kz", c * b1, R[i] - tail))
-            Pi[j, i * n : (i + 1) * n] = pair @ X
+        P[j], K[j, :2], S_uu[j] = Sr[:nx, :nx], Sr[nx:, :nx], Sr[nx:, nx:]
+        Ys = step[j].T @ Y.view(float)
+        w[:, :, -1, 0] = -np.einsum("rkt,kt->rk", cb1, np.exp(mu * ((M - j) * dt))).real
+        pair = np.einsum("zktc,rktc->rkz", Ys.reshape(nz, n, terms, 2), w).reshape(nx, nz)
+        Pi[j], Pi_u[j] = pair[:, :nx], pair[:, nx:]
+        Y = Ys.view(complex) * scale + E
+    S_ux = K[:M, :2].copy()
+    K[:M, :2] = np.linalg.solve(S_uu, S_ux)
+    P[:M] -= S_ux.transpose(0, 2, 1) @ K[:M, :2]
+    K[:M, 2:] = step[:M, nx:, nx:] @ K[:M, :2] - step[:M, nx:, :nx]
+    Pi[:M] -= Pi_u @ K[:M, :2]
+    Pi[:M, np.arange(nx), np.tile(np.arange(n), 2)] += np.real(np.sum(cb1, axis=2)).reshape(-1)
     return NodeForms(0.5 * (P + P.transpose(0, 2, 1)), K, Pi, step)
 
 

@@ -56,11 +56,11 @@ from .forward import (
     extend_state,
     memory_functional,
     response_field,
-    solve_voc,
+    segment_samples,
     state_coordinates,
     volterra_steps,
 )
-from .kernels import KernelTable
+from .kernels import KernelTable, product_convolution
 from .optimal import OperatorAssembly, node_forms, solve_optimal, u_plus_control_side
 
 __all__ = [
@@ -345,8 +345,10 @@ def _value_scan(state0: StateSnapshot, controls, table: KernelTable):
     """value_scan_batch, plus the coordinates x[control, node] it evaluates."""
     i0 = state0.tau_index
     M = table.grid.n_steps
-    trajs = [solve_voc(state0, u, table) for u in controls]
-    values = np.reshape([t.values for t in trajs], (len(trajs), M - i0 + 1, table.n_modes))
+    ad = np.stack([segment_samples(u, table, i0) @ table.basis.ad_coeffs.T for u in controls], axis=1)
+    conv = product_convolution(table.panel_Z, table.grid.dt, ad)  # (m+1, control, n)
+    values = np.moveaxis(response_field(state0, table)[:, None] - conv, 1, 0)
+    trajs = [Trajectory(i0, v) for v in values]
     x = _trajectory_coordinates(state0, values, table)
     W = np.zeros((M - i0 + 1, len(controls)))
     W[:-1] = np.einsum("cji,jik,cjk->jc", x[:, :-1], node_forms(table).P[i0:M], x[:, :-1])
@@ -356,9 +358,11 @@ def _value_scan(state0: StateSnapshot, controls, table: KernelTable):
 def value_scan_batch(state0: StateSnapshot, controls, table: KernelTable):
     """W_theta along the trajectories of several controls from one state.
 
-    Returns (indices, W[node, control], trajectories).  W_j = x^T P[j] x,
-    with x the state's coordinates at node j and P[j] the table's value
-    matrix (optimal.node_forms); no node solves a system of its own.
+    Returns (indices, W[node, control], trajectories).  The trajectories
+    are solve_voc's, bit for bit, from one product_convolution over every
+    control's A D u; each control must span [t_i0, T] (segment_samples).
+    W_j = x^T P[j] x, with x the state's coordinates at node j and P[j] the
+    table's value matrix (optimal.node_forms); no node solves a system.
     """
     indices, W, trajs, _ = _value_scan(state0, controls, table)
     return indices, W, trajs

@@ -9,7 +9,10 @@ sets them against the node forms compares a recursion with an iteration or
 a factorization.  The dense Lambda itself (reference_Lambda) is assembled
 from the per-mode gap-gather weight matrices (weight_matrix), independent
 of the direct sums in optimal.  The P' and cross routes take phi = H h from
-the control side and hold for a state before T.
+the control side and hold for a state before T.  riccati_recursion is the
+backward sweep that optimal._riccati_recursion streamlines: it solves every
+node's start-of-horizon system inside the sweep and carries each record's
+kernel pairings term by term.
 """
 
 import numpy as np
@@ -18,7 +21,7 @@ import scipy.linalg as sla
 from memlqr import apply_generator, memory_functional
 from memlqr.forward import response_field
 from memlqr.kernels import gap_weights, product_weights
-from memlqr.optimal import OperatorAssembly
+from memlqr.optimal import NodeForms, OperatorAssembly, _one_panel_step
 
 
 def weight_matrix(alpha, beta, m):
@@ -109,3 +112,48 @@ def p_prime(state, table):
     img = apply_generator(state, table)
     vhat_sq = float(np.dot(state.v_hat, state.v_hat))
     return -vhat_sq + float(np.dot(gain, gain)) - cross(state, img.dv, img.dxi, img.dy, table)
+
+
+def riccati_recursion(table):
+    """The node forms by one backward sweep over z = (x, u), every node solved in the loop.
+
+    The tail cost V_j(z) = z^T S_j z weighs node j by dt and node M by dt/2,
+    so S_M = (dt/2) D, D picking v and u.  Minimizing over u_{j+1} gives the
+    step gain and S_j; minimizing V_j - (dt/2) z^T D z over u_j gives P[j]
+    and K[j, :2], and the step gain at (x, -K[j, :2] x) gives K[j, 2:].  Per
+    record, mode and term one row R_j = e_v + rho R_{j+1} step[j] carries
+    sum_{s >= 0} rho^s v_{j+s}, T_j = e_v step[M-1] ... step[j] carries node
+    M, and the pairing at j is Re sum c (a_1 R_{j+1} step[j] + b_1 (R_j - rho^{M-j} T_j)).
+    """
+    M, n, dt = table.grid.n_steps, table.n_modes, table.grid.dt
+    nx, nz = 2 * n, 2 * n + 2
+    A, B0, B1 = _one_panel_step(table)
+    F = np.zeros((nz, nz))
+    F[:nx] = np.hstack([A, B0])
+    G = np.vstack([B1, np.eye(2)])
+    D = np.diag(np.r_[np.ones(n), np.zeros(n), np.ones(2)])
+    P, K, Pi = np.zeros((M + 1, nx, nx)), np.zeros((M + 1, 4, nx)), np.zeros((M + 1, nx, nx))
+    step = np.zeros((M + 1, nz, nz))
+    panels = (table.panel_Z, table.panel_Q)
+    ev = np.eye(nz)[:n]
+    R = [np.broadcast_to(ev[:, None], (n, p.shape[2], nz)).astype(complex) for p in panels]
+    T = ev
+    S = 0.5 * dt * D
+    for j in range(M - 1, -1, -1):
+        SG = S @ G
+        step[j] = F - G @ np.linalg.solve(G.T @ SG, SG.T @ F)
+        S = F.T @ S @ step[j] + dt * D
+        S = 0.5 * (S + S.T)
+        Sr = S - 0.5 * dt * D
+        Kj = np.linalg.solve(Sr[nx:, nx:], Sr[nx:, :nx])
+        P[j] = Sr[:nx, :nx] - Sr[:nx, nx:] @ Kj
+        X = np.vstack([np.eye(nx), -Kj])  # z_j = X x
+        K[j] = np.vstack([Kj, -step[j, nx:] @ X])
+        T = T @ step[j]
+        for i, (c, mu, a1, b1) in enumerate(panels):
+            RA = R[i] @ step[j]
+            R[i] = ev[:, None] + np.exp(mu * dt)[:, :, None] * RA
+            tail = np.exp(mu * (M - j) * dt)[:, :, None] * T[:, None]
+            pair = np.real(np.einsum("kt,ktz->kz", c * a1, RA) + np.einsum("kt,ktz->kz", c * b1, R[i] - tail))
+            Pi[j, i * n : (i + 1) * n] = pair @ X
+    return NodeForms(0.5 * (P + P.transpose(0, 2, 1)), K, Pi, step)

@@ -5,7 +5,7 @@ apply exactly the leading block of the start-0 operator.  The reference is
 dense_routes.reference_Lambda, the per-start construction from the
 gap-gather weight_matrix, independent of the direct sums in optimal.  An
 assembly is a view: it holds no matrix, only the start's weight slices, and
-the conjugate-gradient solve and the power iteration on I + Lambda* Lambda
+the conjugate-gradient solve and the Lanczos iteration on I + Lambda* Lambda
 are checked against dense references here.
 """
 
@@ -119,11 +119,30 @@ def test_control_normal_spectrum_matches_state_side():
 
 
 @pytest.mark.parametrize("n, M, start", [(3, 8, 0), (8, 64, 16), (5, 40, 39)])
-def test_power_iteration_matches_the_dense_spectrum(n, M, start):
+def test_lanczos_matches_the_dense_spectrum(n, M, start):
     asm = OperatorAssembly(solve_Z(build_basis(n), TimeGrid(0.5, M)), start)
     B = scaled_Lambda(asm)
     ref = np.linalg.eigvalsh(np.eye(B.shape[1]) + B.T @ B)[-1]
     assert asm.control_normal_max_eigenvalue() == pytest.approx(ref, rel=1e-13)
+
+
+def test_lanczos_stops_at_convergence_and_raises_on_a_nan(monkeypatch):
+    # at the desk scale the top Ritz value settles in 11 products of the
+    # operator; a non-finite product raises instead of returning
+    asm = OperatorAssembly(solve_Z(build_basis(8), TimeGrid(0.5, 256)), 0)
+    products = []
+    apply = OperatorAssembly.apply_Lambda
+
+    def counted(self, u):
+        products.append(1)
+        return apply(self, u)
+
+    monkeypatch.setattr(OperatorAssembly, "apply_Lambda", counted)
+    assert asm.control_normal_max_eigenvalue() >= 1.0
+    assert len(products) <= 20
+    monkeypatch.setattr(OperatorAssembly, "apply_Lambda", lambda self, u: np.full((self.m + 1, self.n), np.nan))
+    with pytest.raises(np.linalg.LinAlgError):
+        asm.control_normal_max_eigenvalue()
 
 
 def test_normal_control_solve_raises_on_a_nan_right_hand_side():

@@ -233,6 +233,20 @@ def test_kernel_pairings_match_the_loop(case):
         assert_close(fast, ref, rtol=1e-14)
 
 
+def test_product_convolution_batches_keep_each_densitys_bits():
+    # batch axes between time and mode, with one density per mode or one
+    # shared by every mode, give each density the bits of its own call
+    table = solve_Z(build_basis(6), TimeGrid(0.5, 40))
+    rng = np.random.default_rng(26)
+    for modes in (6, 1):
+        d = rng.standard_normal((41, 2, 3, modes))
+        batch = product_convolution(table.panel_Z, table.grid.dt, d)
+        assert batch.shape == (41, 2, 3, 6)
+        for a in range(2):
+            for b in range(3):
+                assert np.array_equal(batch[:, a, b], product_convolution(table.panel_Z, table.grid.dt, d[:, a, b]))
+
+
 def test_stiff_grid_stays_finite_and_matches_the_references():
     # 191 modes at T = 0.5, M = 256: max |lambda| dt = 703, so e^{lambda dt} underflows
     table = solve_Z(build_basis(191), TimeGrid(0.5, 256))

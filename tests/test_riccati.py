@@ -546,6 +546,44 @@ def test_scans_build_no_state_per_node(monkeypatch, basis):
     assert "StateSnapshot" not in at16 and "apply_generator" not in at16
 
 
+def test_value_scan_convolves_every_probe_at_once(monkeypatch, table, grid, interior_state):
+    # 50 probe controls make one product_convolution and no solve_voc, and
+    # every trajectory is the one solve_voc gives that control alone
+    import memlqr
+    import memlqr.forward as fwd
+    import memlqr.kernels as ker
+    import memlqr.riccati as ric
+
+    i0 = interior_state.tau_index
+    rng = np.random.default_rng(50)
+    probes = [ControlSignal(i0, rng.standard_normal((grid.n_steps - i0 + 1, 2))) for _ in range(50)]
+    solve_voc, convolution = fwd.solve_voc, ker.product_convolution
+    refs = [solve_voc(interior_state, u, table).values for u in probes]
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod in (ker, fwd, ric):
+        monkeypatch.setattr(mod, "product_convolution", counting("product_convolution", convolution), raising=False)
+    for mod in (fwd, memlqr, ric):
+        monkeypatch.setattr(mod, "solve_voc", counting("solve_voc", solve_voc), raising=False)
+    _, W, trajs = value_scan_batch(interior_state, probes, table)
+    assert calls == ["product_convolution"]
+    assert W.shape == (grid.n_steps - i0 + 1, 50)
+    assert all(np.array_equal(t.values, ref) for t, ref in zip(trajs, refs))
+
+
+def test_value_scan_rejects_a_control_off_the_states_node(table, grid, interior_state):
+    i0 = interior_state.tau_index
+    for start in (i0 - 1, i0 + 1):
+        with pytest.raises(ValueError):
+            value_scan_batch(interior_state, [sine_control(grid, i0), sine_control(grid, start)], table)
+
+
 def test_riccati_residual_solves_once(control_solves, table, interior_state):
     riccati_residual(interior_state, table)
     assert control_solves == [interior_state.tau_index]
