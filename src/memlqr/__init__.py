@@ -16,7 +16,6 @@ from .kernels import (
     Z_oracle,
     series_Z_check,
     solve_Z,
-    write_kernel_csv,
 )
 from .forward import (
     ControlSignal,
@@ -47,7 +46,6 @@ from .riccati import (
     bellman_check,
     chain_rule_scan,
     closed_loop_simulate,
-    dissipation_scan,
     feedback_gain,
     riccati_residual,
     state_inner,

@@ -4,7 +4,9 @@ Every suite measures its quantities at the configured desk scale, writes CSV
 artifacts plus a summary (one line per check: name, measured, threshold,
 pass/fail), and reports success as a boolean.  Randomized probes draw from
 seeded generators recorded in the summary, so identical configurations give
-byte-identical output files.
+byte-identical output files.  Every artifact goes through one column writer
+(_write_csv): LF line endings, written atomically.  The suites share one
+workspace, which solves the optimum of the configured state once.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .forward import (
     solve_voc,
     solve_volterra,
 )
-from .kernels import TimeGrid, Z_oracle, series_Z_check, solve_Z, write_kernel_csv
+from .kernels import TimeGrid, Z_oracle, series_Z_check, solve_Z
 from .optimal import (
     OperatorAssembly,
     evaluate_cost,
@@ -39,7 +42,6 @@ from .riccati import (
     chain_rule_scan,
     closed_loop_simulate,
     dissipation_residual,
-    dissipation_scan,
     feedback_gain,
     riccati_residual,
     terminal_P_check,
@@ -85,12 +87,15 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def _write_csv(outdir: str, name: str, header, rows) -> str:
-    """Write outdir/name atomically and return its path."""
+def _write_csv(outdir: str, name: str, header, columns) -> str:
+    """Write equal-length 1-D columns to outdir/name atomically and return its path.
+
+    An integer column prints with %d, every other column with %.12e.
+    """
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.12e" for c in columns)
+    lines = [",".join(header)] + [fmt % row for row in zip(*(c.tolist() for c in columns), strict=True)]
     path = os.path.join(outdir, name)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{x:.12e}" if isinstance(x, float) else str(x) for x in row))
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
 
@@ -101,7 +106,7 @@ def _at_most(name: str, measured: float, threshold: float) -> SummaryRow:
 
 
 class _Workspace:
-    """Shared basis/grid/table plus the configured state and control."""
+    """Shared basis/grid/table plus the configured state, its optimum and the control."""
 
     def __init__(self, cfg: ExperimentConfig, seed: int | None, tol_scale: float):
         self.cfg = cfg
@@ -114,6 +119,11 @@ class _Workspace:
         v0, y0 = build_initial_data(cfg, seed=self.seed)
         self.v0, self.y0 = v0, y0
         self.state = StateSnapshot.initial(v0, y0)
+
+    @cached_property
+    def optimum(self):
+        """solve_optimal of the configured state, solved on first use."""
+        return solve_optimal(self.state, self.table)
 
     def tol(self, name: str) -> float:
         return self.cfg.scaled_tolerance(name, self.tol_scale)
@@ -161,13 +171,15 @@ def _suite_kernels(ws: _Workspace, outdir: str) -> SuiteResult:
     rep = series_Z_check(ws.table, 12)
     rows.append(_at_most("series_error_k12", rep.final_error, ws.tol("series")))
 
-    path = os.path.join(outdir, "kernels.csv")
-    write_kernel_csv(ws.table, path)
-    artifacts.append(path)
+    modes = np.arange(1, ws.basis.n_modes + 1)
+    tab = ws.table
+    artifacts.append(_write_csv(outdir, "kernels.csv", ["mode", "t", "E", "N", "Z", "Zp", "Q"],
+                                [np.repeat(modes, ws.grid.n_steps + 1), np.tile(ws.grid.nodes, ws.basis.n_modes),
+                                 *(a.ravel() for a in (tab.E, tab.N, tab.Z, tab.Zp, tab.Q))]))
     artifacts.append(_write_csv(outdir, "kernel_errors.csv", ["mode", "oracle_error_fine", "oracle_error_coarse"],
-                                [(k + 1, float(fine[k]), float(coarse[k])) for k in range(ws.basis.n_modes)]))
+                                [modes, fine, coarse]))
     artifacts.append(_write_csv(outdir, "series.csv", ["k", "max_error"],
-                                [(k, float(e)) for k, e in enumerate(rep.errors)]))
+                                [np.arange(len(rep.errors)), rep.errors]))
     return SuiteResult("kernels", rows, artifacts)
 
 
@@ -193,17 +205,14 @@ def _suite_forward(ws: _Workspace, outdir: str) -> SuiteResult:
     rows.append(_at_most("transformation_max_error", terr, ws.tol("transformation")))
 
     header = ["t"] + [f"mode_{k+1}" for k in range(ws.cfg.n_modes)] + ["norm_H"]
-    body = [
-        (float(t),) + tuple(float(x) for x in traj.values[j]) + (float(np.linalg.norm(traj.values[j])),)
-        for j, t in enumerate(ws.grid.nodes)
-    ]
-    artifacts.append(_write_csv(outdir, "trajectory.csv", header, body))
+    artifacts.append(_write_csv(outdir, "trajectory.csv", header,
+                                [ws.grid.nodes, *traj.values.T, [np.linalg.norm(v) for v in traj.values]]))
     return SuiteResult("forward", rows, artifacts)
 
 
 def _suite_optimize(ws: _Workspace, outdir: str) -> SuiteResult:
     rows, artifacts = [], []
-    sol = solve_optimal(ws.state, ws.table)
+    sol = ws.optimum
     scale = 1.0 + float(np.max(np.abs(sol.u_plus.samples), initial=0.0))
     rows.append(_at_most("gradient_norm_at_optimum", sol.residual, ws.tol("gradient_scale") * scale))
 
@@ -230,12 +239,10 @@ def _suite_optimize(ws: _Workspace, outdir: str) -> SuiteResult:
     rows.append(SummaryRow("perturbation_min_excess", worst, slack, ok))
 
     artifacts.append(_write_csv(outdir, "optimal_control.csv", ["t", "u0", "u1"],
-                                [(float(t), float(sol.u_plus.samples[j, 0]), float(sol.u_plus.samples[j, 1]))
-                                 for j, t in enumerate(ws.grid.nodes)]))
+                                [ws.grid.nodes, *sol.u_plus.samples.T]))
     artifacts.append(_write_csv(outdir, "optimal_trajectory.csv",
                                 ["t"] + [f"mode_{k+1}" for k in range(ws.cfg.n_modes)],
-                                [(float(t),) + tuple(float(x) for x in sol.v_plus.values[j])
-                                 for j, t in enumerate(ws.grid.nodes)]))
+                                [ws.grid.nodes, *sol.v_plus.values.T]))
     asm = OperatorAssembly(ws.table, 0)
     state_cost = asm.inner_V(sol.v_plus.values, sol.v_plus.values)
     control_cost = asm.inner_U(sol.u_plus.samples, sol.u_plus.samples)
@@ -247,24 +254,20 @@ def _suite_optimize(ws: _Workspace, outdir: str) -> SuiteResult:
     artifacts.append(_write_csv(outdir, "cost_breakdown.csv",
                                 ["state_cost", "control_cost", "total", "value_function", "gradient_norm",
                                  "normal_max_eig"],
-                                [(float(state_cost), float(control_cost), float(J), float(W2),
-                                  float(sol.residual), lam_max)]))
+                                [[state_cost], [control_cost], [J], [W2], [sol.residual], [lam_max]]))
     return SuiteResult("optimize", rows, artifacts)
 
 
 def _suite_bellman(ws: _Workspace, outdir: str) -> SuiteResult:
     rows, artifacts = [], []
-    body = []
-    for t0 in (ws.cfg.n_steps // 4, ws.cfg.n_steps // 2):
-        rep = bellman_check(ws.state, t0, ws.table)
-        body.append((0, t0, rep.tail_mismatch, rep.telescope_residual, rep.W_start, rep.W_restart))
-    worst_tail = max(row[2] for row in body)
-    worst_tel = max(row[3] for row in body)
-    rows.append(_at_most("bellman_tail_mismatch", worst_tail, ws.tol("bellman")))
-    rows.append(_at_most("bellman_telescope_residual", worst_tel, ws.tol("bellman")))
+    t0s = np.array([ws.cfg.n_steps // 4, ws.cfg.n_steps // 2])
+    reports = [bellman_check(ws.state, int(t0), ws.table) for t0 in t0s]
+    cols = np.array([[rep.tail_mismatch, rep.telescope_residual, rep.W_start, rep.W_restart] for rep in reports]).T
+    rows.append(_at_most("bellman_tail_mismatch", float(np.max(cols[0])), ws.tol("bellman")))
+    rows.append(_at_most("bellman_telescope_residual", float(np.max(cols[1])), ws.tol("bellman")))
     artifacts.append(_write_csv(outdir, "bellman.csv",
                                 ["state", "t0_index", "tail_mismatch", "telescope_residual", "W_start", "W_restart"],
-                                body))
+                                [np.zeros_like(t0s), t0s, *cols]))
     return SuiteResult("bellman", rows, artifacts)
 
 
@@ -273,18 +276,19 @@ _N_PROBE = 50  # seeded probe controls of the dissipation suite
 
 def _suite_dissipation(ws: _Workspace, outdir: str) -> SuiteResult:
     rows, artifacts = [], []
-    sol = solve_optimal(ws.state, ws.table)
-    rep_opt = dissipation_scan(ws.state, sol.u_plus, ws.table)
+    # one scan: column 0 follows the optimal control, the rest the probes
+    u_opt = ws.optimum.u_plus
+    probes = ws.probe_controls(_N_PROBE)
+    indices, Wmat, trajs = value_scan_batch(ws.state, [u_opt] + probes, ws.table)
+    dW_opt, r_opt = dissipation_residual(Wmat[:, 0], trajs[0], u_opt, ws.grid.dt)
     band = ws.tol("dissipation_band")
-    rows.append(_at_most("dissipation_equality_band", rep_opt.max_abs_r, band))
+    rows.append(_at_most("dissipation_equality_band", float(np.max(np.abs(r_opt))), band))
 
     zero_state = bool(np.all(ws.v0 == 0.0) and np.all(ws.y0 == 0.0))
-    probes = ws.probe_controls(_N_PROBE)
-    indices, Wmat, trajs = value_scan_batch(ws.state, probes, ws.table)
     min_r = np.inf
     escaped = True
     r_cols = []
-    for c, u in enumerate(probes):
+    for c, u in enumerate(probes, start=1):
         _, r = dissipation_residual(Wmat[:, c], trajs[c], u, ws.grid.dt)
         r_cols.append(r)
         min_r = min(min_r, float(np.min(r)))
@@ -296,13 +300,8 @@ def _suite_dissipation(ws: _Workspace, outdir: str) -> SuiteResult:
     rows.append(SummaryRow("dissipation_probes_escape_band", 1.0 if escaped else 0.0, 1.0, escaped))
 
     header = ["t", "W_optimal", "dW_optimal", "r_optimal", "min_probe_r"]
-    probe_min = np.min(np.stack(r_cols), axis=0)
-    body = [
-        (float(ws.grid.nodes[j]), float(rep_opt.W[j]), float(rep_opt.dW[j]), float(rep_opt.r[j]),
-         float(probe_min[j]))
-        for j in range(len(rep_opt.r))
-    ]
-    artifacts.append(_write_csv(outdir, "dissipation.csv", header, body))
+    artifacts.append(_write_csv(outdir, "dissipation.csv", header,
+                                [ws.grid.nodes[indices], Wmat[:, 0], dW_opt, r_opt, np.min(np.stack(r_cols), axis=0)]))
     return SuiteResult("dissipation", rows, artifacts)
 
 
@@ -317,16 +316,12 @@ def _suite_riccati(ws: _Workspace, outdir: str) -> SuiteResult:
     rows.append(_at_most("chain_rule_closure", worst_chain, tol))
 
     # residual of the differential identity along the configured flow
-    worst_res = 0.0
-    body = []
     traj = solve_voc(ws.state, ws.u_samples(), ws.table)
-    for si, frac in enumerate((0.125, 0.25, 0.375, 0.5, 0.75)):
-        j = max(1, int(round(ws.cfg.n_steps * frac)))
-        st = extend_state(ws.state, None, j, ws.table, trajectory=traj)
-        rr = riccati_residual(st, ws.table)
-        worst_res = max(worst_res, rr.relative)
-        body.append((si, st.tau_index, rr.p_prime, rr.cross, rr.gain_sq, rr.vhat_sq, rr.residual, rr.relative))
-    rows.append(_at_most("riccati_relative_residual", worst_res, tol))
+    thetas = np.array([max(1, int(round(ws.cfg.n_steps * frac))) for frac in (0.125, 0.25, 0.375, 0.5, 0.75)])
+    reports = [riccati_residual(extend_state(ws.state, None, int(j), ws.table, trajectory=traj), ws.table)
+               for j in thetas]
+    res = np.array([[rr.p_prime, rr.cross, rr.gain_sq, rr.vhat_sq, rr.residual, rr.relative] for rr in reports]).T
+    rows.append(_at_most("riccati_relative_residual", float(np.max(res[5])), tol))
 
     term = terminal_P_check(ws.table, seed=ws.seed)
     rows.append(SummaryRow("terminal_value_exact_zero", abs(term.value_at_T), 0.0, term.value_at_T == 0.0))
@@ -334,16 +329,15 @@ def _suite_riccati(ws: _Workspace, outdir: str) -> SuiteResult:
 
     artifacts.append(_write_csv(outdir, "riccati.csv",
                                 ["state", "theta_index", "p_prime", "cross", "gain_sq", "vhat_sq", "residual",
-                                 "relative"], body))
+                                 "relative"], [np.arange(len(thetas)), thetas, *res]))
     artifacts.append(_write_csv(outdir, "chain_rule.csv", ["theta_index", "fd", "formula", "residual", "relative"],
-                                [(int(rep.indices[j]), float(rep.fd[j]), float(rep.formula[j]),
-                                  float(rep.residual[j]), float(rep.relative[j])) for j in range(len(rep.indices))]))
+                                [rep.indices, rep.fd, rep.formula, rep.residual, rep.relative]))
     return SuiteResult("riccati", rows, artifacts)
 
 
 def _suite_closed_loop(ws: _Workspace, outdir: str) -> SuiteResult:
     rows, artifacts = [], []
-    sol = solve_optimal(ws.state, ws.table)
+    sol = ws.optimum
     _traj, u_cl = closed_loop_simulate(ws.state, ws.table)
     d = u_cl.samples - sol.u_plus.samples
     mismatch = float(np.sqrt(OperatorAssembly(ws.table, 0).inner_U(d, d)))
@@ -370,9 +364,7 @@ def _suite_closed_loop(ws: _Workspace, outdir: str) -> SuiteResult:
     rows.append(_at_most("feedback_gain_linearity", worst_lin, ws.tol("feedback_linearity")))
 
     artifacts.append(_write_csv(outdir, "closed_loop.csv", ["t", "u_cl_0", "u_cl_1", "u_open_0", "u_open_1"],
-                                [(float(t), float(u_cl.samples[j, 0]), float(u_cl.samples[j, 1]),
-                                  float(sol.u_plus.samples[j, 0]), float(sol.u_plus.samples[j, 1]))
-                                 for j, t in enumerate(ws.grid.nodes)]))
+                                [ws.grid.nodes, *u_cl.samples.T, *sol.u_plus.samples.T]))
     return SuiteResult("closed-loop", rows, artifacts)
 
 

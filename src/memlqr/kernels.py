@@ -45,12 +45,14 @@ gives finite weights.  product_convolution and product_weights (the panel
 weights of every mode at once) read a record.  Lambda's weights are the one
 dense pair the table stores: Z's alpha and the node weights
 omega = alpha + beta shifted (gap_weights), formed once in solve_Z.
+
+The module does no I/O: memlqr.experiments writes the table's samples
+(kernels.csv) through its one CSV writer.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +72,6 @@ __all__ = [
     "gap_weights",
     "product_convolution",
     "volterra_trapezoid",
-    "write_kernel_csv",
 ]
 
 
@@ -306,7 +307,7 @@ def volterra_trapezoid(lam: np.ndarray, N: np.ndarray, dt: float, x: np.ndarray,
 # the kernel table
 
 
-@dataclass
+@dataclass(eq=False)
 class KernelTable:
     """Per-mode samples of E, N, Z, Z' and Q on the grid, plus Lambda's weights.
 
@@ -317,10 +318,8 @@ class KernelTable:
     kept; memlqr.optimal's Lambda slices them.  panel_E, panel_Z and panel_Q
     are the first-panel records (c, mu, a_1, b_1) of E, Z and Q, complex
     (4, n_modes, terms), read by the product convolutions, the one-panel
-    step and the node forms' pairings.  The private field holds the node
-    forms of the backward Riccati recursion (optimal.NodeForms), filled by
-    memlqr.optimal on first use; arrays only, never an object that refers
-    back to the table.
+    step and the node forms' pairings.  A table compares and hashes by
+    identity, so other modules can key caches on it.
     """
 
     basis: SpectralBasis
@@ -336,7 +335,6 @@ class KernelTable:
     panel_E: np.ndarray
     panel_Z: np.ndarray
     panel_Q: np.ndarray
-    _node_forms: object = field(default=None, repr=False)
 
     @property
     def n_modes(self) -> int:
@@ -420,14 +418,3 @@ def series_Z_check(table: KernelTable, k_max: int) -> SeriesReport:
         errors.append(np.max(np.abs(total - Z)))
     return SeriesReport(k_max, np.array(errors))
 
-
-def write_kernel_csv(table: KernelTable, path) -> None:
-    """Dump the kernel samples (columns: mode, t, E, N, Z, Zp, Q)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["mode", "t", "E", "N", "Z", "Zp", "Q"])
-        for k in range(table.n_modes):
-            for j, t in enumerate(table.grid.nodes):
-                w.writerow([k + 1, f"{t:.12e}"] + [
-                    f"{arr[k, j]:.12e}" for arr in (table.E, table.N, table.Z, table.Zp, table.Q)
-                ])

@@ -36,12 +36,14 @@ verification scans never solve per node.  The matrix-free control side
 stays as the independent second route; its condition bound is a Lanczos
 iteration.
 
-The table keeps the node forms; an OperatorAssembly is a view of the table's
-weights at one start, cheap to build at every call.
+A table's node forms are built once and kept in this module's cache, keyed
+weakly on the table; an OperatorAssembly is a view of the table's weights at
+one start, cheap to build at every call.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,16 +221,22 @@ class NodeForms:
     step: np.ndarray
 
 
+# node forms per live table; a NodeForms holds arrays only, never the table,
+# so an entry does not keep its key alive
+_NODE_FORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def node_forms(table: KernelTable) -> NodeForms:
-    """The NodeForms of a table, built on first use and kept on the table.
+    """The NodeForms of a table, built on first use and cached while the table lives.
 
     They come from one backward Riccati recursion over z = (x, u) on the
     exact one-panel step of a piecewise-linear control (Franklin, Powell &
     Workman, *Digital Control of Dynamic Systems*, 1998).
     """
-    if table._node_forms is None:
-        table._node_forms = _riccati_recursion(table)
-    return table._node_forms
+    forms = _NODE_FORMS.get(table)
+    if forms is None:
+        forms = _NODE_FORMS[table] = _riccati_recursion(table)
+    return forms
 
 
 def _one_panel_step(table: KernelTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -38,9 +38,9 @@ through a state's 2n coordinates x = (v_hat, y_hat - I_xi)
 kernel pairings Pi[j] x.  The single-state routes (P_form, P_prime_form,
 P_cross, feedback_gain) read them at their state's node and solve nothing;
 riccati_residual sets them against the start's control-side solve.  The
-scans (value_scan_batch, dissipation_scan, chain_rule_scan,
-closed_loop_simulate) solve nothing per node and build no state per node:
-they carry x from node to node.
+scans (value_scan_batch, chain_rule_scan, closed_loop_simulate) solve
+nothing per node and build no state per node: they carry x from node to
+node.
 """
 
 from __future__ import annotations
@@ -79,8 +79,6 @@ __all__ = [
     "BellmanReport",
     "value_scan_batch",
     "dissipation_residual",
-    "dissipation_scan",
-    "DissipationReport",
     "chain_rule_scan",
     "ChainRuleReport",
     "terminal_P_check",
@@ -370,38 +368,16 @@ def value_scan_batch(state0: StateSnapshot, controls, table: KernelTable):
 
 def dissipation_residual(W: np.ndarray, trajectory: Trajectory, u: ControlSignal,
                          dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """dW/dtheta and r(theta) = ||v||^2 + ||u||^2 + dW/dtheta along one trajectory."""
-    dW = _fd_derivative(W, dt)
-    dens = np.sum(trajectory.values**2, axis=1) + np.sum(u.samples**2, axis=1)
-    return dW, dens + dW
+    """dW/dtheta and r(theta) = ||v||^2 + ||u||^2 + dW/dtheta along one trajectory.
 
-
-@dataclass
-class DissipationReport:
-    indices: np.ndarray
-    r: np.ndarray
-    W: np.ndarray
-    dW: np.ndarray
-
-    @property
-    def min_r(self) -> float:
-        return float(np.min(self.r))
-
-    @property
-    def max_abs_r(self) -> float:
-        return float(np.max(np.abs(self.r)))
-
-
-def dissipation_scan(state: StateSnapshot, u: ControlSignal, table: KernelTable) -> DissipationReport:
-    """Pointwise dissipation residual r(theta) = ||v||^2 + ||u||^2 + dW/dtheta.
-
-    Nonnegative (up to discretization) for every admissible control and zero
+    W is one column of value_scan_batch and the trajectory its own.  r is
+    nonnegative (up to discretization) for every admissible control and zero
     along the optimal one.  dW/dtheta by central differences with the grid
     step, one-sided at the segment ends.
     """
-    indices, W, trajs = value_scan_batch(state, [u], table)
-    dW, r = dissipation_residual(W[:, 0], trajs[0], u, table.grid.dt)
-    return DissipationReport(indices, r, W[:, 0], dW)
+    dW = _fd_derivative(W, dt)
+    dens = np.sum(trajectory.values**2, axis=1) + np.sum(u.samples**2, axis=1)
+    return dW, dens + dW
 
 
 @dataclass

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from memlqr import StateSnapshot, TimeGrid, Trajectory, build_basis, experiments, extend_state, solve_Z
 from memlqr.config import load_config
-from memlqr.optimal import OperatorAssembly, solve_optimal, value_function
+from memlqr.optimal import OperatorAssembly, node_forms, solve_optimal, value_function
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -100,7 +100,8 @@ def test_table_is_freed_without_the_cycle_collector():
         state = StateSnapshot.initial([1.0, 0.5, 0.25], [0.0, 0.1, 0.0])
         solve_optimal(state, table)
         value_function(state, table)
-        assert table._node_forms is not None
+        forms = node_forms(table)
+        assert node_forms(table) is forms
         ref = weakref.ref(table)
         del table
         assert ref() is None

@@ -58,3 +58,14 @@ def test_files_only_in_new_are_listed(tmp_path, capsys):
     (tmp_path / "new" / "extra.csv").write_text("t\n0.0\n")
     assert compare_outputs.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == f"only in new: {tmp_path / 'new' / 'extra.csv'}"
+
+
+def test_files_equal_in_value_but_not_in_bytes_are_named(tmp_path, capsys):
+    write_run(tmp_path / "old", "2.0e-07", "FAIL", "0.5")
+    write_run(tmp_path / "new", "2.0e-07", "FAIL", "0.5")
+    (tmp_path / "old" / "trajectory.csv").write_bytes(b"t,mode_1\r\n0.0,1.0\r\n0.5,0.5\r\n")
+    code, rows, last = report_lines(capsys, tmp_path / "old", tmp_path / "new")
+    assert code == 0
+    assert last == "no pass/fail status differs"
+    assert rows["differ,"] == ["values", "equal:", "trajectory.csv"]
+    assert all(float(v[0]) == 0.0 for key, v in rows.items() if key != "differ,")

@@ -6,10 +6,11 @@ Every CSV file under OLD_DIR is paired with the file at the same relative
 path under NEW_DIR, so two trees of per-seed output directories compare as
 well.  Prints, over all file pairs, the largest absolute and relative change
 of each summary.csv row and of each column of the other CSV files, with the
-largest old magnitude beside it; then every summary row whose pass/fail
-status differs.  Exits 1 when a status differs, when a file is missing
-from NEW or present only in NEW, or when a file's header or row count
-differs.
+largest old magnitude beside it; then each file whose parsed cells are all
+equal but whose bytes differ (line endings, say); then every summary row
+whose pass/fail status differs.  Exits 1 when a status differs, when a file
+is missing from NEW or present only in NEW, or when a file's header or row
+count differs; a difference in bytes alone does not change the exit code.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ def main(argv: list[str]) -> int:
     old_root, new_root = Path(argv[0]), Path(argv[1])
     worst: dict[str, list[float]] = {}  # key -> [max abs change, max rel change, max |old|]
     problems = []
+    byte_only = []  # files whose cells are equal but whose bytes are not
     for old in sorted(old_root.rglob("*.csv")):
         new = new_root / old.relative_to(old_root)
         if not new.is_file():
@@ -36,6 +38,8 @@ def main(argv: list[str]) -> int:
             continue
         (head, a), (new_head, b) = read_csv(old), read_csv(new)
         name = old.relative_to(old_root)
+        if (head, a) == (new_head, b) and old.read_bytes() != new.read_bytes():
+            byte_only.append(f"bytes differ, values equal: {name}")
         if len(b) != len(a):
             problems.append(f"rows: {name} {len(a)} -> {len(b)}")
         if new_head != head:
@@ -59,6 +63,8 @@ def main(argv: list[str]) -> int:
     print(f"{'row / file column':44s} {'max abs change':>15s} {'max rel change':>15s} {'max |old|':>12s}")
     for key, (d, rel, mag) in worst.items():
         print(f"{key:44s} {d:15.3e} {rel:15.3e} {mag:12.3e}")
+    for line in byte_only:
+        print(line)
     print("\n".join(problems) if problems else "no pass/fail status differs")
     return 1 if problems else 0
 
