@@ -131,22 +131,19 @@ class _Workspace:
     def u_samples(self, start: int = 0) -> ControlSignal:
         return self.control.sample(self.grid, start)
 
-    def probe_controls(self, count: int, start: int = 0):
-        """Seeded smooth controls with offsets keeping them off the feedback."""
+    def probe_controls(self, count: int):
+        """Seeded smooth controls on [0, T] with offsets keeping them off the feedback."""
         rng = np.random.default_rng(self.seed + 1)
-        t = self.grid.nodes[start:]
+        t = self.grid.nodes
         out = []
         for _ in range(count):
             off = rng.uniform(0.4, 0.8, 2) * np.where(rng.random(2) < 0.5, -1.0, 1.0)
             amp = rng.uniform(0.1, 0.25, 2)
             w = rng.uniform(1.0, 4.0, 2)
             ph = rng.uniform(0.0, 2.0 * np.pi, 2)
-            out.append(
-                ControlSignal(start, np.stack([
-                    off[0] + amp[0] * np.sin(w[0] * t + ph[0]),
-                    off[1] + amp[1] * np.cos(w[1] * t + ph[1]),
-                ], axis=1))
-            )
+            samples = np.stack([off[0] + amp[0] * np.sin(w[0] * t + ph[0]),
+                                off[1] + amp[1] * np.cos(w[1] * t + ph[1])], axis=1)
+            out.append(ControlSignal(0, samples))
         return out
 
     def warm_state(self, frac: float = 0.25) -> StateSnapshot:

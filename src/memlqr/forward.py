@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 
+_COMPAT_TOL = 1e-8  # relative tolerance of the compatibility xi(tau) = v_hat
+
+
 @dataclass
 class StateSnapshot:
     """State (v_hat, xi, y_hat) anchored at grid node tau_index.
@@ -94,9 +97,10 @@ class StateSnapshot:
         v = np.asarray(v_hat, dtype=float)
         return cls(0, v.copy(), v[None, :].copy(), y_hat)
 
-    def is_compatible(self, tol: float = 1e-9) -> bool:
+    def is_compatible(self) -> bool:
+        """xi[-1] = v_hat to _COMPAT_TOL relative to 1 + max |v_hat|."""
         scale = 1.0 + float(np.max(np.abs(self.v_hat)))
-        return bool(np.max(np.abs(self.xi[-1] - self.v_hat)) <= tol * scale)
+        return bool(np.max(np.abs(self.xi[-1] - self.v_hat)) <= _COMPAT_TOL * scale)
 
 
 @dataclass

@@ -317,9 +317,9 @@ class KernelTable:
     node weights (product_weights, gap_weights), are the only dense weights
     kept; memlqr.optimal's Lambda slices them.  panel_E, panel_Z and panel_Q
     are the first-panel records (c, mu, a_1, b_1) of E, Z and Q, complex
-    (4, n_modes, terms), read by the product convolutions, the one-panel
-    step and the node forms' pairings.  A table compares and hashes by
-    identity, so other modules can key caches on it.
+    (4, n_modes, terms), read by product_convolution and product_weights.
+    A table compares and hashes by identity, so other modules can key
+    caches on it.
     """
 
     basis: SpectralBasis

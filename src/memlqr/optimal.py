@@ -29,12 +29,14 @@ discrete system is the exact sampling of a 2n-dimensional linear system
 under a piecewise-linear control: node j + 1's x follows from node j's x
 and the control at both panel ends (_one_panel_step).  node_forms runs one
 backward sweep of O(M n^3) work over z = (x, u) on that step, whose loop
-holds only the sequential part; every node's value matrix, first-step gains
-and kernel pairings follow in batched operations after it.  solve_optimal
-is a forward sweep on them, so no matrix of order (M+1) n is formed and the
-verification scans never solve per node.  The matrix-free control side
-stays as the independent second route; its condition bound is a Lanczos
-iteration.
+holds only the sequential part: the Riccati update and the kernel pairings,
+one real matrix shifted by the step's A^T, since per mode (Z, Q) is the
+first row of the fundamental matrix A.  Every node's value matrix,
+first-step gains and pairings on x follow in batched operations after it.
+solve_optimal is a forward sweep on them, so no matrix of order (M+1) n is
+formed and the verification scans never solve per node.  The matrix-free
+control side stays as the independent second route; its condition bound is
+a Lanczos iteration.
 
 A table's node forms are built once and kept in this module's cache, keyed
 weakly on the table; an OperatorAssembly is a view of the table's weights at
@@ -208,8 +210,9 @@ class NodeForms:
       P[j]    (2n, 2n)      the value W_j = x^T P[j] x, symmetric;
       K[j]    (4, 2n)       the local optimal control's first two nodes,
                             u[0:2] = -(K[j] x).reshape(2, 2);
-      Pi[j]   (2n, 2n)      the kernel pairings (C, D) of H h against the Z
-                            and Q panel weights, (C, D) = Pi[j] x;
+      Pi[j]   (2n, 2n)      the kernel pairings (C, D) = Pi[j] x, per mode
+                            int Z(s - t_j) phi(s) ds and the same with Q,
+                            phi = H h piecewise linear;
       step[j] (2n+2, 2n+2)  the optimal step on z = (x, u) from node j to
                             j + 1 with u_j held, z_{j+1} = step[j] z_j; its
                             last two rows are minus the step gain.
@@ -239,6 +242,16 @@ def node_forms(table: KernelTable) -> NodeForms:
     return forms
 
 
+def _gap_one_weights(table: KernelTable) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha_1, beta_1): the gap-1 product weights of Z and Q stacked, (2n,) each.
+
+    Column 1 of the product weights on a one-panel grid; the stacked weights
+    at gap g + 1 are A^T times those at gap g, A of _one_panel_step.
+    """
+    (aZ, bZ), (aQ, bQ) = (product_weights(p, TimeGrid(table.grid.dt, 1)) for p in (table.panel_Z, table.panel_Q))
+    return np.concatenate([aZ[:, 1], aQ[:, 1]]), np.concatenate([bZ[:, 1], bQ[:, 1]])
+
+
 def _one_panel_step(table: KernelTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A, B0, B1) of the exact step x_{j+1} = A x_j + B0 u_j + B1 u_{j+1}, x = (v, s).
 
@@ -246,16 +259,13 @@ def _one_panel_step(table: KernelTable) -> tuple[np.ndarray, np.ndarray, np.ndar
     response from (v, s) is (Z v + Q s, -Q v + (Z - (lambda + 2) Q) s).  A
     control linear on the panel adds -(A D) times the gap-1 Z weights to v
     and +(A D) times the gap-1 Q weights to s: the step of v is Lambda's.
-    The gap-1 weights are the product weights of a one-panel grid.
     """
     lam, ad = table.basis.eigenvalues, table.basis.ad_coeffs
     Z, Q = table.Z_exact[:, 1], table.Q[:, 1]
     A = np.block([[np.diag(Z), np.diag(Q)], [np.diag(-Q), np.diag(Z - (lam + 2.0) * Q)]])
-    one_panel = TimeGrid(table.grid.dt, 1)
-    (aZ, bZ), (aQ, bQ) = (product_weights(p, one_panel) for p in (table.panel_Z, table.panel_Q))
-    B0 = np.concatenate([-aZ[:, 1, None] * ad, aQ[:, 1, None] * ad])
-    B1 = np.concatenate([-bZ[:, 1, None] * ad, bQ[:, 1, None] * ad])
-    return A, B0, B1
+    a1, b1 = _gap_one_weights(table)
+    sad = np.concatenate([-ad, ad])  # -A D on v, +A D on s
+    return A, a1[:, None] * sad, b1[:, None] * sad
 
 
 def _riccati_recursion(table: KernelTable) -> NodeForms:
@@ -269,18 +279,16 @@ def _riccati_recursion(table: KernelTable) -> NodeForms:
     P[j] = S_xx - S_xu K[j, :2], and the step gain at z_j = (x, -K[j, :2] x)
     gives K[:, 2:].
 
-    The pairings of Pi are sums over the optimal v from node j on, and
-    every gap weight is a sum of terms c rho^{g-1} (a_1, b_1) over the
-    first-panel records.  So per mode and term, both records stacked, one
-    row R_j over z carries sum_{s >= 0} rho^s v_{j+s} back through the
-    steps, R_j = e_v + rho R_{j+1} step[j], with T_j = e_v step[M-1] ...
-    step[j] for node M, and the pairing of z_j is
+    With (alpha_g, beta_g) the stacked Z and Q weights at gap g, the
+    pairings at node j are sum_{g >= 1} (beta_g v_{j+g-1} + alpha_g v_{j+g})
+    per mode, over the optimal v from node j.  The gap-(g+1) weights are A^T
+    times the gap-g ones (_gap_one_weights), so one real (2n, 2n+2) matrix
+    over z carries the pairings back through the steps,
 
-        Re sum c (a_1 + b_1 rho) R_{j+1} step[j] + Re sum c b_1 (e_v - rho^{M-j} T_j),
+        Pz_M = 0,    Pz_j = Wb + (Wa + A^T Pz_{j+1}) step[j],
 
-    whose u-part is folded in after the sweep like P's.  Every row, T's
-    included, passes step[j] in one real matrix product on the float view
-    of the complex rows, and one einsum weighs them into the pairings.
+    Wa and Wb putting alpha_1 and beta_1 on the v-columns of z.  Its u-part
+    is folded in after the sweep like P's.
     """
     M, n, dt = table.grid.n_steps, table.n_modes, table.grid.dt
     nx, nz = 2 * n, 2 * n + 2
@@ -289,19 +297,11 @@ def _riccati_recursion(table: KernelTable) -> NodeForms:
     F[:nx] = np.hstack([A, B0])
     G = np.vstack([B1, np.eye(2)])
     D = np.diag(np.r_[np.ones(n), np.zeros(n), np.ones(2)])
-    panels = (table.panel_Z, table.panel_Q)
-    c, mu, a1, b1 = np.concatenate(panels, axis=2)
-    record = np.repeat(np.eye(2, dtype=bool), [p.shape[2] for p in panels], axis=1)[:, None]
-    rho = np.exp(mu * dt)
-    cb1, terms = record * c * b1, mu.shape[1] + 1
-    w = np.concatenate([record * c * (a1 + b1 * rho), np.zeros((2, n, 1))], axis=2)  # the last term is T's
-    w = np.stack([w.real, -w.imag], axis=3)  # Re(w y) against (Re y, Im y)
-    scale = np.concatenate([rho, np.ones((n, 1))], axis=1).reshape(-1)
+    Wa, Wb, v_cols = np.zeros((nx, nz)), np.zeros((nx, nz)), (np.arange(nx), np.tile(np.arange(n), 2))
+    Wa[v_cols], Wb[v_cols] = _gap_one_weights(table)
     P, K, Pi = np.zeros((M + 1, nx, nx)), np.zeros((M + 1, 4, nx)), np.zeros((M + 1, nx, nx))
     step, S_uu, Pi_u = np.zeros((M + 1, nz, nz)), np.zeros((M, 2, 2)), np.zeros((M, nx, 2))
-    Y = np.repeat(np.eye(nz, n, dtype=complex), terms, axis=1)  # the rows as columns, per mode: R's terms, then T
-    E = Y * (np.arange(Y.shape[1]) % terms < terms - 1)  # e_v on R's columns
-    S = 0.5 * dt * D
+    S, Pz = 0.5 * dt * D, np.zeros((nx, nz))
     for j in range(M - 1, -1, -1):
         SG = S @ G
         step[j] = F - G @ np.linalg.solve(G.T @ SG, SG.T @ F)
@@ -309,17 +309,13 @@ def _riccati_recursion(table: KernelTable) -> NodeForms:
         S = 0.5 * (S + S.T)
         Sr = S - 0.5 * dt * D
         P[j], K[j, :2], S_uu[j] = Sr[:nx, :nx], Sr[nx:, :nx], Sr[nx:, nx:]
-        Ys = step[j].T @ Y.view(float)
-        w[:, :, -1, 0] = -np.einsum("rkt,kt->rk", cb1, np.exp(mu * ((M - j) * dt))).real
-        pair = np.einsum("zktc,rktc->rkz", Ys.reshape(nz, n, terms, 2), w).reshape(nx, nz)
-        Pi[j], Pi_u[j] = pair[:, :nx], pair[:, nx:]
-        Y = Ys.view(complex) * scale + E
+        Pz = Wb + (Wa + A.T @ Pz) @ step[j]
+        Pi[j], Pi_u[j] = Pz[:, :nx], Pz[:, nx:]
     S_ux = K[:M, :2].copy()
     K[:M, :2] = np.linalg.solve(S_uu, S_ux)
     P[:M] -= S_ux.transpose(0, 2, 1) @ K[:M, :2]
     K[:M, 2:] = step[:M, nx:, nx:] @ K[:M, :2] - step[:M, nx:, :nx]
     Pi[:M] -= Pi_u @ K[:M, :2]
-    Pi[:M, np.arange(nx), np.tile(np.arange(n), 2)] += np.real(np.sum(cb1, axis=2)).reshape(-1)
     return NodeForms(0.5 * (P + P.transpose(0, 2, 1)), K, Pi, step)
 
 

@@ -129,9 +129,6 @@ def _fd_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return np.gradient(values, dt, axis=0, edge_order=2 if len(values) >= 3 else 1)
 
 
-_COMPAT_TOL = 1e-8  # relative tolerance of xi(tau) = v_hat for a state in the generator's domain
-
-
 def apply_generator(state: StateSnapshot, table: KernelTable) -> GeneratorImage:
     """Generator blocks for a state in the discrete domain.
 
@@ -139,7 +136,7 @@ def apply_generator(state: StateSnapshot, table: KernelTable) -> GeneratorImage:
     a discrete-H1 history and the compatibility xi(tau) = v_hat; violating
     states are rejected.  The history derivative is _fd_derivative's stencil.
     """
-    if not state.is_compatible(_COMPAT_TOL):
+    if not state.is_compatible():
         raise ValueError("state violates the compatibility condition xi(tau) = v_hat")
     grid = table.grid
     lam = table.basis.eigenvalues
@@ -194,10 +191,16 @@ def P_prime_form(state: StateSnapshot, table: KernelTable) -> float:
     empty (row M of the node forms is zero) and the form collapses to
     -||v_hat||^2, matching the decay rate of W_theta ~ (T-theta)||v_hat||^2.
     """
-    gain, C, D = _node_terms(state, table)
+    return _prime_and_cross(state, table)[0]
+
+
+def _prime_and_cross(state: StateSnapshot, table: KernelTable) -> tuple[float, float]:
+    """(<P'S, S>, cross(S, A_theta S)) from one generator image and one read of the node terms."""
     img = apply_generator(state, table)
+    gain, C, D = _node_terms(state, table)
+    cross = _paired_cross(img.dv, img.dxi, img.dy, C, D, table)
     vhat_sq = float(np.dot(state.v_hat, state.v_hat))
-    return -vhat_sq + float(np.dot(gain, gain)) - _paired_cross(img.dv, img.dxi, img.dy, C, D, table)
+    return -vhat_sq + float(np.dot(gain, gain)) - cross, cross
 
 
 @dataclass
@@ -218,9 +221,7 @@ def riccati_residual(state: StateSnapshot, table: KernelTable) -> RiccatiReport:
     recursion; the feedback norm comes from the start's control-side solve
     (optimal.u_plus_control_side), a separate numerical route.
     """
-    img = apply_generator(state, table)
-    p_prime = P_prime_form(state, table)
-    cross = P_cross(state, img.dv, img.dxi, img.dy, table)
+    p_prime, cross = _prime_and_cross(state, table)
     gain = u_plus_control_side(state, table).samples[0]
     gain_sq = float(np.dot(gain, gain))
     vhat_sq = float(np.dot(state.v_hat, state.v_hat))

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
@@ -69,3 +70,38 @@ def test_files_equal_in_value_but_not_in_bytes_are_named(tmp_path, capsys):
     assert last == "no pass/fail status differs"
     assert rows["differ,"] == ["values", "equal:", "trajectory.csv"]
     assert all(float(v[0]) == 0.0 for key, v in rows.items() if key != "differ,")
+
+
+def write_summary_json(root, measured, passed):
+    checks = [{"name": "kernel_oracle_max_error", "measured": 2.0e-07, "threshold": 1e-4, "passed": True},
+              {"name": "dissipation_equality_band", "measured": measured, "threshold": 5e-3, "passed": passed}]
+    (root / "summary.json").write_text(json.dumps({"checks": checks, "passed": passed}))
+
+
+def test_summary_json_changes_below_the_csv_digits_and_its_status_flips(tmp_path, capsys):
+    # summary.csv keeps 13 digits, summary.json the full repr: a change in the
+    # 16th digit shows in the JSON alone, and so does a passed flip there
+    for side in ("old", "new"):
+        write_run(tmp_path / side, "2.0e-07", "FAIL", "0.5")
+    write_summary_json(tmp_path / "old", 1.0000000000000002e-2, False)
+    write_summary_json(tmp_path / "new", 1.0000000000000004e-2, False)
+    assert compare_outputs.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "no pass/fail status differs"
+    changes = {" ".join(line.split()[:2]): [float(v) for v in line.split()[2:]] for line in lines[1:-1]}
+    assert changes["summary dissipation_equality_band"][0] == 0.0
+    assert 1e-18 < changes["summary.json dissipation_equality_band"][0] < 1e-17
+    assert changes["summary.json kernel_oracle_max_error"][0] == 0.0
+    write_summary_json(tmp_path / "new", 1.0000000000000004e-2, True)
+    assert compare_outputs.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "status: summary.json dissipation_equality_band False -> True"
+
+
+def test_a_missing_or_extra_summary_json_is_a_problem(tmp_path, capsys):
+    for side in ("old", "new"):
+        write_run(tmp_path / side, "2.0e-07", "FAIL", "0.5")
+    write_summary_json(tmp_path / "old", 1e-2, False)
+    assert compare_outputs.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"missing: {tmp_path / 'new' / 'summary.json'}"
+    assert compare_outputs.main([str(tmp_path / "new"), str(tmp_path / "old")]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"only in new: {tmp_path / 'old' / 'summary.json'}"

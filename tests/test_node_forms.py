@@ -154,11 +154,24 @@ def test_one_panel_step_reads_column_1_of_the_product_weights(n, M, T):
     assert np.array_equal(B1, np.concatenate([-bZ[:, 1, None] * ad, bQ[:, 1, None] * ad]))
 
 
+@pytest.mark.parametrize("n, M, T", [(191, 256, 0.5), (8, 256, 0.5), (3, 8, 10.0)])
+def test_stacked_gap_weights_shift_by_the_transposed_one_panel_step(n, M, T):
+    # (Z, Q) is the first row of the fundamental matrix A per mode, so the
+    # stacked Z and Q weights at gap g + 1 are A^T times those at gap g: the
+    # identity the sweep's kernel pairings rest on (measured at most 3.4e-18)
+    table = solve_Z(build_basis(n), TimeGrid(T, M))
+    A = _one_panel_step(table)[0]
+    (aZ, bZ), (aQ, bQ) = (product_weights(p, table.grid) for p in (table.panel_Z, table.panel_Q))
+    for W in (np.vstack([aZ, aQ]), np.vstack([bZ, bQ])):
+        assert rel_err(A.T @ W[:, 1:-1], W[:, 2:]) <= 1e-15
+
+
 @pytest.mark.parametrize("n, M", [(3, 8), (8, 256), (16, 64), (191, 64)])
 def test_recursion_matches_the_reference_sweep(n, M):
-    # P and step keep their bits; K and Pi, solved after the sweep and
-    # weighed by folded weights, move at roundoff (worst measured 2.4e-16, at
-    # the stiff 191 modes, where |lambda| dt = 2813)
+    # P and step keep their bits; K, solved after the sweep, and Pi, carried
+    # through it by the one-panel shift, move at roundoff (worst measured
+    # 3.3e-16, Pi at (8, 256); 2.3e-16 at the stiff 191 modes, where
+    # |lambda| dt = 2813)
     table = solve_Z(build_basis(n), TimeGrid(0.5, M))
     forms, ref = _riccati_recursion(table), riccati_recursion(table)
     assert np.array_equal(forms.P, ref.P) and np.array_equal(forms.step, ref.step)

@@ -96,6 +96,21 @@ def test_generator_rejects_incompatible(table, basis):
         apply_generator(st, table)
 
 
+@pytest.mark.parametrize("offset, accepted", [(5e-9, True), (2e-8, False)])
+def test_generator_compatibility_tolerance_is_relative_1e_8(table, basis, offset, accepted):
+    # xi[-1] off v_hat by offset * (1 + max |v_hat|) in one mode
+    n = basis.n_modes
+    v = np.linspace(-3.0, 2.0, n)
+    xi = np.tile(v, (5, 1))
+    xi[-1, 1] += offset * (1.0 + np.max(np.abs(v)))
+    st = StateSnapshot(4, v, xi, np.zeros(n))
+    if accepted:
+        apply_generator(st, table)
+    else:
+        with pytest.raises(ValueError, match="compatibility"):
+            apply_generator(st, table)
+
+
 def test_generator_matches_trajectory_derivative(basis):
     # dv along a smooth simulated trajectory equals the FD of v
     rng = np.random.default_rng(22)
