@@ -20,10 +20,13 @@ modes at once (lifted by the Dirichlet map, Crank-Nicolson), and is the
 transformation cross-check for both.
 
 Every history sum is carried by the exact exponential recurrences of
-memlqr.kernels (volterra_trapezoid, product_convolution on the table's
-first-panel records), so each route costs O(n M) per trajectory.  The routes
-are causal: extend_state solves only the steps it keeps, and the values it
-keeps are those of the full solve.
+memlqr.kernels, so each route costs O(n M) per trajectory: the control
+responses of both routes are product_convolution's chunked scans on the
+table's first-panel records, and the Volterra route's memory term is
+volterra_trapezoid's implicit loop, one node after another.  The routes are
+causal: extend_state solves only the steps it keeps, and the values it keeps
+are those of the full solve, bit for bit, because the scan's chunks are
+anchored at the first step.
 """
 
 from __future__ import annotations
@@ -199,11 +202,15 @@ def control_field(u: ControlSignal, table: KernelTable) -> np.ndarray:
 
 
 def solve_voc(state: StateSnapshot, u: ControlSignal | None, table: KernelTable) -> Trajectory:
-    """Variation-of-constants route: v = h + (control response), no implicit solve."""
-    v = response_field(state, table)
-    if segment_samples(u, table, state.tau_index) is not None:
-        v = v + control_field(u, table)
-    return Trajectory(state.tau_index, v)
+    """Variation-of-constants route: v = h + (control response), no implicit solve.
+
+    The control response is formed first, so its convolution's working set
+    is not held beside h.
+    """
+    if segment_samples(u, table, state.tau_index) is None:
+        return Trajectory(state.tau_index, response_field(state, table))
+    ctrl = control_field(u, table)
+    return Trajectory(state.tau_index, response_field(state, table) + ctrl)
 
 
 def solve_volterra(state: StateSnapshot, u: ControlSignal | None, table: KernelTable) -> Trajectory:
@@ -229,8 +236,9 @@ def volterra_steps(v_hat: np.ndarray, seed: np.ndarray, u: np.ndarray | None, ta
     """
     E = table.E[:, : k + 1]
     N = table.N[:, : k + 1]
-    R = E - N  # exact integral of the exponential forcing kernel
-    F = E.T * v_hat[None, :] + R.T * seed[None, :]
+    # E - N, the exact integral of the exponential forcing kernel, is a
+    # temporary, freed before the control's convolution runs
+    F = E.T * v_hat[None, :] + (E - N).T * seed[None, :]
     if u is not None:
         F -= product_convolution(table.panel_E, table.grid.dt, (u @ table.basis.ad_coeffs.T)[: k + 1])
     v = np.zeros((k + 1, table.n_modes))

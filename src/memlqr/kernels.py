@@ -32,18 +32,27 @@ the product rule avoids at identical cost.
 Exponential sums: the roots of mu^2 - lambda mu - lambda are distinct for
 every lambda but 0 and -4, and no interval eigenvalue -(n pi)^2 is either, so
 every kernel here is a list of (c, mu) pairs, k(t) = Re sum c e^{mu t}: one
-term for E, two for Z, four for Q.  Each history sum is carried through the
-time loop by one running sum per term, S <- r (S + x) with r = exp(mu dt), in
+term for E, two for Z, four for Q.  Each history sum is a first-order
+linear recurrence per term, P_j = r P_{j-1} + inc_j with r = exp(mu dt), in
 the manner of Lubich & Schaedle (2002), exact rather than approximate.
-volterra_trapezoid (Z, the series check and the Volterra forward route) and
-product_convolution (the control responses) cost O(n M) instead of
-O(n M^2).  The per-term coefficients depend only on (lambda, dt), so solve_Z
-derives each kernel's first-panel record (c, mu, a_1, b_1) once and keeps
-those of E, Z and Q on the table.  (a_1, b_1) are the term's gap-1 panel
-weights, built from moments in which no exponential grows, so any grid
-gives finite weights.  product_convolution and product_weights (the panel
-weights of every mode at once) read a record.  Lambda's weights are the one
-dense pair the table stores: Z's alpha and the node weights
+Where the increments are known in advance (product_convolution for the
+control responses, the explicit volterra_trapezoid for the series check)
+the recurrence runs as one chunked scan, linear_scan: chunks of 64 steps
+anchored at step 1 run their local recurrences all at once, then a carry
+fix-up adds r^{i+1} times the previous chunk's last row to row i of every
+later chunk, one chunk after another (Blelloch, "Prefix sums and their
+applications", 1990).  The chunks depend on nothing but the step index, so
+a prefix of the increments gets the bits of the full scan's first rows and
+each density of a batch the bits it gets alone.  The implicit Volterra
+solve (the Z table, the Volterra forward route) stays a sequential loop,
+each value depending on the previous one.  Either way the cost is O(n M),
+not O(n M^2).  The per-term coefficients depend only on (lambda, dt), so
+solve_Z derives each kernel's first-panel record (c, mu, a_1, b_1) once and
+keeps those of E, Z and Q on the table.  (a_1, b_1) are the term's gap-1
+panel weights, built from moments in which no exponential grows, so any
+grid gives finite weights.  product_convolution and product_weights (the
+panel weights of every mode at once) read a record.  Lambda's weights are
+the one dense pair the table stores: Z's alpha and the node weights
 omega = alpha + beta shifted (gap_weights), formed once in solve_Z.
 
 The module does no I/O: memlqr.experiments writes the table's samples
@@ -70,6 +79,7 @@ __all__ = [
     "series_Z_check",
     "product_weights",
     "gap_weights",
+    "linear_scan",
     "product_convolution",
     "volterra_trapezoid",
 ]
@@ -233,11 +243,48 @@ def gap_weights(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# recursive convolution: one running sum per exponential term, O(n M)
+# recursive convolution: one chunked linear scan per exponential term, O(n M)
+
+
+_CHUNK = 64  # steps per linear_scan chunk; fixed, so a row's bits depend on its step index alone
+
+
+def linear_scan(r, inc: np.ndarray) -> np.ndarray:
+    """Solve P_j = r P_{j-1} + inc_j for j = 1..m in place and return inc, now P.
+
+    inc is (m+1, ...), time first, with row 0 the start value P_0; r, real
+    or complex, broadcasts against one row and must have |r| <= 1.  The
+    chunks are the steps 1..64, 65..128, ...: every chunk runs its local
+    recurrence at once with the others, the first from P_0 and the rest
+    from zero, and then, one chunk after another, row i of a chunk gains
+    r^{i+1} times the previous chunk's last row.  A row's arithmetic
+    depends only on its step index, so the scan of the first k increments
+    is bitwise the full scan's first k rows, and each element of a batch
+    gets the bits it gets alone; up to one chunk the scan is the sequential
+    loop itself.  ValueError if some |r| > 1, whose powers in the fix-up
+    would grow.
+    """
+    r = np.asarray(r)
+    if np.any(np.abs(r) > 1.0):
+        raise ValueError("linear_scan needs |r| <= 1: the carry fix-up multiplies by r^i")
+    m = inc.shape[0] - 1
+    if m == 0:
+        return inc
+    inc[1] += r * inc[0]
+    for i in range(1, min(_CHUNK, m)):
+        row = inc[1 + i :: _CHUNK]
+        row += r * inc[i :: _CHUNK][: len(row)]
+    if m > _CHUNK:
+        powers = np.cumprod(np.broadcast_to(r, (_CHUNK,) + r.shape), axis=0)
+        powers = powers.reshape((_CHUNK,) + (1,) * (inc.ndim - 1 - r.ndim) + r.shape)
+        for start in range(1 + _CHUNK, m + 1, _CHUNK):
+            chunk = inc[start : start + _CHUNK]
+            chunk += powers[: len(chunk)] * inc[start - 1]
+    return inc
 
 
 def product_convolution(panel: np.ndarray, dt: float, density: np.ndarray) -> np.ndarray:
-    """Per-mode product convolution against product_weights(panel, grid), by recurrences.
+    """Per-mode product convolution against product_weights(panel, grid), by scans.
 
     panel is a first-panel record (c, mu, a_1, b_1), such as the table's
     panel_E or panel_Z; density is (m+1, ..., n), time first and mode last
@@ -246,22 +293,31 @@ def product_convolution(panel: np.ndarray, dt: float, density: np.ndarray) -> np
     density of a batch gets the bits it gets alone.  A term c e^{mu t} has
     the weights alpha[g] = Re(c a_1 rho^{g-1}), beta[g] = Re(c b_1 rho^{g-1})
     with rho = e^{mu dt}, so its left and right panel sums share one carry,
+    P_j = rho P_{j-1} + (c a_1) d_{j-1} + (c b_1) d_j.  Its part
+    L_j = P_j - (c b_1) d_j without the newest node is the scan
 
-        P_j = rho P_{j-1} + (c a_1) d_{j-1} + (c b_1) d_j,
+        L_j = rho L_{j-1} + (rho c b_1 + c a_1) d_{j-1},   L_0 = -(c b_1) d_0,
 
-    and out_j is the sum over terms of Re(P_j).  The carry decays and both
-    coefficients are finite gap-1 weights, even for stiff modes.
+    whose increments are written into the scan's buffer in place, one term
+    at a time, and out_j is Re(c b_1) d_j summed over terms plus the sum of
+    Re(L_j).  The carry decays and the coefficients are finite gap-1
+    weights, even for stiff modes.  A record with no imaginary part (real
+    roots, as every interval eigenvalue gives) runs in real arithmetic, on
+    half the buffer.
     """
-    c, mu, a1, b1 = panel
+    c, mu, a1, b1 = panel if np.any(panel.imag) else panel.real
     rho = np.exp(mu * dt)
-    w_left = c * a1
     w_right = c * b1
-    d = np.asarray(density, dtype=float)[..., None]
-    P = np.zeros(np.broadcast_shapes(d.shape[1:], c.shape), dtype=complex)
-    out = np.zeros(d.shape[:1] + P.shape[:-1])
-    for j in range(1, d.shape[0]):
-        P = rho * P + (w_left * d[j - 1] + w_right * d[j])
-        out[j] = P.real.sum(axis=-1)
+    w_step = rho * w_right + c * a1
+    d = np.asarray(density, dtype=float)
+    out = d * w_right.real.sum(axis=-1)
+    L = np.empty(out.shape, dtype=w_step.dtype)
+    for i in range(c.shape[-1]):
+        L[0] = -w_right[:, i] * d[0]
+        L[1:] = d[:-1]
+        L[1:] *= w_step[:, i]
+        out += linear_scan(rho[:, i], L).real
+    out[0] = 0.0
     return out
 
 
@@ -271,36 +327,40 @@ def volterra_trapezoid(lam: np.ndarray, N: np.ndarray, dt: float, x: np.ndarray,
 
     N is the (n, >= m+1) table of N = a e^{lam t} + b e^{-t}, a = lam/(lam+1),
     b = 1/(lam+1); x is (m+1, n), time first.  The history sum
-    sum_{l=1}^{j-1} N_{j-l} x_l is carried by two running sums per mode,
-    S <- r (S + x_j) with r = e^{lam dt} and e^{-dt}; the endpoint terms read
-    the table itself.
+    sum_{l=1}^{j-1} N_{j-l} x_l is a S1 + b S2 with two running sums per
+    mode, S <- r (S + x_j) with r = e^{lam dt} and e^{-dt}; the endpoint
+    terms read the table itself.
 
     With F, x[0] holds the start value and x[1:] is overwritten with the
     implicit-trapezoid solution
 
-        x_j = (F_j + dt (N_j x_0 / 2 + sum)) / (1 - (dt/2) N_0);
+        x_j = (F_j + dt (N_j x_0 / 2 + sum)) / (1 - (dt/2) N_0),
 
-    without F, x is a given density and the explicit trapezoid convolution
-    dt (N_j x_0 / 2 + N_0 x_j / 2 + sum) is returned, row 0 zero.
+    a sequential loop, since the sum needs x up to j - 1.  Without F, x is
+    a given density and the explicit trapezoid convolution
+    dt (N_j x_0 / 2 + N_0 x_j / 2 + sum) is returned, row 0 zero; both
+    running sums are then one linear_scan, T_j = r T_{j-1} + x_j with T_0 = 0,
+    the sum before node j being S = r T_{j-1}.
     """
     m = x.shape[0] - 1
     a, b = lam / (lam + 1.0), 1.0 / (lam + 1.0)
     r1, r2 = np.exp(lam * dt), np.exp(-dt)
+    head = 0.5 * np.ascontiguousarray(N[:, 1 : m + 1].T) * x[0]
+    if F is None:
+        T = np.zeros((m + 1, 2, x.shape[1]))
+        T[1:] = x[1:, None]
+        linear_scan(np.stack([r1, np.full_like(r1, r2)]), T)
+        out = np.zeros_like(x)
+        out[1:] = dt * ((head + 0.5 * N[:, 0] * x[1:]) + ((a * r1) * T[:-1, 0] + (b * r2) * T[:-1, 1]))
+        return out
     S1 = np.zeros(x.shape[1])
     S2 = np.zeros(x.shape[1])
-    head = 0.5 * N[:, 1 : m + 1].T * x[0]
     denom = 1.0 - 0.5 * dt * N[:, 0]
-    out = x if F is not None else np.zeros_like(x)
     for j in range(1, m + 1):
-        if F is None:
-            out[j] = a * S1 + b * S2
-        else:
-            x[j] = (F[j] + dt * (head[j - 1] + (a * S1 + b * S2))) / denom
+        x[j] = (F[j] + dt * (head[j - 1] + (a * S1 + b * S2))) / denom
         S1 = r1 * (S1 + x[j])
         S2 = r2 * (S2 + x[j])
-    if F is None:
-        out[1:] = dt * ((head + 0.5 * N[:, 0] * x[1:]) + out[1:])
-    return out
+    return x
 
 
 # ----------------------------------------------------------------------------
@@ -414,7 +474,7 @@ def series_Z_check(table: KernelTable, k_max: int) -> SeriesReport:
     errors = [np.max(np.abs(total - Z))]
     for _ in range(k_max):
         term = volterra_trapezoid(lam, table.N, dt, term)
-        total = total + term
+        total += term
         errors.append(np.max(np.abs(total - Z)))
     return SeriesReport(k_max, np.array(errors))
 

@@ -60,7 +60,7 @@ from .forward import (
     state_coordinates,
     volterra_steps,
 )
-from .kernels import KernelTable, product_convolution
+from .kernels import KernelTable, linear_scan, product_convolution
 from .optimal import OperatorAssembly, node_forms, solve_optimal, u_plus_control_side
 
 __all__ = [
@@ -250,27 +250,44 @@ def closed_loop_simulate(state0: StateSnapshot, table: KernelTable) -> tuple[Tra
     The loop carries only x = (v_hat, s), s = y_hat - I_xi: at node j the
     first two nodes of the remaining-horizon optimal control are -K[j] x
     (optimal.node_forms), applied through one Volterra step, which reads no
-    later node, and s advances by _advance_seed.  Each node is a free
+    later node, while s gains the step's seed decay and history panel.
+    That step is one matrix on (x, -K[j] x, xi_last), _loop_step, derived
+    once per call, so no node calls the forward layer.  Each node is a free
     restart from the state extend_state would reach.  Returns the
     closed-loop trajectory and the per-node gain.
     """
     grid = table.grid
     i0 = state0.tau_index
     m = grid.n_steps - i0
+    n = state0.n_modes
     K = node_forms(table).K
+    advance = _loop_step(table)
     u_cl = np.zeros((m + 1, 2))
-    v_cl = np.zeros((m + 1, state0.n_modes))
+    v_cl = np.zeros((m + 1, n))
     v_cl[0] = state0.v_hat
-    s = np.split(state_coordinates(state0, table), 2)[1]
+    x = state_coordinates(state0, table)
     xi_last = state0.xi[-1]
-    for step, j in enumerate(range(i0, grid.n_steps)):
-        u2 = -(K[j] @ np.concatenate([v_cl[step], s])).reshape(2, 2)
-        u_cl[step] = u2[0]
-        v_cl[step + 1] = volterra_steps(v_cl[step], s, u2, table, 1)[1]
-        s = _advance_seed(s, xi_last, v_cl[step + 1], grid.dt)
-        xi_last = v_cl[step + 1]
+    for i, j in enumerate(range(i0, grid.n_steps)):
+        u2 = -(K[j] @ x)
+        u_cl[i] = u2[:2]
+        x = advance @ np.concatenate([x, u2, xi_last])
+        v_cl[i + 1] = xi_last = x[:n]
     # empty horizon at T: zero gain
     return Trajectory(i0, v_cl), ControlSignal(i0, u_cl)
+
+
+def _loop_step(table: KernelTable) -> np.ndarray:
+    """The closed loop's node-to-node map (v_hat, s, u_j, u_{j+1}, xi_last) -> (v_hat, s), (2n, 3n+4).
+
+    Column k is the image of the k-th unit input under one volterra_steps
+    step and the seed carry of _trajectory_coordinates; xi_last is the
+    history's last sample, which only the seed carry reads.
+    """
+    n = table.n_modes
+    unit = np.eye(3 * n + 4)
+    v, s, u, xi_last = unit[:, :n], unit[:, n : 2 * n], unit[:, 2 * n : 2 * n + 4], unit[:, 2 * n + 4 :]
+    v_next = np.array([volterra_steps(vk, sk, uk.reshape(2, 2), table, 1)[1] for vk, sk, uk in zip(v, s, u)])
+    return _trajectory_coordinates(unit[:, : 2 * n], xi_last, np.stack([v, v_next], axis=1), table.grid.dt)[:, 1].T
 
 
 # ----------------------------------------------------------------------------
@@ -317,26 +334,27 @@ def bellman_check(state: StateSnapshot, t0_index: int, table: KernelTable) -> Be
 # scans along a trajectory
 
 
-def _advance_seed(s: np.ndarray, xi_last: np.ndarray, v_next: np.ndarray, dt: float) -> np.ndarray:
-    """s = y_hat - I_xi one step on: the seed decays by r = exp(-dt) and the
-    trapezoid recurrence I <- r I + (dt/2)(r xi_last + v_next) adds the new panel."""
-    r = np.exp(-dt)
-    return r * s - 0.5 * dt * (r * xi_last + v_next)
+def _trajectory_coordinates(x0: np.ndarray, xi_last: np.ndarray, values: np.ndarray, dt: float) -> np.ndarray:
+    """x at every node of trajectories values (C, m+1, n), as (C, m+1, 2n).
 
-
-def _trajectory_coordinates(state0: StateSnapshot, values: np.ndarray, table: KernelTable) -> np.ndarray:
-    """x at every node of trajectories (C, m+1, n) from state0, as (C, m+1, 2n).
-
-    The states are those extend_state reaches along each trajectory, and the
-    seed part is carried node to node by _advance_seed.
+    The trajectories start from coordinates x0 = (v_hat, s) and a history
+    ending in xi_last, (2n,) and (n,) or one per trajectory.  The states are
+    those extend_state reaches along each trajectory: s = y_hat - I_xi
+    decays by r = exp(-dt) per step while I_xi gains the trapezoid panel
+    (dt/2)(r xi_{j-1} + v_j), one kernels.linear_scan over the nodes.
     """
-    x = np.concatenate([values, np.empty_like(values)], axis=2)
-    x[:, 0] = state_coordinates(state0, table)
-    xi_last = state0.xi[-1]
     n = values.shape[2]
-    for j in range(1, values.shape[1]):
-        x[:, j, n:] = _advance_seed(x[:, j - 1, n:], xi_last, values[:, j], table.grid.dt)
-        xi_last = values[:, j]
+    r = np.exp(-dt)
+    x = np.concatenate([values, np.empty_like(values)], axis=2)
+    v, s = np.moveaxis(values, 1, 0), np.moveaxis(x[:, :, n:], 1, 0)  # time-first views
+    s[0] = x0[..., n:]
+    s[1:2] = xi_last  # s[1:] holds xi_{j-1}, then, in place, the seed increments
+    s[2:] = v[1:-1]
+    s[1:] *= r
+    s[1:] += v[1:]
+    s[1:] *= -0.5 * dt
+    linear_scan(r, s)
+    x[:, 0] = x0
     return x
 
 
@@ -348,7 +366,7 @@ def _value_scan(state0: StateSnapshot, controls, table: KernelTable):
     conv = product_convolution(table.panel_Z, table.grid.dt, ad)  # (m+1, control, n)
     values = np.moveaxis(response_field(state0, table)[:, None] - conv, 1, 0)
     trajs = [Trajectory(i0, v) for v in values]
-    x = _trajectory_coordinates(state0, values, table)
+    x = _trajectory_coordinates(state_coordinates(state0, table), state0.xi[-1], values, table.grid.dt)
     W = np.zeros((M - i0 + 1, len(controls)))
     W[:-1] = np.einsum("cji,jik,cjk->jc", x[:, :-1], node_forms(table).P[i0:M], x[:, :-1])
     return np.arange(i0, M + 1), W, trajs, x

@@ -104,9 +104,18 @@ def test_closed_loop_matches_the_per_node_state_loop(case, data):
     # carrying x = (v_hat, y_hat - I_xi) from node to node is the loop that
     # extends a full state at every node, from node 0 and from an interior start
     table, rng = case
-    M, n = table.grid.n_steps, table.n_modes
-    for i0 in (0, data.draw(st.integers(1, M))):
-        state = random_state(rng, i0, n)
+    assert_closed_loop_matches_the_per_node_loop(table, rng, (0, data.draw(st.integers(1, table.grid.n_steps))))
+
+
+def test_closed_loop_matches_the_per_node_state_loop_on_the_stiff_grid():
+    # 191 modes, M = 64: max |lambda| dt = 2813, the loop's step map as stiff as it gets here
+    table = solve_Z(build_basis(191), TimeGrid(0.5, 64))
+    assert_closed_loop_matches_the_per_node_loop(table, np.random.default_rng(191), (0, 40))
+
+
+def assert_closed_loop_matches_the_per_node_loop(table, rng, starts):
+    for i0 in starts:
+        state = random_state(rng, i0, table.n_modes)
         traj, u_cl = closed_loop_simulate(state, table)
         v_ref, u_ref = per_node_closed_loop(state, table)
         assert rel_err(u_cl.samples, u_ref) <= 1e-13

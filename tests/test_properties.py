@@ -2,6 +2,7 @@
 
 Drawn within the documented ranges n <= 6, M <= 48, T in [0.1, 2]; each
 identity is exact in exact arithmetic, so the bounds are roundoff bounds.
+problems(CHUNK_EDGES) draws M past one scan chunk instead.
 """
 
 import numpy as np
@@ -13,11 +14,16 @@ from memlqr.optimal import OperatorAssembly
 from memlqr.riccati import feedback_gain
 
 
+# Grid sizes at and around the edges of kernels.linear_scan's 64-step chunks,
+# where its carry fix-up runs; problems() alone stays below one chunk.
+CHUNK_EDGES = st.sampled_from([63, 64, 65, 130, 300])
+
+
 @st.composite
-def problems(draw):
-    """(table, start node, rng) with the start anywhere on the grid, T included."""
+def problems(draw, sizes=st.integers(2, 48)):
+    """(table, start node, rng) with the start anywhere on the grid, T included; M drawn from sizes."""
     n = draw(st.integers(1, 6))
-    M = draw(st.integers(2, 48))
+    M = draw(sizes)
     T = draw(st.floats(0.1, 2.0))
     start = draw(st.integers(0, M))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

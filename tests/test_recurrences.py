@@ -12,7 +12,7 @@ import pytest
 from dense_routes import kernel_pairings
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_properties import problems, random_state
+from test_properties import CHUNK_EDGES, problems, random_state
 
 from memlqr import (
     ControlSignal,
@@ -23,11 +23,13 @@ from memlqr import (
     memory_functional,
     series_Z_check,
     simulate_damped_wave,
+    solve_voc,
     solve_volterra,
     solve_Z,
 )
-from memlqr.forward import control_field
-from memlqr.kernels import product_convolution, product_weights
+from memlqr.forward import control_field, response_field
+from memlqr.kernels import (_first_panel, linear_scan, product_convolution, product_weights, volterra_trapezoid,
+                            z_exponential_terms)
 
 RTOL = 1e-13
 
@@ -55,23 +57,35 @@ def reference_Z(table):
     return Z
 
 
+def reference_trapezoid(N, dt, term):
+    """Explicit trapezoid convolution of term (n, m+1), time last, against the kernel table N."""
+    nxt = np.zeros_like(term)
+    for j in range(1, term.shape[1]):
+        s = 0.5 * N[:, j] * term[:, 0] + 0.5 * N[:, 0] * term[:, j]
+        if j > 1:
+            s = s + np.einsum("kl,kl->k", N[:, j - 1 : 0 : -1], term[:, 1:j])
+        nxt[:, j] = dt * s
+    return nxt
+
+
 def reference_series_errors(table, k_max):
-    dt, M = table.grid.dt, table.grid.n_steps
     N, Z = table.N, table.Z
     term = table.E.copy()
     total = term.copy()
     errors = [np.max(np.abs(total - Z))]
     for _ in range(k_max):
-        nxt = np.zeros_like(term)
-        for j in range(1, M + 1):
-            s = 0.5 * N[:, j] * term[:, 0] + 0.5 * N[:, 0] * term[:, j]
-            if j > 1:
-                s = s + np.einsum("kl,kl->k", N[:, j - 1 : 0 : -1], term[:, 1:j])
-            nxt[:, j] = dt * s
-        term = nxt
+        term = reference_trapezoid(N, table.grid.dt, term)
         total = total + term
         errors.append(np.max(np.abs(total - Z)))
     return np.array(errors)
+
+
+def sequential_scan(r, inc):
+    """P_j = r P_{j-1} + inc_j, one step at a time from P_0 = inc_0."""
+    P = inc.copy()
+    for j in range(1, len(P)):
+        P[j] = r * P[j - 1] + inc[j]
+    return P
 
 
 def conv_product(alpha, beta, density):
@@ -264,3 +278,103 @@ def test_stiff_grid_stays_finite_and_matches_the_references():
     v0, v1 = rng.standard_normal((2, table.n_modes))
     assert_close(simulate_damped_wave(v0, v1, WAVE_CONTROL, table).values,
                  reference_wave(v0, v1, WAVE_CONTROL, table))
+
+
+# ----------------------------------------------------------------------------
+# the chunked scan, and every scan past one chunk
+
+
+@pytest.fixture(scope="module")
+def ratios():
+    """Real and complex r, zero included, and the stiff grid's, whose powers underflow."""
+    stiff = solve_Z(build_basis(191), TimeGrid(0.5, 256))
+    dt = stiff.grid.dt
+    lam = np.exp(stiff.basis.eigenvalues * dt)
+    assert np.min(lam) ** 2 == 0.0
+    rng = np.random.default_rng(64)
+    disc = rng.uniform(0.0, 1.0, 5) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 5))
+    return [np.exp(-dt), np.array(0.0), np.array(0j), lam, np.exp(stiff.panel_Z[1] * dt),
+            np.exp(stiff.panel_Q[1] * dt), disc]
+
+
+@pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 3 * 64 + 5])
+def test_linear_scan_matches_the_sequential_loop(m, ratios):
+    # elementwise, relative to the scan of |r| over |inc|: the size the sum
+    # would have without cancellation, which its roundoff scales with
+    rng = np.random.default_rng(m)
+    for r in ratios:
+        inc = rng.standard_normal((m + 1,) + r.shape)
+        if np.iscomplexobj(r):
+            inc = inc + 1j * rng.standard_normal(inc.shape)
+        fast, ref = linear_scan(r, inc.copy()), sequential_scan(r, inc)
+        assert np.all(np.abs(fast - ref) <= 1e-15 * sequential_scan(np.abs(r), np.abs(inc)))
+
+
+def test_linear_scan_prefixes_keep_the_full_scans_bits(ratios):
+    # the chunks are anchored at step 1, so the scan of the first k
+    # increments is the full scan's first k rows, bit for bit
+    rng = np.random.default_rng(65)
+    m = 3 * 64 + 5
+    for r in ratios:
+        inc = rng.standard_normal((m + 1,) + r.shape) + 1j * rng.standard_normal((m + 1,) + r.shape)
+        full = linear_scan(r, inc.copy())
+        for k in sorted({e + d for e in (64, 128, 192) for d in (-2, -1, 0, 1, 2)} | {0, 1, m}):
+            assert np.array_equal(linear_scan(r, inc[: k + 1].copy()), full[: k + 1])
+
+
+def test_linear_scan_rejects_a_ratio_above_one():
+    for r in (1.5, np.array([0.5, -1.01]), 0.8 + 0.8j):
+        with pytest.raises(ValueError):
+            linear_scan(r, np.ones((70,) + np.shape(r), dtype=complex))
+    for r in (1.0, -1.0, 1j):
+        assert np.all(np.isfinite(linear_scan(r, np.ones(70, dtype=complex))))
+
+
+@settings(max_examples=15, deadline=None)
+@given(problems(CHUNK_EDGES))
+def test_convolutions_match_the_dense_loops_across_chunks(case):
+    # product_convolution on every record and the explicit trapezoid
+    # convolution, on a density from any start node
+    table, start, rng = case
+    dt = table.grid.dt
+    d = rng.standard_normal((table.grid.n_steps - start + 1, table.n_modes))
+    for panel in (table.panel_E, table.panel_Z, table.panel_Q):
+        assert_close(product_convolution(panel, dt, d), reference_convolution(*product_weights(panel, table.grid), d))
+    assert_close(volterra_trapezoid(table.basis.eigenvalues, table.N, dt, d), reference_trapezoid(table.N, dt, d.T).T)
+
+
+def test_complex_roots_convolve_like_the_dense_loop():
+    # lambda in (-4, 0) gives complex characteristic roots, which no interval
+    # eigenvalue does: the record stays complex and so does the scan
+    grid = TimeGrid(1.0, 150)
+    panel = _first_panel(z_exponential_terms, np.array([-0.5, -2.0, -3.9]), grid.dt)
+    assert np.all(panel[1].imag != 0)
+    d = np.random.default_rng(4).standard_normal((grid.n_steps + 1, 3))
+    assert_close(product_convolution(panel, grid.dt, d), reference_convolution(*product_weights(panel, grid), d))
+
+
+@settings(max_examples=10, deadline=None)
+@given(problems(CHUNK_EDGES))
+def test_series_matches_the_dense_loop_across_chunks(case):
+    table, _, _ = case
+    assert_close(series_Z_check(table, 4).errors, reference_series_errors(table, 4))
+
+
+@settings(max_examples=15, deadline=None)
+@given(problems(CHUNK_EDGES), st.data())
+def test_forward_routes_match_the_dense_loops_across_chunks(case, data):
+    # both routes against the dense loops, and extend_state the bitwise
+    # slice of the full solve, with its cut anywhere
+    table, start, rng = case
+    j = data.draw(st.integers(start, table.grid.n_steps))
+    state = random_state(rng, start, table.n_modes)
+    u = ControlSignal(start, rng.standard_normal((table.grid.n_steps - start + 1, 2)))
+    ref = reference_volterra(state, u, table)
+    full = solve_volterra(state, u, table).values
+    assert_close(full, ref)
+    ctrl = reference_convolution(*product_weights(table.panel_Z, table.grid), u.samples @ table.basis.ad_coeffs.T)
+    assert_close(solve_voc(state, u, table).values, response_field(state, table) - ctrl)
+    out = extend_state(state, u, j, table)
+    assert np.array_equal(out.xi[start + 1 :], full[1 : j - start + 1])
+    assert np.array_equal(out.v_hat, full[j - start])
+    assert_close(out.xi[start:], ref[: j - start + 1])

@@ -533,7 +533,9 @@ def test_single_state_routes_read_the_node_forms(control_solves, assembly_starts
 def test_scans_build_no_state_per_node(monkeypatch, basis):
     # chain_rule_scan and closed_loop_simulate carry x = (v_hat, y_hat - I_xi)
     # from node to node: they build no state, memory integral or generator
-    # image per node, so the counts do not grow with M
+    # image per node, and the closed loop's Volterra step is one matrix
+    # derived once per call, so no count, volterra_steps and
+    # product_convolution included, grows with M
     import memlqr.forward as fwd
     import memlqr.riccati as ric
 
@@ -547,8 +549,10 @@ def test_scans_build_no_state_per_node(monkeypatch, basis):
 
     monkeypatch.setattr(StateSnapshot, "__post_init__", counting("StateSnapshot", StateSnapshot.__post_init__))
     for mod in (fwd, ric):
-        monkeypatch.setattr(mod, "memory_functional", counting("memory_functional", mod.memory_functional))
-    monkeypatch.setattr(ric, "apply_generator", counting("apply_generator", ric.apply_generator))
+        for name in ("memory_functional", "product_convolution"):
+            monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    for name in ("apply_generator", "volterra_steps"):
+        monkeypatch.setattr(ric, name, counting(name, getattr(ric, name)))
 
     def counts(M):
         grid = TimeGrid(0.5, M)
