@@ -34,7 +34,13 @@ DEFAULT_TOLERANCES = {
     "riccati_relative": 5e-3,
 }
 
-_CONTROL_PRESETS = ("zero", "sine", "poly")
+# each control preset with the [control] keys build_control reads for it
+_CONTROL_KEYS = {
+    "zero": (),
+    "sine": ("offset0", "offset1", "amp0", "amp1", "freq0", "freq1"),
+    "poly": ("c00", "c01", "c02", "c10", "c11", "c12"),
+}
+_CONTROL_PRESETS = tuple(_CONTROL_KEYS)
 _DATA_PRESETS = ("zero", "smooth", "rough_yhat", "modal")
 
 
@@ -68,6 +74,12 @@ class ExperimentConfig:
             raise ConfigError(f"control.preset must be one of {_CONTROL_PRESETS}")
         if self.scale <= 0 or not np.isfinite(self.scale):
             raise ConfigError("initial_data.scale must be positive and finite")
+        for name in ("v_decay", "y_decay"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"initial_data.{name} must be finite")
+        for key in self.control_params:
+            if key not in _CONTROL_KEYS[self.control_preset]:
+                raise ConfigError(f"unknown control key '{key}' for preset '{self.control_preset}'")
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance '{name}'")

@@ -51,7 +51,6 @@ __all__ = [
     "segment_samples",
     "control_field",
     "solve_volterra",
-    "volterra_steps",
     "solve_voc",
     "simulate_damped_wave",
     "extend_state",
@@ -223,11 +222,11 @@ def solve_volterra(state: StateSnapshot, u: ControlSignal | None, table: KernelT
     """
     i = state.tau_index
     xv, xs = np.split(state_coordinates(state, table), 2)
-    return Trajectory(i, volterra_steps(xv, xs, segment_samples(u, table, i), table, table.grid.n_steps - i))
+    return Trajectory(i, _volterra_steps(xv, xs, segment_samples(u, table, i), table, table.grid.n_steps - i))
 
 
-def volterra_steps(v_hat: np.ndarray, seed: np.ndarray, u: np.ndarray | None, table: KernelTable,
-                   k: int) -> np.ndarray:
+def _volterra_steps(v_hat: np.ndarray, seed: np.ndarray, u: np.ndarray | None, table: KernelTable,
+                    k: int) -> np.ndarray:
     """The first k Volterra steps from x = (v_hat, seed), values at nodes tau .. tau + k.
 
     u holds at least k + 1 control samples from tau on, or is None without a
@@ -317,7 +316,7 @@ def extend_state(
     k = t1_index - i
     if trajectory is None:
         xv, xs = np.split(state_coordinates(state, table), 2)
-        values = volterra_steps(xv, xs, segment_samples(u, table, i), table, k)
+        values = _volterra_steps(xv, xs, segment_samples(u, table, i), table, k)
     else:
         values = trajectory.values
     xi_new = np.vstack([state.xi, values[1 : k + 1]])

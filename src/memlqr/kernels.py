@@ -37,7 +37,7 @@ linear recurrence per term, P_j = r P_{j-1} + inc_j with r = exp(mu dt), in
 the manner of Lubich & Schaedle (2002), exact rather than approximate.
 Where the increments are known in advance (product_convolution for the
 control responses, the explicit volterra_trapezoid for the series check)
-the recurrence runs as one chunked scan, linear_scan: chunks of 64 steps
+the recurrence runs as one chunked scan, _linear_scan: chunks of 64 steps
 anchored at step 1 run their local recurrences all at once, then a carry
 fix-up adds r^{i+1} times the previous chunk's last row to row i of every
 later chunk, one chunk after another (Blelloch, "Prefix sums and their
@@ -79,7 +79,6 @@ __all__ = [
     "series_Z_check",
     "product_weights",
     "gap_weights",
-    "linear_scan",
     "product_convolution",
     "volterra_trapezoid",
 ]
@@ -87,14 +86,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [0, T] with composite trapezoid weights."""
+    """Uniform grid on [0, T] with composite trapezoid weights; T finite and positive, n_steps an integer >= 1."""
 
     t_final: float
     n_steps: int
 
     def __post_init__(self):
-        if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
+        if not (np.isfinite(self.t_final) and self.t_final > 0):
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer)):
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
 
@@ -246,10 +247,10 @@ def gap_weights(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 # recursive convolution: one chunked linear scan per exponential term, O(n M)
 
 
-_CHUNK = 64  # steps per linear_scan chunk; fixed, so a row's bits depend on its step index alone
+_CHUNK = 64  # steps per _linear_scan chunk; fixed, so a row's bits depend on its step index alone
 
 
-def linear_scan(r, inc: np.ndarray) -> np.ndarray:
+def _linear_scan(r, inc: np.ndarray) -> np.ndarray:
     """Solve P_j = r P_{j-1} + inc_j for j = 1..m in place and return inc, now P.
 
     inc is (m+1, ...), time first, with row 0 the start value P_0; r, real
@@ -266,7 +267,7 @@ def linear_scan(r, inc: np.ndarray) -> np.ndarray:
     """
     r = np.asarray(r)
     if np.any(np.abs(r) > 1.0):
-        raise ValueError("linear_scan needs |r| <= 1: the carry fix-up multiplies by r^i")
+        raise ValueError("_linear_scan needs |r| <= 1: the carry fix-up multiplies by r^i")
     m = inc.shape[0] - 1
     if m == 0:
         return inc
@@ -316,7 +317,7 @@ def product_convolution(panel: np.ndarray, dt: float, density: np.ndarray) -> np
         L[0] = -w_right[:, i] * d[0]
         L[1:] = d[:-1]
         L[1:] *= w_step[:, i]
-        out += linear_scan(rho[:, i], L).real
+        out += _linear_scan(rho[:, i], L).real
     out[0] = 0.0
     return out
 
@@ -339,7 +340,7 @@ def volterra_trapezoid(lam: np.ndarray, N: np.ndarray, dt: float, x: np.ndarray,
     a sequential loop, since the sum needs x up to j - 1.  Without F, x is
     a given density and the explicit trapezoid convolution
     dt (N_j x_0 / 2 + N_0 x_j / 2 + sum) is returned, row 0 zero; both
-    running sums are then one linear_scan, T_j = r T_{j-1} + x_j with T_0 = 0,
+    running sums are then one _linear_scan, T_j = r T_{j-1} + x_j with T_0 = 0,
     the sum before node j being S = r T_{j-1}.
     """
     m = x.shape[0] - 1
@@ -349,7 +350,7 @@ def volterra_trapezoid(lam: np.ndarray, N: np.ndarray, dt: float, x: np.ndarray,
     if F is None:
         T = np.zeros((m + 1, 2, x.shape[1]))
         T[1:] = x[1:, None]
-        linear_scan(np.stack([r1, np.full_like(r1, r2)]), T)
+        _linear_scan(np.stack([r1, np.full_like(r1, r2)]), T)
         out = np.zeros_like(x)
         out[1:] = dt * ((head + 0.5 * N[:, 0] * x[1:]) + ((a * r1) * T[:-1, 0] + (b * r2) * T[:-1, 1]))
         return out

@@ -7,8 +7,8 @@ The input-to-state map is the block-lower-triangular operator
 discretized with the shared product-integration weights of the kernel table.
 K depends only on t - s, so mode k's weights on [t_j, T] are Toeplitz in the
 gap: an OperatorAssembly keeps the start's slices of the table's Z weights
-and applies Lambda by per-mode direct sums, never forming a matrix; every
-v = h + Lambda u of this module is formed there.  Adjoints are taken with
+and applies Lambda by per-mode direct sums, never forming a matrix;
+evaluate_cost and cost_gradient form v = h + Lambda u there.  Adjoints are taken with
 respect to the trapezoid-weighted inner products, so Lambda* is an exact
 transpose and the normal operator I + Lambda Lambda* is symmetric positive
 definite in the weighted metric.  The optimal pair is
@@ -27,14 +27,16 @@ state enters the system only through x = (v_hat, y_hat - I_xi) in R^{2n},
 and with h and Lambda built from the exact exponential sums of Z and Q the
 discrete system is the exact sampling of a 2n-dimensional linear system
 under a piecewise-linear control: node j + 1's x follows from node j's x
-and the control at both panel ends (_one_panel_step).  node_forms runs one
+and the control at both panel ends (one_panel_step), and every carry of x
+from node to node in the package reads that one step.  node_forms runs one
 backward sweep of O(M n^3) work over z = (x, u) on that step, whose loop
 holds only the sequential part: the Riccati update and the kernel pairings,
 one real matrix shifted by the step's A^T, since per mode (Z, Q) is the
 first row of the fundamental matrix A.  Every node's value matrix,
 first-step gains and pairings on x follow in batched operations after it.
-solve_optimal is a forward sweep on them, so no matrix of order (M+1) n is
-formed and the verification scans never solve per node.  The matrix-free
+solve_optimal is a forward sweep on them that reads u+ and v+ off z, so no
+matrix of order (M+1) n is formed and the verification scans never solve
+per node.  The matrix-free
 control side stays as the independent second route; its condition bound is
 a Lanczos iteration.
 
@@ -65,6 +67,7 @@ __all__ = [
     "OptimalSolution",
     "NodeForms",
     "node_forms",
+    "one_panel_step",
     "solve_optimal",
     "u_plus_control_side",
     "evaluate_cost",
@@ -246,19 +249,21 @@ def _gap_one_weights(table: KernelTable) -> tuple[np.ndarray, np.ndarray]:
     """(alpha_1, beta_1): the gap-1 product weights of Z and Q stacked, (2n,) each.
 
     Column 1 of the product weights on a one-panel grid; the stacked weights
-    at gap g + 1 are A^T times those at gap g, A of _one_panel_step.
+    at gap g + 1 are A^T times those at gap g, A of one_panel_step.
     """
     (aZ, bZ), (aQ, bQ) = (product_weights(p, TimeGrid(table.grid.dt, 1)) for p in (table.panel_Z, table.panel_Q))
     return np.concatenate([aZ[:, 1], aQ[:, 1]]), np.concatenate([bZ[:, 1], bQ[:, 1]])
 
 
-def _one_panel_step(table: KernelTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def one_panel_step(table: KernelTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A, B0, B1) of the exact step x_{j+1} = A x_j + B0 u_j + B1 u_{j+1}, x = (v, s).
 
     Per mode, v' = (lambda + 1) v + s - (A D) u and s' = -v - s, whose free
     response from (v, s) is (Z v + Q s, -Q v + (Z - (lambda + 2) Q) s).  A
     control linear on the panel adds -(A D) times the gap-1 Z weights to v
-    and +(A D) times the gap-1 Q weights to s: the step of v is Lambda's.
+    and +(A D) times the gap-1 Q weights to s: the step of v is Lambda's, so
+    the v it carries is v = h + Lambda u at roundoff.  The node forms, the
+    scans and the closed loop all move x by this step.
     """
     lam, ad = table.basis.eigenvalues, table.basis.ad_coeffs
     Z, Q = table.Z_exact[:, 1], table.Q[:, 1]
@@ -292,7 +297,7 @@ def _riccati_recursion(table: KernelTable) -> NodeForms:
     """
     M, n, dt = table.grid.n_steps, table.n_modes, table.grid.dt
     nx, nz = 2 * n, 2 * n + 2
-    A, B0, B1 = _one_panel_step(table)
+    A, B0, B1 = one_panel_step(table)
     F = np.zeros((nz, nz))
     F[:nx] = np.hstack([A, B0])
     G = np.vstack([B1, np.eye(2)])
@@ -331,22 +336,22 @@ def solve_optimal(state: StateSnapshot, table: KernelTable) -> OptimalSolution:
     """Solve the optimality system by a forward sweep on the node forms.
 
     From node j the first control is u_j = -K[j, :2] x, and z = (x, u)
-    advances by the optimal steps; v+ = h + Lambda u+ and W = x^T P[j] x.
+    advances by the optimal steps; u+ and v+ are z's u and v at every node,
+    and W = x^T P[j] x.
     """
     forms = node_forms(table)
     j, n = state.tau_index, table.n_modes
     asm = OperatorAssembly(table, j)
     x = state_coordinates(state, table)
     z = np.concatenate([x, -forms.K[j, :2] @ x])
-    up = np.empty((asm.m + 1, 2))
+    up, vp = np.empty((asm.m + 1, 2)), np.empty((asm.m + 1, n))
     for l in range(asm.m + 1):
-        up[l] = z[2 * n :]
+        up[l], vp[l] = z[2 * n :], z[:n]
         z = forms.step[j + l] @ z
-    h = response_field(state, table)
     W = float(x @ forms.P[j] @ x)
     grad = cost_gradient(state, ControlSignal(j, up), table)
     residual = float(np.sqrt(max(asm.inner_U(grad, grad), 0.0)))
-    return OptimalSolution(ControlSignal(j, up), Trajectory(j, h + asm.apply_Lambda(up)), W, residual)
+    return OptimalSolution(ControlSignal(j, up), Trajectory(j, vp), W, residual)
 
 
 def u_plus_control_side(state: StateSnapshot, table: KernelTable) -> ControlSignal:

@@ -40,7 +40,10 @@ P_cross, feedback_gain) read them at their state's node and solve nothing;
 riccati_residual sets them against the start's control-side solve.  The
 scans (value_scan_batch, chain_rule_scan, closed_loop_simulate) solve
 nothing per node and build no state per node: they carry x from node to
-node.
+node by the discrete system's exact one-panel step (optimal.one_panel_step),
+the one map node_forms is built on.  From a state's node on, the seed s of
+the carried x is therefore the discrete system's exact seed, not
+extend_state's trapezoid y_hat - I_xi; the two differ at second order in dt.
 """
 
 from __future__ import annotations
@@ -58,10 +61,9 @@ from .forward import (
     response_field,
     segment_samples,
     state_coordinates,
-    volterra_steps,
 )
-from .kernels import KernelTable, linear_scan, product_convolution
-from .optimal import OperatorAssembly, node_forms, solve_optimal, u_plus_control_side
+from .kernels import KernelTable
+from .optimal import OperatorAssembly, node_forms, one_panel_step, solve_optimal, u_plus_control_side
 
 __all__ = [
     "GeneratorImage",
@@ -249,45 +251,29 @@ def closed_loop_simulate(state0: StateSnapshot, table: KernelTable) -> tuple[Tra
 
     The loop carries only x = (v_hat, s), s = y_hat - I_xi: at node j the
     first two nodes of the remaining-horizon optimal control are -K[j] x
-    (optimal.node_forms), applied through one Volterra step, which reads no
-    later node, while s gains the step's seed decay and history panel.
-    That step is one matrix on (x, -K[j] x, xi_last), _loop_step, derived
-    once per call, so no node calls the forward layer.  Each node is a free
-    restart from the state extend_state would reach.  Returns the
-    closed-loop trajectory and the per-node gain.
+    (optimal.node_forms), and x <- A x + [B0 B1] (-K[j] x) by the exact
+    one-panel step (optimal.one_panel_step), so no node calls the forward
+    layer.  Each node is a free restart from the state the discrete system
+    reaches.  Returns the closed-loop trajectory and the per-node gain.
     """
     grid = table.grid
     i0 = state0.tau_index
     m = grid.n_steps - i0
     n = state0.n_modes
     K = node_forms(table).K
-    advance = _loop_step(table)
+    A, B0, B1 = one_panel_step(table)
+    B = np.hstack([B0, B1])
     u_cl = np.zeros((m + 1, 2))
     v_cl = np.zeros((m + 1, n))
     v_cl[0] = state0.v_hat
     x = state_coordinates(state0, table)
-    xi_last = state0.xi[-1]
     for i, j in enumerate(range(i0, grid.n_steps)):
         u2 = -(K[j] @ x)
         u_cl[i] = u2[:2]
-        x = advance @ np.concatenate([x, u2, xi_last])
-        v_cl[i + 1] = xi_last = x[:n]
+        x = A @ x + B @ u2
+        v_cl[i + 1] = x[:n]
     # empty horizon at T: zero gain
     return Trajectory(i0, v_cl), ControlSignal(i0, u_cl)
-
-
-def _loop_step(table: KernelTable) -> np.ndarray:
-    """The closed loop's node-to-node map (v_hat, s, u_j, u_{j+1}, xi_last) -> (v_hat, s), (2n, 3n+4).
-
-    Column k is the image of the k-th unit input under one volterra_steps
-    step and the seed carry of _trajectory_coordinates; xi_last is the
-    history's last sample, which only the seed carry reads.
-    """
-    n = table.n_modes
-    unit = np.eye(3 * n + 4)
-    v, s, u, xi_last = unit[:, :n], unit[:, n : 2 * n], unit[:, 2 * n : 2 * n + 4], unit[:, 2 * n + 4 :]
-    v_next = np.array([volterra_steps(vk, sk, uk.reshape(2, 2), table, 1)[1] for vk, sk, uk in zip(v, s, u)])
-    return _trajectory_coordinates(unit[:, : 2 * n], xi_last, np.stack([v, v_next], axis=1), table.grid.dt)[:, 1].T
 
 
 # ----------------------------------------------------------------------------
@@ -334,39 +320,23 @@ def bellman_check(state: StateSnapshot, t0_index: int, table: KernelTable) -> Be
 # scans along a trajectory
 
 
-def _trajectory_coordinates(x0: np.ndarray, xi_last: np.ndarray, values: np.ndarray, dt: float) -> np.ndarray:
-    """x at every node of trajectories values (C, m+1, n), as (C, m+1, 2n).
-
-    The trajectories start from coordinates x0 = (v_hat, s) and a history
-    ending in xi_last, (2n,) and (n,) or one per trajectory.  The states are
-    those extend_state reaches along each trajectory: s = y_hat - I_xi
-    decays by r = exp(-dt) per step while I_xi gains the trapezoid panel
-    (dt/2)(r xi_{j-1} + v_j), one kernels.linear_scan over the nodes.
-    """
-    n = values.shape[2]
-    r = np.exp(-dt)
-    x = np.concatenate([values, np.empty_like(values)], axis=2)
-    v, s = np.moveaxis(values, 1, 0), np.moveaxis(x[:, :, n:], 1, 0)  # time-first views
-    s[0] = x0[..., n:]
-    s[1:2] = xi_last  # s[1:] holds xi_{j-1}, then, in place, the seed increments
-    s[2:] = v[1:-1]
-    s[1:] *= r
-    s[1:] += v[1:]
-    s[1:] *= -0.5 * dt
-    linear_scan(r, s)
-    x[:, 0] = x0
-    return x
-
-
 def _value_scan(state0: StateSnapshot, controls, table: KernelTable):
-    """value_scan_batch, plus the coordinates x[control, node] it evaluates."""
+    """value_scan_batch, plus the coordinates x[control, node] it evaluates.
+
+    x starts at state_coordinates(state0) and steps by the exact one-panel
+    step, x_{j+1} = A x_j + B0 u_j + B1 u_{j+1}, every control at once, with
+    the control increments formed before the loop.
+    """
     i0 = state0.tau_index
     M = table.grid.n_steps
-    ad = np.stack([segment_samples(u, table, i0) @ table.basis.ad_coeffs.T for u in controls], axis=1)
-    conv = product_convolution(table.panel_Z, table.grid.dt, ad)  # (m+1, control, n)
-    values = np.moveaxis(response_field(state0, table)[:, None] - conv, 1, 0)
-    trajs = [Trajectory(i0, v) for v in values]
-    x = _trajectory_coordinates(state_coordinates(state0, table), state0.xi[-1], values, table.grid.dt)
+    A, B0, B1 = one_panel_step(table)
+    u = np.stack([segment_samples(c, table, i0) for c in controls])  # (control, m+1, 2)
+    inc = u[:, :-1] @ B0.T + u[:, 1:] @ B1.T
+    x = np.empty((len(controls), M - i0 + 1, 2 * table.n_modes))
+    x[:, 0] = state_coordinates(state0, table)
+    for j in range(M - i0):
+        x[:, j + 1] = x[:, j] @ A.T + inc[:, j]
+    trajs = [Trajectory(i0, xc[:, : table.n_modes]) for xc in x]
     W = np.zeros((M - i0 + 1, len(controls)))
     W[:-1] = np.einsum("cji,jik,cjk->jc", x[:, :-1], node_forms(table).P[i0:M], x[:, :-1])
     return np.arange(i0, M + 1), W, trajs, x
@@ -375,11 +345,13 @@ def _value_scan(state0: StateSnapshot, controls, table: KernelTable):
 def value_scan_batch(state0: StateSnapshot, controls, table: KernelTable):
     """W_theta along the trajectories of several controls from one state.
 
-    Returns (indices, W[node, control], trajectories).  The trajectories
-    are solve_voc's, bit for bit, from one product_convolution over every
-    control's A D u; each control must span [t_i0, T] (segment_samples).
-    W_j = x^T P[j] x, with x the state's coordinates at node j and P[j] the
-    table's value matrix (optimal.node_forms); no node solves a system.
+    Returns (indices, W[node, control], trajectories).  Every control's x
+    is carried by the exact one-panel step from the state's coordinates
+    (see _value_scan), and its trajectory is x's v-rows: solve_voc's at
+    roundoff.  Each control must span [t_i0, T] (segment_samples).  W_j =
+    x^T P[j] x, with P[j] the table's value matrix (optimal.node_forms); no
+    node solves a system.  From node i0 on, x's seed is the discrete
+    system's exact one, not extend_state's trapezoid y_hat - I_xi.
     """
     indices, W, trajs, _ = _value_scan(state0, controls, table)
     return indices, W, trajs

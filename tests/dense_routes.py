@@ -9,7 +9,9 @@ sets them against the node forms compares a recursion with an iteration or
 a factorization.  The dense Lambda itself (reference_Lambda) is assembled
 from the per-mode gap-gather weight matrices (weight_matrix), independent
 of the direct sums in optimal.  The P' and cross routes take phi = H h from
-the control side and hold for a state before T.  riccati_recursion is the
+the control side and hold for a state before T.  at_coordinates moves a
+state's seed to given coordinates x, so a route can be evaluated at the x
+that a scan carries by the exact one-panel step.  riccati_recursion is the
 backward sweep that optimal._riccati_recursion streamlines: it solves every
 node's start-of-horizon system inside the sweep and carries each record's
 kernel pairings term by term.
@@ -18,10 +20,10 @@ kernel pairings term by term.
 import numpy as np
 import scipy.linalg as sla
 
-from memlqr import apply_generator, memory_functional
-from memlqr.forward import response_field
+from memlqr import StateSnapshot, apply_generator, memory_functional
+from memlqr.forward import response_field, state_coordinates
 from memlqr.kernels import gap_weights, product_weights
-from memlqr.optimal import NodeForms, OperatorAssembly, _one_panel_step
+from memlqr.optimal import NodeForms, OperatorAssembly, one_panel_step
 
 
 def weight_matrix(alpha, beta, m):
@@ -78,6 +80,17 @@ def value_form(s1, s2, table):
     return asm.inner_V(h1, h2) - asm.inner_U(z1, asm.apply_Lambda_star(h2))
 
 
+def at_coordinates(state, x, table):
+    """The state with state's history, v_hat = x_v and y_hat shifted by x_s - (y_hat - I_xi).
+
+    Its coordinates are x at roundoff: the shift carries the difference
+    between a scan's exact seed and the trapezoid seed of state's history.
+    """
+    n = state.n_modes
+    shift = x[n:] - state_coordinates(state, table)[n:]
+    return StateSnapshot(state.tau_index, x[:n], state.xi, state.y_hat + shift)
+
+
 def kernel_pairings(phi, table, start):
     """Per-mode int_theta^T Z(s-theta) phi(s) ds and the same with the Q kernel.
 
@@ -127,7 +140,7 @@ def riccati_recursion(table):
     """
     M, n, dt = table.grid.n_steps, table.n_modes, table.grid.dt
     nx, nz = 2 * n, 2 * n + 2
-    A, B0, B1 = _one_panel_step(table)
+    A, B0, B1 = one_panel_step(table)
     F = np.zeros((nz, nz))
     F[:nx] = np.hstack([A, B0])
     G = np.vstack([B1, np.eye(2)])

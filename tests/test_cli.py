@@ -94,6 +94,29 @@ def test_unknown_tolerance_rejected(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("control, key", [
+    ("preset = sine\nampl0 = 9", "ampl0"),
+    ("preset = sine\nc00 = 1", "c00"),
+    ("preset = poly\namp0 = 1", "amp0"),
+    ("preset = zero\noffset0 = 0.5", "offset0"),
+])
+def test_unknown_control_key_rejected(tmp_path, control, key):
+    # a key the chosen preset does not read would be silently ignored
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[problem]\nn_modes = 4\nt_final = 0.5\nn_steps = 32\n[control]\n{control}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(p)
+
+
+@pytest.mark.parametrize("field", ["v_decay", "y_decay"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_decay_rejected(tmp_path, field, value):
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[problem]\nn_modes = 4\nt_final = 0.5\nn_steps = 32\n[initial_data]\n{field} = {value}\n")
+    with pytest.raises(ConfigError, match=field):
+        load_config(p)
+
+
 def test_modal_preset_requires_coeffs(tmp_path):
     p = tmp_path / "bad.ini"
     p.write_text("[problem]\nn_modes = 4\nt_final = 0.5\nn_steps = 32\n[initial_data]\npreset = modal\n")

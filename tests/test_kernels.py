@@ -71,6 +71,18 @@ def test_grid_rejects_bad_sizes():
         TimeGrid(1.0, 0)
 
 
+@pytest.mark.parametrize("t_final, n_steps",
+                         [(np.nan, 4), (np.inf, 4), (-np.inf, 4), (0.5, 4.5), (0.5, 4.0), (0.5, True)])
+def test_grid_rejects_a_nonfinite_horizon_or_a_noninteger_step_count(t_final, n_steps):
+    # rejected when the grid is built, before nodes could hold NaN or fail on first read
+    with pytest.raises(ValueError):
+        TimeGrid(t_final, n_steps)
+
+
+def test_grid_accepts_numpy_integer_step_counts():
+    assert TimeGrid(0.5, np.int64(4)).nodes.shape == (5,)
+
+
 # ----------------------------------------------------------------------------
 # E and N
 

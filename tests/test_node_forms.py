@@ -7,7 +7,10 @@ the value form, the first-step control and the kernel pairings of H h, over
 n <= 6, M <= 48, T in [0.1, 2], always at nodes 0, M - 2 and M - 1, where
 the last-row corrections differ.  The recursion itself is set against
 dense_routes.riccati_recursion, the sweep that solves every node inside
-its loop, and its traced memory against the forms it returns.
+its loop, and its traced memory against the forms it returns.  The scans
+carry x by the one-panel step, which is checked against Van Loan's block
+exponential; their references are the dense routes at a state whose
+coordinates are the carried x (dense_routes.at_coordinates).
 """
 
 import gc
@@ -18,15 +21,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from dense_routes import kernel_pairings, riccati_recursion, value_form
+from dense_routes import at_coordinates, kernel_pairings, riccati_recursion, value_form
 
 from memlqr import (ControlSignal, StateSnapshot, TimeGrid, build_basis, chain_rule_scan,
-                    closed_loop_simulate, extend_state, solve_Z)
+                    closed_loop_simulate, extend_state, solve_voc, solve_Z)
 from memlqr.forward import response_field, state_coordinates
 from memlqr.kernels import product_weights
-from memlqr.optimal import OperatorAssembly, _one_panel_step, _riccati_recursion, node_forms
-from memlqr.riccati import dissipation_residual, value_scan_batch
+from memlqr.optimal import OperatorAssembly, one_panel_step, _riccati_recursion, node_forms
+from memlqr.riccati import _value_scan, dissipation_residual, value_scan_batch
 
 
 @st.composite
@@ -68,32 +72,62 @@ def test_node_forms_match_the_dense_routes(case, data):
 @given(problems(), st.data())
 def test_value_scan_from_an_interior_start(case, data):
     # W along the trajectories from a start i0 > 0 is the dense value form
-    # at every node the trajectory reaches
+    # at every node the trajectory reaches, at the state whose coordinates
+    # are the carried x
     table, rng = case
     M, n = table.grid.n_steps, table.n_modes
     i0 = data.draw(st.integers(1, M))
     state = random_state(rng, i0, n)
     controls = [ControlSignal(i0, rng.standard_normal((M - i0 + 1, 2))) for _ in range(2)]
-    indices, W, trajs = value_scan_batch(state, controls, table)
+    indices, W, trajs, x = _value_scan(state, controls, table)
     assert W.shape == (M - i0 + 1, 2) and np.all(W[-1] == 0.0)
     for c, traj in enumerate(trajs):
-        ref = [value_form(s, s, table) for s in (extend_state(state, None, j, table, trajectory=traj) for j in indices)]
+        states = (extend_state(state, None, j, table, trajectory=traj) for j in indices)
+        ref = [value_form(s, s, table) for s in (at_coordinates(s, xj, table) for s, xj in zip(states, x[c]))]
         assert rel_err(W[:, c], np.array(ref)) <= 1e-13
 
 
+def test_carried_seed_is_the_trapezoid_seed_at_second_order():
+    # from the state's node on the scans carry the discrete system's exact
+    # seed, not extend_state's trapezoid y_hat - I_xi of the same trajectory;
+    # halving dt divides their largest gap by about 4 (measured 3.93, 3.98)
+    basis, rng = build_basis(4), np.random.default_rng(0)
+    v, y = (rng.standard_normal(4) / np.arange(1, 5) ** 3 for _ in range(2))
+    state = StateSnapshot.initial(v, y)
+    gaps = []
+    for M in (64, 128, 256):
+        table = solve_Z(basis, TimeGrid(0.5, M))
+        t = table.grid.nodes
+        u = ControlSignal(0, np.stack([0.5 + 0.4 * np.sin(2 * t), -0.5 + 0.3 * np.cos(3 * t)], axis=1))
+        _, _, trajs, x = _value_scan(state, [u], table)
+        trap = [state_coordinates(extend_state(state, None, j, table, trajectory=trajs[0]), table)[4:]
+                for j in range(M + 1)]
+        gaps.append(np.max(np.abs(x[0, :, 4:] - np.array(trap))))
+    assert all(3.5 < coarse / fine < 4.5 for coarse, fine in zip(gaps, gaps[1:]))
+
+
 def per_node_closed_loop(state0, table):
-    """The closed loop that rebuilds the state by extend_state at every node."""
-    M, i0 = table.grid.n_steps, state0.tau_index
-    K = node_forms(table).K
+    """The closed loop that builds a state and solves the control side at every node.
+
+    Node j's first two controls are -z[:2] of apply_H's conjugate gradients
+    at the state; the next state takes its values from solve_voc and its
+    seed from the one-panel step's s-rows (dense_routes.at_coordinates).
+    """
+    M, i0, n = table.grid.n_steps, state0.tau_index, table.n_modes
+    A, B0, B1 = one_panel_step(table)
     u_cl = np.zeros((M - i0 + 1, 2))
-    v_cl = np.zeros((M - i0 + 1, table.n_modes))
+    v_cl = np.zeros((M - i0 + 1, n))
     v_cl[0] = state0.v_hat
     cur = state0
     for step, j in enumerate(range(i0, M)):
         u_loc = np.zeros((M - j + 1, 2))
-        u_loc[:2] = -(K[j] @ state_coordinates(cur, table)).reshape(2, 2)
+        u_loc[:2] = -OperatorAssembly(table, j).apply_H(response_field(cur, table))[1][:2]
         u_cl[step] = u_loc[0]
-        cur = extend_state(cur, ControlSignal(j, u_loc), j + 1, table)
+        ctrl = ControlSignal(j, u_loc)
+        x = state_coordinates(cur, table)
+        seed = (A @ x + B0 @ u_loc[0] + B1 @ u_loc[1])[n:]
+        nxt = extend_state(cur, ctrl, j + 1, table, trajectory=solve_voc(cur, ctrl, table))
+        cur = at_coordinates(nxt, np.concatenate([nxt.v_hat, seed]), table)
         v_cl[step + 1] = cur.v_hat
     return v_cl, u_cl
 
@@ -102,7 +136,8 @@ def per_node_closed_loop(state0, table):
 @given(problems(), st.data())
 def test_closed_loop_matches_the_per_node_state_loop(case, data):
     # carrying x = (v_hat, y_hat - I_xi) from node to node is the loop that
-    # extends a full state at every node, from node 0 and from an interior start
+    # builds a full state and solves for its gain at every node, from node 0
+    # and from an interior start
     table, rng = case
     assert_closed_loop_matches_the_per_node_loop(table, rng, (0, data.draw(st.integers(1, table.grid.n_steps))))
 
@@ -156,11 +191,35 @@ def test_one_panel_step_reads_column_1_of_the_product_weights(n, M, T):
     # of the first shape has |lambda| dt = 703, and at the last one a plain
     # np.sum over Q's four terms already differs in the last bit
     table = solve_Z(build_basis(n), TimeGrid(T, M))
-    _, B0, B1 = _one_panel_step(table)
+    _, B0, B1 = one_panel_step(table)
     ad = table.basis.ad_coeffs
     (aZ, bZ), (aQ, bQ) = (product_weights(p, table.grid) for p in (table.panel_Z, table.panel_Q))
     assert np.array_equal(B0, np.concatenate([-aZ[:, 1, None] * ad, aQ[:, 1, None] * ad]))
     assert np.array_equal(B1, np.concatenate([-bZ[:, 1, None] * ad, bQ[:, 1, None] * ad]))
+
+
+@pytest.mark.parametrize("n, M, T, bound", [(8, 256, 0.5, 1.5e-16), (3, 8, 10.0, 6e-16), (64, 1024, 0.5, 6e-15),
+                                             (191, 64, 0.5, 2.5e-13)])
+def test_one_panel_step_is_the_block_exponential(n, M, T, bound):
+    # Van Loan (1978): per mode, expm of [[F, G, 0], [0, 0, I], [0, 0, 0]] dt,
+    # F = [[lambda + 1, 1], [-1, -1]] on (v, s) and G = [-A D; 0], holds the
+    # free step in its (1, 1) block and the responses to a held and a ramped
+    # control in (1, 2) and (1, 3), so B1 = Phi_13 / dt and B0 = Phi_12 - B1
+    # (measured 1.1e-16, 4.8e-16, 5.0e-15 and, at |lambda| dt = 2813, 1.9e-13)
+    table = solve_Z(build_basis(n), TimeGrid(T, M))
+    dt = table.grid.dt
+    ref = [np.zeros((2 * n, 2 * n)), np.zeros((2 * n, 2)), np.zeros((2 * n, 2))]
+    for k, (lam, ad) in enumerate(zip(table.basis.eigenvalues, table.basis.ad_coeffs)):
+        aug = np.zeros((6, 6))
+        aug[:2, :2] = [[lam + 1.0, 1.0], [-1.0, -1.0]]
+        aug[0, 2:4] = -ad
+        aug[2:4, 4:] = np.eye(2)
+        phi, rows = expm(aug * dt)[:2], [k, n + k]
+        ref[0][np.ix_(rows, rows)] = phi[:, :2]
+        ref[2][rows] = phi[:, 4:] / dt
+        ref[1][rows] = phi[:, 2:4] - ref[2][rows]
+    for got, want in zip(one_panel_step(table), ref):
+        assert rel_err(got, want) <= bound
 
 
 @pytest.mark.parametrize("n, M, T", [(191, 256, 0.5), (8, 256, 0.5), (3, 8, 10.0)])
@@ -169,7 +228,7 @@ def test_stacked_gap_weights_shift_by_the_transposed_one_panel_step(n, M, T):
     # stacked Z and Q weights at gap g + 1 are A^T times those at gap g: the
     # identity the sweep's kernel pairings rest on (measured at most 3.4e-18)
     table = solve_Z(build_basis(n), TimeGrid(T, M))
-    A = _one_panel_step(table)[0]
+    A = one_panel_step(table)[0]
     (aZ, bZ), (aQ, bQ) = (product_weights(p, table.grid) for p in (table.panel_Z, table.panel_Q))
     for W in (np.vstack([aZ, aQ]), np.vstack([bZ, bQ])):
         assert rel_err(A.T @ W[:, 1:-1], W[:, 2:]) <= 1e-15

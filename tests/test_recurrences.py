@@ -28,7 +28,7 @@ from memlqr import (
     solve_Z,
 )
 from memlqr.forward import control_field, response_field
-from memlqr.kernels import (_first_panel, linear_scan, product_convolution, product_weights, volterra_trapezoid,
+from memlqr.kernels import (_first_panel, _linear_scan, product_convolution, product_weights, volterra_trapezoid,
                             z_exponential_terms)
 
 RTOL = 1e-13
@@ -306,7 +306,7 @@ def test_linear_scan_matches_the_sequential_loop(m, ratios):
         inc = rng.standard_normal((m + 1,) + r.shape)
         if np.iscomplexobj(r):
             inc = inc + 1j * rng.standard_normal(inc.shape)
-        fast, ref = linear_scan(r, inc.copy()), sequential_scan(r, inc)
+        fast, ref = _linear_scan(r, inc.copy()), sequential_scan(r, inc)
         assert np.all(np.abs(fast - ref) <= 1e-15 * sequential_scan(np.abs(r), np.abs(inc)))
 
 
@@ -317,17 +317,17 @@ def test_linear_scan_prefixes_keep_the_full_scans_bits(ratios):
     m = 3 * 64 + 5
     for r in ratios:
         inc = rng.standard_normal((m + 1,) + r.shape) + 1j * rng.standard_normal((m + 1,) + r.shape)
-        full = linear_scan(r, inc.copy())
+        full = _linear_scan(r, inc.copy())
         for k in sorted({e + d for e in (64, 128, 192) for d in (-2, -1, 0, 1, 2)} | {0, 1, m}):
-            assert np.array_equal(linear_scan(r, inc[: k + 1].copy()), full[: k + 1])
+            assert np.array_equal(_linear_scan(r, inc[: k + 1].copy()), full[: k + 1])
 
 
 def test_linear_scan_rejects_a_ratio_above_one():
     for r in (1.5, np.array([0.5, -1.01]), 0.8 + 0.8j):
         with pytest.raises(ValueError):
-            linear_scan(r, np.ones((70,) + np.shape(r), dtype=complex))
+            _linear_scan(r, np.ones((70,) + np.shape(r), dtype=complex))
     for r in (1.0, -1.0, 1j):
-        assert np.all(np.isfinite(linear_scan(r, np.ones(70, dtype=complex))))
+        assert np.all(np.isfinite(_linear_scan(r, np.ones(70, dtype=complex))))
 
 
 @settings(max_examples=15, deadline=None)

@@ -26,7 +26,7 @@ from memlqr import (
     value_function,
 )
 from memlqr.optimal import node_forms
-from memlqr.riccati import _fd_derivative, dissipation_residual, value_scan_batch
+from memlqr.riccati import _fd_derivative, _value_scan, dissipation_residual, value_scan_batch
 
 
 @pytest.fixture(scope="module")
@@ -532,10 +532,9 @@ def test_single_state_routes_read_the_node_forms(control_solves, assembly_starts
 
 def test_scans_build_no_state_per_node(monkeypatch, basis):
     # chain_rule_scan and closed_loop_simulate carry x = (v_hat, y_hat - I_xi)
-    # from node to node: they build no state, memory integral or generator
-    # image per node, and the closed loop's Volterra step is one matrix
-    # derived once per call, so no count, volterra_steps and
-    # product_convolution included, grows with M
+    # from node to node by the one-panel step: they build no state, memory
+    # integral or generator image per node and call no forward route, so no
+    # count, one_panel_step's included, grows with M
     import memlqr.forward as fwd
     import memlqr.riccati as ric
 
@@ -549,9 +548,10 @@ def test_scans_build_no_state_per_node(monkeypatch, basis):
 
     monkeypatch.setattr(StateSnapshot, "__post_init__", counting("StateSnapshot", StateSnapshot.__post_init__))
     for mod in (fwd, ric):
-        for name in ("memory_functional", "product_convolution"):
-            monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
-    for name in ("apply_generator", "volterra_steps"):
+        monkeypatch.setattr(mod, "memory_functional", counting("memory_functional", getattr(mod, "memory_functional")))
+    for name in ("product_convolution", "_volterra_steps", "solve_voc"):
+        monkeypatch.setattr(fwd, name, counting(name, getattr(fwd, name)))
+    for name in ("apply_generator", "one_panel_step"):
         monkeypatch.setattr(ric, name, counting(name, getattr(ric, name)))
 
     def counts(M):
@@ -567,11 +567,13 @@ def test_scans_build_no_state_per_node(monkeypatch, basis):
     at16 = counts(16)
     assert at16 == counts(32)
     assert "StateSnapshot" not in at16 and "apply_generator" not in at16
+    assert not {"product_convolution", "_volterra_steps", "solve_voc"} & set(at16)
 
 
-def test_value_scan_convolves_every_probe_at_once(monkeypatch, table, grid, interior_state):
-    # 50 probe controls make one product_convolution and no solve_voc, and
-    # every trajectory is the one solve_voc gives that control alone
+def test_value_scan_steps_every_probe_at_once(monkeypatch, table, grid, interior_state):
+    # 50 probe controls make no product_convolution and no solve_voc: one
+    # loop over the nodes steps them all, and every trajectory is the one
+    # solve_voc gives that control alone, at roundoff
     import memlqr
     import memlqr.forward as fwd
     import memlqr.kernels as ker
@@ -595,9 +597,10 @@ def test_value_scan_convolves_every_probe_at_once(monkeypatch, table, grid, inte
     for mod in (fwd, memlqr, ric):
         monkeypatch.setattr(mod, "solve_voc", counting("solve_voc", solve_voc), raising=False)
     _, W, trajs = value_scan_batch(interior_state, probes, table)
-    assert calls == ["product_convolution"]
+    assert calls == []
     assert W.shape == (grid.n_steps - i0 + 1, 50)
-    assert all(np.array_equal(t.values, ref) for t, ref in zip(trajs, refs))
+    for t, ref in zip(trajs, refs):
+        assert np.max(np.abs(t.values - ref)) <= 1e-14 * (1.0 + np.max(np.abs(ref)))
 
 
 def test_value_scan_rejects_a_control_off_the_states_node(table, grid, interior_state):
@@ -615,15 +618,16 @@ def test_riccati_residual_solves_once(control_solves, table, interior_state):
 def test_chain_rule_scan_matches_the_separate_routes(table, grid, basis, interior_state):
     # the scan's finite difference is exactly that of the value scan; its
     # formula reads the node forms, so it matches P' and the cross pairing
-    # evaluated on the dense control-side routes at roundoff (worst measured 3.9e-17)
+    # evaluated on the dense control-side routes, at the state whose
+    # coordinates are the carried x, at roundoff (worst measured 3.9e-17)
     i0 = grid.n_steps - 8
     warm = extend_state(interior_state, sine_control(grid, 16), i0, table)
     u = sine_control(grid, i0)
     rep = chain_rule_scan(warm, u, table)
-    _, W, trajs = value_scan_batch(warm, [u], table)
+    _, W, trajs, x = _value_scan(warm, [u], table)
     assert np.array_equal(rep.fd, _fd_derivative(W[:, 0], grid.dt)[1:-1])
     for pos, j in enumerate(rep.indices):
-        st = extend_state(warm, None, j, table, trajectory=trajs[0])
+        st = dense_routes.at_coordinates(extend_state(warm, None, j, table, trajectory=trajs[0]), x[0, j - i0], table)
         img = apply_generator(st, table)
         dv_ctrl = img.dv - basis.ad_coeffs @ u.samples[j - i0]
         ref = dense_routes.p_prime(st, table) + dense_routes.cross(st, dv_ctrl, img.dxi, img.dy, table)
