@@ -80,7 +80,6 @@ __all__ = [
     "bellman_check",
     "BellmanReport",
     "value_scan_batch",
-    "dissipation_residual",
     "chain_rule_scan",
     "ChainRuleReport",
     "terminal_P_check",
@@ -320,55 +319,33 @@ def bellman_check(state: StateSnapshot, t0_index: int, table: KernelTable) -> Be
 # scans along a trajectory
 
 
-def _value_scan(state0: StateSnapshot, controls, table: KernelTable):
-    """value_scan_batch, plus the coordinates x[control, node] it evaluates.
+def value_scan_batch(state0: StateSnapshot, controls, table: KernelTable):
+    """W_theta along the trajectories of several controls from one state.
 
-    x starts at state_coordinates(state0) and steps by the exact one-panel
-    step, x_{j+1} = A x_j + B0 u_j + B1 u_{j+1}, every control at once, with
-    the control increments formed before the loop.
+    Returns (indices, W[node, control], x[control, node, 2n]): every
+    control's x starts at state_coordinates(state0) and steps by the exact
+    one-panel step, x_{j+1} = A x_j + B0 u_j + B1 u_{j+1}, every control at
+    once, with the control increments formed in x's rows before the loop.
+    A control's trajectory is its x's v-rows, solve_voc's at roundoff.  Each
+    control must span [t_i0, T] (segment_samples).  W_j = x^T P[j] x, with
+    P[j] the table's value matrix (optimal.node_forms), by one batched
+    matmul; no node solves a system.  From node i0 on, x's seed is the
+    discrete system's exact one, not extend_state's trapezoid y_hat - I_xi.
     """
     i0 = state0.tau_index
     M = table.grid.n_steps
     A, B0, B1 = one_panel_step(table)
     u = np.stack([segment_samples(c, table, i0) for c in controls])  # (control, m+1, 2)
-    inc = u[:, :-1] @ B0.T + u[:, 1:] @ B1.T
     x = np.empty((len(controls), M - i0 + 1, 2 * table.n_modes))
     x[:, 0] = state_coordinates(state0, table)
+    np.matmul(u[:, :-1], B0.T, out=x[:, 1:])
+    x[:, 1:] += u[:, 1:] @ B1.T
     for j in range(M - i0):
-        x[:, j + 1] = x[:, j] @ A.T + inc[:, j]
-    trajs = [Trajectory(i0, xc[:, : table.n_modes]) for xc in x]
+        x[:, j + 1] += x[:, j] @ A.T
+    xj = x[:, :-1].transpose(1, 0, 2)  # (node, control, 2n)
     W = np.zeros((M - i0 + 1, len(controls)))
-    W[:-1] = np.einsum("cji,jik,cjk->jc", x[:, :-1], node_forms(table).P[i0:M], x[:, :-1])
-    return np.arange(i0, M + 1), W, trajs, x
-
-
-def value_scan_batch(state0: StateSnapshot, controls, table: KernelTable):
-    """W_theta along the trajectories of several controls from one state.
-
-    Returns (indices, W[node, control], trajectories).  Every control's x
-    is carried by the exact one-panel step from the state's coordinates
-    (see _value_scan), and its trajectory is x's v-rows: solve_voc's at
-    roundoff.  Each control must span [t_i0, T] (segment_samples).  W_j =
-    x^T P[j] x, with P[j] the table's value matrix (optimal.node_forms); no
-    node solves a system.  From node i0 on, x's seed is the discrete
-    system's exact one, not extend_state's trapezoid y_hat - I_xi.
-    """
-    indices, W, trajs, _ = _value_scan(state0, controls, table)
-    return indices, W, trajs
-
-
-def dissipation_residual(W: np.ndarray, trajectory: Trajectory, u: ControlSignal,
-                         dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """dW/dtheta and r(theta) = ||v||^2 + ||u||^2 + dW/dtheta along one trajectory.
-
-    W is one column of value_scan_batch and the trajectory its own.  r is
-    nonnegative (up to discretization) for every admissible control and zero
-    along the optimal one.  dW/dtheta by central differences with the grid
-    step, one-sided at the segment ends.
-    """
-    dW = _fd_derivative(W, dt)
-    dens = np.sum(trajectory.values**2, axis=1) + np.sum(u.samples**2, axis=1)
-    return dW, dens + dW
+    W[:-1] = np.einsum("jci,jci->jc", xj @ node_forms(table).P[i0:M], xj)
+    return np.arange(i0, M + 1), W, x
 
 
 @dataclass
@@ -397,7 +374,7 @@ def chain_rule_scan(state0: StateSnapshot, u: ControlSignal, table: KernelTable)
     state.
     """
     forms = node_forms(table)
-    indices, W, trajs, x = _value_scan(state0, [u], table)
+    indices, W, x = value_scan_batch(state0, [u], table)
     n = table.n_modes
     dt = table.grid.dt
     js, xj = indices[1:-1], x[0, 1:-1]

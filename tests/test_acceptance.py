@@ -33,7 +33,7 @@ from memlqr import (
     value_scan_batch,
 )
 from memlqr.optimal import OperatorAssembly
-from memlqr.riccati import P_form, _fd_derivative, dissipation_residual
+from memlqr.riccati import P_form
 
 N_MODES = 8
 T_FINAL = 0.5
@@ -225,23 +225,21 @@ def test_criterion_8_feedback_law(table, grid):
 
 
 def test_criterion_9_dissipation(table, grid):
+    # the value identity panel by panel: tau_j = (W_{j+1} - W_j)/dt +
+    # (f_j + f_{j+1})/2 with f = |v|^2 + |u|^2, zero along the optimum and
+    # nonnegative for every control
     st = seeded_state(1000)
     sol = solve_optimal(st, table)
-    _idx, W, trajs = value_scan_batch(st, [sol.u_plus], table)
-    _dW, r = dissipation_residual(W[:, 0], trajs[0], sol.u_plus, grid.dt)
-    max_abs_r = float(np.max(np.abs(r)))
+    controls = [sol.u_plus] + [seeded_control(grid, 1100 + k) for k in range(50)]
+    _idx, W, x = value_scan_batch(st, controls, table)
+    u = np.stack([c.samples for c in controls], axis=1)
+    f = np.sum(x[:, :, :N_MODES] ** 2, axis=2).T + np.sum(u**2, axis=2)
+    tau = np.diff(W, axis=0) / grid.dt + 0.5 * (f[1:] + f[:-1])
+    max_abs_r = float(np.max(np.abs(tau[:, 0])))
     report(9, "equality band along the optimal control", max_abs_r, 5e-3, max_abs_r <= 5e-3)
 
-    probes = [seeded_control(grid, 1100 + k) for k in range(50)]
-    _idx, Wmat, trajs = value_scan_batch(st, probes, table)
-    min_r = np.inf
-    escaped = True
-    for c, u in enumerate(probes):
-        dW = _fd_derivative(Wmat[:, c], grid.dt)
-        dens = np.sum(trajs[c].values**2, axis=1) + np.sum(u.samples**2, axis=1)
-        r = dens + dW
-        min_r = min(min_r, float(np.min(r)))
-        escaped = escaped and (float(np.max(np.abs(r))) > 5e-3)
+    min_r = float(np.min(tau[:, 1:]))
+    escaped = bool(np.all(np.max(np.abs(tau[:, 1:]), axis=0) > 5e-3))
     report(9, "probe residual floor (50 seeded controls)", min_r, -1e-8, min_r >= -1e-8)
     report(9, "no probe stays in the equality band", 1.0 if escaped else 0.0, 1.0, escaped)
 

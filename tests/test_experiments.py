@@ -1,14 +1,18 @@
-"""The suites' output layer: one column writer, atomic artifacts, shared work."""
+"""The suites' output layer: one column writer, atomic artifacts, shared work;
+the dissipation suite's panel residual; the shipped config's checks."""
 
 import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from memlqr import experiments, riccati
 from memlqr.config import load_config
 
-QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.ini"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+QUICK = CONFIGS / "quick.ini"
+DEFAULT = CONFIGS / "default.ini"
 
 
 def test_writer_matches_the_per_value_reference(tmp_path):
@@ -46,7 +50,7 @@ def test_all_solves_the_optimum_once_and_scans_twice(monkeypatch, tmp_path):
     # the optimize, dissipation and closed-loop suites share one optimum; the
     # dissipation suite scans the optimum and its probes together, and the
     # chain-rule closure is the other scan
-    calls = {"solve_optimal": 0, "_value_scan": 0}
+    calls = {"solve_optimal": 0, "value_scan_batch": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -58,6 +62,35 @@ def test_all_solves_the_optimum_once_and_scans_twice(monkeypatch, tmp_path):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(experiments, "solve_optimal")
-    counted(riccati, "_value_scan")
+    counted(experiments, "value_scan_batch")
+    counted(riccati, "value_scan_batch")
     experiments.run_suite("all", load_config(str(QUICK)), str(tmp_path), tol_scale=50.0)
-    assert calls == {"solve_optimal": 1, "_value_scan": 2}
+    assert calls == {"solve_optimal": 1, "value_scan_batch": 2}
+
+
+@pytest.mark.parametrize("config", [QUICK, DEFAULT])
+def test_the_stencil_residual_is_the_panel_residual_plus_the_data_curvature(config):
+    # np.gradient's r = f + dW/dtheta at a node is the mean of the panel
+    # residuals tau beside it less a quarter of f's second difference
+    # (one-sided at the ends), so where tau reads zero, r reads the curvature
+    # of f = |v|^2 + |u|^2, largest in the initial layer
+    ws = experiments._Workspace(load_config(str(config)), 7, 1.0)
+    controls = [ws.optimum.u_plus] + ws.probe_controls(experiments._N_PROBE)
+    _, W, x = riccati.value_scan_batch(ws.state, controls, ws.table)
+    u = np.stack([c.samples for c in controls], axis=1)
+    f = np.sum(x[:, :, : ws.cfg.n_modes] ** 2, axis=2).T + np.sum(u**2, axis=2)
+    dt = ws.grid.dt
+    tau = np.diff(W, axis=0) / dt + 0.5 * (f[1:] + f[:-1])
+    r = f + np.gradient(W, dt, axis=0, edge_order=2)
+    d2 = f[:-2] - 2.0 * f[1:-1] + f[2:]
+    ref = np.concatenate([(3.0 * tau[:1] - tau[1:2]) / 2 + d2[:1] / 4,
+                          (tau[:-1] + tau[1:]) / 2 - d2 / 4,
+                          (3.0 * tau[-1:] - tau[-2:-1]) / 2 + d2[-1:] / 4])
+    assert np.max(np.abs(r - ref)) <= 1e-14 * (1.0 + np.max(f))
+
+
+@pytest.mark.parametrize("seed", [7, 11, 12, 34, 39])
+def test_the_shipped_config_passes_every_check(tmp_path, seed):
+    # the seeds where the stencil residual left the dissipation band
+    results = experiments.run_suite("all", load_config(str(DEFAULT)), str(tmp_path), seed=seed)
+    assert [row.name for res in results for row in res.rows if not row.passed] == []

@@ -25,12 +25,12 @@ from scipy.linalg import expm
 
 from dense_routes import at_coordinates, kernel_pairings, riccati_recursion, value_form
 
-from memlqr import (ControlSignal, StateSnapshot, TimeGrid, build_basis, chain_rule_scan,
+from memlqr import (ControlSignal, StateSnapshot, TimeGrid, Trajectory, build_basis, chain_rule_scan,
                     closed_loop_simulate, extend_state, solve_voc, solve_Z)
 from memlqr.forward import response_field, state_coordinates
 from memlqr.kernels import product_weights
 from memlqr.optimal import OperatorAssembly, one_panel_step, _riccati_recursion, node_forms
-from memlqr.riccati import _value_scan, dissipation_residual, value_scan_batch
+from memlqr.riccati import value_scan_batch
 
 
 @st.composite
@@ -79,11 +79,12 @@ def test_value_scan_from_an_interior_start(case, data):
     i0 = data.draw(st.integers(1, M))
     state = random_state(rng, i0, n)
     controls = [ControlSignal(i0, rng.standard_normal((M - i0 + 1, 2))) for _ in range(2)]
-    indices, W, trajs, x = _value_scan(state, controls, table)
+    indices, W, x = value_scan_batch(state, controls, table)
     assert W.shape == (M - i0 + 1, 2) and np.all(W[-1] == 0.0)
-    for c, traj in enumerate(trajs):
+    for c, xc in enumerate(x):
+        traj = Trajectory(i0, xc[:, :n])
         states = (extend_state(state, None, j, table, trajectory=traj) for j in indices)
-        ref = [value_form(s, s, table) for s in (at_coordinates(s, xj, table) for s, xj in zip(states, x[c]))]
+        ref = [value_form(s, s, table) for s in (at_coordinates(s, xj, table) for s, xj in zip(states, xc))]
         assert rel_err(W[:, c], np.array(ref)) <= 1e-13
 
 
@@ -99,8 +100,9 @@ def test_carried_seed_is_the_trapezoid_seed_at_second_order():
         table = solve_Z(basis, TimeGrid(0.5, M))
         t = table.grid.nodes
         u = ControlSignal(0, np.stack([0.5 + 0.4 * np.sin(2 * t), -0.5 + 0.3 * np.cos(3 * t)], axis=1))
-        _, _, trajs, x = _value_scan(state, [u], table)
-        trap = [state_coordinates(extend_state(state, None, j, table, trajectory=trajs[0]), table)[4:]
+        _, _, x = value_scan_batch(state, [u], table)
+        traj = Trajectory(0, x[0, :, :4])
+        trap = [state_coordinates(extend_state(state, None, j, table, trajectory=traj), table)[4:]
                 for j in range(M + 1)]
         gaps.append(np.max(np.abs(x[0, :, 4:] - np.array(trap))))
     assert all(3.5 < coarse / fine < 4.5 for coarse, fine in zip(gaps, gaps[1:]))
@@ -161,10 +163,8 @@ def test_zero_state_gives_exact_zeros_from_every_scan():
     table = solve_Z(build_basis(4), TimeGrid(0.5, 24))
     zero = StateSnapshot.initial(np.zeros(4), np.zeros(4))
     u0 = ControlSignal.zeros(table.grid)
-    _, W, trajs = value_scan_batch(zero, [u0, u0], table)
-    assert np.all(W == 0.0)
-    _dW, r = dissipation_residual(W[:, 0], trajs[0], u0, table.grid.dt)
-    assert np.all(r == 0.0)
+    _, W, x = value_scan_batch(zero, [u0, u0], table)
+    assert np.all(W == 0.0) and np.all(x == 0.0)
     chain = chain_rule_scan(zero, u0, table)
     assert np.all(chain.fd == 0.0) and np.all(chain.formula == 0.0)
     traj, u_cl = closed_loop_simulate(zero, table)

@@ -9,6 +9,7 @@ from memlqr import (
     P_prime_form,
     StateSnapshot,
     TimeGrid,
+    Trajectory,
     apply_generator,
     bellman_check,
     build_basis,
@@ -26,7 +27,7 @@ from memlqr import (
     value_function,
 )
 from memlqr.optimal import node_forms
-from memlqr.riccati import _fd_derivative, _value_scan, dissipation_residual, value_scan_batch
+from memlqr.riccati import _fd_derivative, value_scan_batch
 
 
 @pytest.fixture(scope="module")
@@ -307,9 +308,10 @@ def test_bellman_residuals_refine_at_second_order(basis):
 
 
 def dissipation_r(st, u, table):
-    """r(theta) along one control, from its column of value_scan_batch."""
-    _, W, trajs = value_scan_batch(st, [u], table)
-    return dissipation_residual(W[:, 0], trajs[0], u, table.grid.dt)[1]
+    """tau_j = (W_{j+1} - W_j)/dt + (f_j + f_{j+1})/2, f = |v|^2 + |u|^2, along one control."""
+    _, W, x = value_scan_batch(st, [u], table)
+    f = np.sum(x[0, :, : table.n_modes] ** 2, axis=1) + np.sum(u.samples**2, axis=1)
+    return np.diff(W[:, 0]) / table.grid.dt + 0.5 * (f[1:] + f[:-1])
 
 
 def test_dissipation_zero_state_zero_control(table, grid, basis):
@@ -341,8 +343,8 @@ def test_dissipation_along_uncontrolled(table, grid, basis):
     rng = np.random.default_rng(32)
     st = smooth_state(rng, basis.n_modes)
     r = dissipation_r(st, ControlSignal.zeros(grid), table)
-    # the true residual touches zero where the local gain crosses the zero
-    # control, so the finite-difference floor is what can be asserted here
+    # the residual touches zero where the local gain crosses the zero
+    # control (measured minimum +6.1e-7), so only a floor is asserted here
     assert np.min(r) >= -1e-3
 
 
@@ -596,11 +598,11 @@ def test_value_scan_steps_every_probe_at_once(monkeypatch, table, grid, interior
         monkeypatch.setattr(mod, "product_convolution", counting("product_convolution", convolution), raising=False)
     for mod in (fwd, memlqr, ric):
         monkeypatch.setattr(mod, "solve_voc", counting("solve_voc", solve_voc), raising=False)
-    _, W, trajs = value_scan_batch(interior_state, probes, table)
+    _, W, x = value_scan_batch(interior_state, probes, table)
     assert calls == []
     assert W.shape == (grid.n_steps - i0 + 1, 50)
-    for t, ref in zip(trajs, refs):
-        assert np.max(np.abs(t.values - ref)) <= 1e-14 * (1.0 + np.max(np.abs(ref)))
+    for xc, ref in zip(x, refs):
+        assert np.max(np.abs(xc[:, : table.n_modes] - ref)) <= 1e-14 * (1.0 + np.max(np.abs(ref)))
 
 
 def test_value_scan_rejects_a_control_off_the_states_node(table, grid, interior_state):
@@ -624,10 +626,11 @@ def test_chain_rule_scan_matches_the_separate_routes(table, grid, basis, interio
     warm = extend_state(interior_state, sine_control(grid, 16), i0, table)
     u = sine_control(grid, i0)
     rep = chain_rule_scan(warm, u, table)
-    _, W, trajs, x = _value_scan(warm, [u], table)
+    _, W, x = value_scan_batch(warm, [u], table)
     assert np.array_equal(rep.fd, _fd_derivative(W[:, 0], grid.dt)[1:-1])
+    traj = Trajectory(i0, x[0, :, : basis.n_modes])
     for pos, j in enumerate(rep.indices):
-        st = dense_routes.at_coordinates(extend_state(warm, None, j, table, trajectory=trajs[0]), x[0, j - i0], table)
+        st = dense_routes.at_coordinates(extend_state(warm, None, j, table, trajectory=traj), x[0, j - i0], table)
         img = apply_generator(st, table)
         dv_ctrl = img.dv - basis.ad_coeffs @ u.samples[j - i0]
         ref = dense_routes.p_prime(st, table) + dense_routes.cross(st, dv_ctrl, img.dxi, img.dy, table)

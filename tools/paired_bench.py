@@ -6,9 +6,10 @@ For each seed, runs `python3 bench/run.py --workload W --seed S --trace 0` in
 both checkouts, the parent first on odd seeds and the change first on even
 ones, and prints each side's median and quartiles of every end-to-end metric,
 the number of pairs the change wins on wall_s, and each side's failed and
-attempted checks summed over all pairs, flagged when the change fails a larger
-share of them than the parent.  A seed's runs need not attempt the same number
-of checks on both sides, so that share moves with the seeds: each run's
+attempted checks summed over all pairs.  A seed's runs need not attempt the
+same number of checks on both sides, so the pooled sums weight each seed by
+its iterations; the summary instead flags each seed where the change fails a
+larger share of its checks than the parent does at that seed.  Each run's
 failing check names are also read from its bench/results record, printed per
 seed and side, and the summary names the seeds where the change fails a check
 that the parent passes.  --json also writes the pairs and that summary.
@@ -39,14 +40,16 @@ def quartiles(xs: list[float]) -> dict:
 
 def summarize(pairs: list[dict]) -> dict:
     """Quartiles of every metric per side, the change's wall_s wins, the summed check counts,
-    and per seed the checks that fail on the change's side only."""
+    the seeds where the change fails a larger share of its checks, and per seed the checks
+    that fail on the change's side only."""
     sides = ("parent", "change")
     metrics = [k for k in pairs[0]["parent"] if k not in ("attempted", "failed", "failed_checks")]
     summary = {k: {side: quartiles([pr[side][k] for pr in pairs]) for side in sides} for k in metrics}
     summary["wall_s"]["change_wins"] = f"{sum(pr['change']['wall_s'] < pr['parent']['wall_s'] for pr in pairs)}/{len(pairs)}"
     checks = {side: {k: sum(pr[side][k] for pr in pairs) for k in ("failed", "attempted")} for side in sides}
-    p, c = checks["parent"], checks["change"]
-    checks["change_fails_larger_share"] = c["failed"] * p["attempted"] > p["failed"] * c["attempted"]
+    checks["change_fails_larger_share"] = [
+        pr["seed"] for pr in pairs
+        if pr["change"]["failed"] * pr["parent"]["attempted"] > pr["parent"]["failed"] * pr["change"]["attempted"]]
     new = {pr["seed"]: sorted(set(pr["change"]["failed_checks"]) - set(pr["parent"]["failed_checks"]))
            for pr in pairs}
     checks["change_only_failures"] = {seed: names for seed, names in new.items() if names}
@@ -75,8 +78,8 @@ def main() -> None:
     checks = summary["checks"]
     print("failed/attempted checks: " + ", ".join(f"{side} {checks[side]['failed']}/{checks[side]['attempted']}"
                                                   for side in ("parent", "change")))
-    if checks["change_fails_larger_share"]:
-        print("FLAG: the change fails a larger share of its checks than the parent")
+    for seed in checks["change_fails_larger_share"]:
+        print(f"FLAG: seed {seed}: the change fails a larger share of its checks than the parent")
     for seed, names in checks["change_only_failures"].items():
         print(f"FLAG: seed {seed}: the change fails {names}, which the parent passes")
     if a.json:
