@@ -257,7 +257,7 @@ def _suite_optimize(ws: _Workspace, outdir: str) -> SuiteResult:
 def _suite_bellman(ws: _Workspace, outdir: str) -> SuiteResult:
     rows, artifacts = [], []
     t0s = np.array([ws.cfg.n_steps // 4, ws.cfg.n_steps // 2])
-    reports = [bellman_check(ws.state, int(t0), ws.table) for t0 in t0s]
+    reports = [bellman_check(ws.optimum, int(t0), ws.table) for t0 in t0s]
     cols = np.array([[rep.tail_mismatch, rep.telescope_residual, rep.W_start, rep.W_restart] for rep in reports]).T
     rows.append(_at_most("bellman_tail_mismatch", float(np.max(cols[0])), ws.tol("bellman")))
     rows.append(_at_most("bellman_telescope_residual", float(np.max(cols[1])), ws.tol("bellman")))

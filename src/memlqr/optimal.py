@@ -33,12 +33,12 @@ backward sweep of O(M n^3) work over z = (x, u) on that step, whose loop
 holds only the sequential part: the Riccati update and the kernel pairings,
 one real matrix shifted by the step's A^T, since per mode (Z, Q) is the
 first row of the fundamental matrix A.  Every node's value matrix,
-first-step gains and pairings on x follow in batched operations after it.
-solve_optimal is a forward sweep on them that reads u+ and v+ off z, so no
-matrix of order (M+1) n is formed and the verification scans never solve
-per node.  The matrix-free
-control side stays as the independent second route; its condition bound is
-a Lanczos iteration.
+first-node gain and pairings on x follow in batched operations after it.
+optimal_sweep steps z forward from any node's x by the stored optimal
+steps: solve_optimal reads u+, v+ and x off it, and riccati's restart
+sweeps from the x the optimum reaches, so no matrix of order (M+1) n is
+formed and no check solves per node.  The matrix-free control side stays
+as the independent second route; its condition bound is a Lanczos iteration.
 
 A table's node forms are built once and kept in this module's cache, keyed
 weakly on the table; an OperatorAssembly is a view of the table's weights at
@@ -68,6 +68,7 @@ __all__ = [
     "NodeForms",
     "node_forms",
     "one_panel_step",
+    "optimal_sweep",
     "solve_optimal",
     "u_plus_control_side",
     "evaluate_cost",
@@ -155,8 +156,11 @@ class OperatorAssembly:
         """lambda_max of I + Lambda* Lambda by Lanczos in the weighted metric (Lanczos, 1950).
 
         Lambda* Lambda is positive semidefinite, so lambda_min >= 1 and
-        lambda_max bounds the condition number.  From the ones vector each
-        step applies the operator once and orthogonalizes against every
+        lambda_max bounds the condition number.  The operator commutes with
+        the channel swap u0 <-> u1 (A D's columns differ by (-1)^(k+1)), so
+        the start is ones on channel 0 only, even and odd under the swap
+        alike; the ones vector is even and misses an odd top eigenvector.
+        Each step applies the operator once and orthogonalizes against every
         earlier vector, twice; the top Ritz value (eigvalsh of the
         tridiagonal) rises, and the iteration stops once it rises by at most
         1e-15 of itself or the Krylov space is exhausted, never later:
@@ -165,7 +169,7 @@ class OperatorAssembly:
         """
         if self.empty:
             return 1.0
-        q = np.ones(2 * (self.m + 1))
+        q = np.tile([1.0, 0.0], self.m + 1)
         V, T, theta = [q / np.sqrt(self.inner_U(q, q))], np.zeros((201, 201)), 0.0
         for i in range(200):
             r = V[i] + self.apply_Lambda_star(self.apply_Lambda(V[i].reshape(-1, 2))).reshape(-1)
@@ -211,14 +215,14 @@ class NodeForms:
     h = Z x_v + Q x_s.  For every node j (row M, the empty horizon, is zero):
 
       P[j]    (2n, 2n)      the value W_j = x^T P[j] x, symmetric;
-      K[j]    (4, 2n)       the local optimal control's first two nodes,
-                            u[0:2] = -(K[j] x).reshape(2, 2);
+      K[j]    (2, 2n)       the first-node gain, u_j = -K[j] x;
       Pi[j]   (2n, 2n)      the kernel pairings (C, D) = Pi[j] x, per mode
                             int Z(s - t_j) phi(s) ds and the same with Q,
                             phi = H h piecewise linear;
       step[j] (2n+2, 2n+2)  the optimal step on z = (x, u) from node j to
                             j + 1 with u_j held, z_{j+1} = step[j] z_j; its
-                            last two rows are minus the step gain.
+                            last two rows give u_{j+1}, so the next control
+                            of the optimum from x is step[j]'s at (x, -K[j] x).
     """
 
     P: np.ndarray
@@ -280,9 +284,8 @@ def _riccati_recursion(table: KernelTable) -> NodeForms:
     so S_M = (dt/2) D, D picking v and u.  Minimizing over u_{j+1} gives the
     step gain and S_j, the only sequential work.  Node j starting the
     horizon, with half weight, is S_j - (dt/2) D, whose blocks each step
-    stores; after the sweep one batched solve over u_j gives K[:, :2] and
-    P[j] = S_xx - S_xu K[j, :2], and the step gain at z_j = (x, -K[j, :2] x)
-    gives K[:, 2:].
+    stores; after the sweep one batched solve over u_j gives K and
+    P[j] = S_xx - S_xu K[j].
 
     With (alpha_g, beta_g) the stacked Z and Q weights at gap g, the
     pairings at node j are sum_{g >= 1} (beta_g v_{j+g-1} + alpha_g v_{j+g})
@@ -304,7 +307,7 @@ def _riccati_recursion(table: KernelTable) -> NodeForms:
     D = np.diag(np.r_[np.ones(n), np.zeros(n), np.ones(2)])
     Wa, Wb, v_cols = np.zeros((nx, nz)), np.zeros((nx, nz)), (np.arange(nx), np.tile(np.arange(n), 2))
     Wa[v_cols], Wb[v_cols] = _gap_one_weights(table)
-    P, K, Pi = np.zeros((M + 1, nx, nx)), np.zeros((M + 1, 4, nx)), np.zeros((M + 1, nx, nx))
+    P, K, Pi = np.zeros((M + 1, nx, nx)), np.zeros((M + 1, 2, nx)), np.zeros((M + 1, nx, nx))
     step, S_uu, Pi_u = np.zeros((M + 1, nz, nz)), np.zeros((M, 2, 2)), np.zeros((M, nx, 2))
     S, Pz = 0.5 * dt * D, np.zeros((nx, nz))
     for j in range(M - 1, -1, -1):
@@ -313,14 +316,13 @@ def _riccati_recursion(table: KernelTable) -> NodeForms:
         S = F.T @ S @ step[j] + dt * D
         S = 0.5 * (S + S.T)
         Sr = S - 0.5 * dt * D
-        P[j], K[j, :2], S_uu[j] = Sr[:nx, :nx], Sr[nx:, :nx], Sr[nx:, nx:]
+        P[j], K[j], S_uu[j] = Sr[:nx, :nx], Sr[nx:, :nx], Sr[nx:, nx:]
         Pz = Wb + (Wa + A.T @ Pz) @ step[j]
         Pi[j], Pi_u[j] = Pz[:, :nx], Pz[:, nx:]
-    S_ux = K[:M, :2].copy()
-    K[:M, :2] = np.linalg.solve(S_uu, S_ux)
-    P[:M] -= S_ux.transpose(0, 2, 1) @ K[:M, :2]
-    K[:M, 2:] = step[:M, nx:, nx:] @ K[:M, :2] - step[:M, nx:, :nx]
-    Pi[:M] -= Pi_u @ K[:M, :2]
+    S_ux = K[:M].copy()
+    K[:M] = np.linalg.solve(S_uu, S_ux)
+    P[:M] -= S_ux.transpose(0, 2, 1) @ K[:M]
+    Pi[:M] -= Pi_u @ K[:M]
     return NodeForms(0.5 * (P + P.transpose(0, 2, 1)), K, Pi, step)
 
 
@@ -328,30 +330,35 @@ def _riccati_recursion(table: KernelTable) -> NodeForms:
 class OptimalSolution:
     u_plus: ControlSignal
     v_plus: Trajectory
+    x: np.ndarray  # (m+1, 2n), the coordinates the optimum reaches at every node
     W: float
     residual: float
 
 
-def solve_optimal(state: StateSnapshot, table: KernelTable) -> OptimalSolution:
-    """Solve the optimality system by a forward sweep on the node forms.
+def optimal_sweep(table: KernelTable, j: int, x: np.ndarray) -> np.ndarray:
+    """z = (x, u) of the optimum from coordinates x at node j, (M - j + 1, 2n + 2).
 
-    From node j the first control is u_j = -K[j, :2] x, and z = (x, u)
-    advances by the optimal steps; u+ and v+ are z's u and v at every node,
-    and W = x^T P[j] x.
+    u_j = -K[j] x, then z_{l+1} = step[l] z_l.  By dynamic programming the
+    sweep from the x an optimum reaches later is its tail but for u there.
     """
     forms = node_forms(table)
+    z = np.empty((table.grid.n_steps - j + 1, x.size + 2))
+    z[0, : x.size], z[0, x.size :] = x, -forms.K[j] @ x
+    for l in range(len(z) - 1):
+        z[l + 1] = forms.step[j + l] @ z[l]
+    return z
+
+
+def solve_optimal(state: StateSnapshot, table: KernelTable) -> OptimalSolution:
+    """Solve the optimality system by optimal_sweep from the state's x: u+, v+ and x are z's, W = x^T P[j] x."""
     j, n = state.tau_index, table.n_modes
-    asm = OperatorAssembly(table, j)
     x = state_coordinates(state, table)
-    z = np.concatenate([x, -forms.K[j, :2] @ x])
-    up, vp = np.empty((asm.m + 1, 2)), np.empty((asm.m + 1, n))
-    for l in range(asm.m + 1):
-        up[l], vp[l] = z[2 * n :], z[:n]
-        z = forms.step[j + l] @ z
-    W = float(x @ forms.P[j] @ x)
-    grad = cost_gradient(state, ControlSignal(j, up), table)
-    residual = float(np.sqrt(max(asm.inner_U(grad, grad), 0.0)))
-    return OptimalSolution(ControlSignal(j, up), Trajectory(j, vp), W, residual)
+    z = optimal_sweep(table, j, x)
+    up = ControlSignal(j, z[:, 2 * n :])
+    W = float(x @ node_forms(table).P[j] @ x)
+    grad = cost_gradient(state, up, table)
+    residual = float(np.sqrt(max(OperatorAssembly(table, j).inner_U(grad, grad), 0.0)))
+    return OptimalSolution(up, Trajectory(j, z[:, :n]), z[:, : 2 * n], W, residual)
 
 
 def u_plus_control_side(state: StateSnapshot, table: KernelTable) -> ControlSignal:

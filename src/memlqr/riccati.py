@@ -38,12 +38,14 @@ through a state's 2n coordinates x = (v_hat, y_hat - I_xi)
 kernel pairings Pi[j] x.  The single-state routes (P_form, P_prime_form,
 P_cross, feedback_gain) read them at their state's node and solve nothing;
 riccati_residual sets them against the start's control-side solve.  The
-scans (value_scan_batch, chain_rule_scan, closed_loop_simulate) solve
-nothing per node and build no state per node: they carry x from node to
-node by the discrete system's exact one-panel step (optimal.one_panel_step),
-the one map node_forms is built on.  From a state's node on, the seed s of
-the carried x is therefore the discrete system's exact seed, not
-extend_state's trapezoid y_hat - I_xi; the two differ at second order in dt.
+scans (value_scan_batch, chain_rule_scan, closed_loop_simulate) and the
+restart (bellman_check) solve nothing per node and build no state: they
+carry x from node to node by the discrete system's exact one-panel step
+(optimal.one_panel_step), the one map node_forms is built on, and the
+closed loop and the restart by its optimal form, step[j].  From a state's
+node on, the seed s of the carried x is therefore the discrete system's
+exact seed, not extend_state's trapezoid y_hat - I_xi; the two differ at
+second order in dt.
 """
 
 from __future__ import annotations
@@ -56,14 +58,13 @@ from .forward import (
     ControlSignal,
     StateSnapshot,
     Trajectory,
-    extend_state,
     memory_functional,
     response_field,
     segment_samples,
     state_coordinates,
 )
 from .kernels import KernelTable
-from .optimal import OperatorAssembly, node_forms, one_panel_step, solve_optimal, u_plus_control_side
+from .optimal import OperatorAssembly, OptimalSolution, node_forms, one_panel_step, optimal_sweep, u_plus_control_side
 
 __all__ = [
     "GeneratorImage",
@@ -160,11 +161,11 @@ def P_form(s1: StateSnapshot, s2: StateSnapshot, table: KernelTable) -> float:
 
 
 def _node_terms(state: StateSnapshot, table: KernelTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First-node gain K[j, :2] x and kernel pairings (C, D) = Pi[j] x of H h at the state's node j."""
+    """First-node gain K[j] x and kernel pairings (C, D) = Pi[j] x of H h at the state's node j."""
     forms, j = node_forms(table), state.tau_index
     x = state_coordinates(state, table)
     C, D = np.split(forms.Pi[j] @ x, 2)
-    return forms.K[j, :2] @ x, C, D
+    return forms.K[j] @ x, C, D
 
 
 def P_cross(state: StateSnapshot, dv, dxi, dy, table: KernelTable) -> float:
@@ -188,7 +189,7 @@ def P_prime_form(state: StateSnapshot, table: KernelTable) -> float:
     """Moving-operator derivative <P'(theta) S, S> (see the module docstring).
 
     <P'S, S> = -|v_hat|^2 + |g|^2 - cross(S, A_theta S), with the gain
-    g = [Lambda* H h](theta) = K[j, :2] x.  At theta = T every integral is
+    g = [Lambda* H h](theta) = K[j] x.  At theta = T every integral is
     empty (row M of the node forms is zero) and the form collapses to
     -||v_hat||^2, matching the decay rate of W_theta ~ (T-theta)||v_hat||^2.
     """
@@ -237,7 +238,7 @@ def riccati_residual(state: StateSnapshot, table: KernelTable) -> RiccatiReport:
 
 
 def feedback_gain(state: StateSnapshot, table: KernelTable) -> np.ndarray:
-    """Instantaneous feedback value -[B* P(t) S](t) = -K[j, :2] x at the state's node j.
+    """Instantaneous feedback value -[B* P(t) S](t) = -K[j] x at the state's node j.
 
     Equals the first node of the open-loop optimal control; at t = T the
     horizon is empty and the gain vanishes (row M of the node forms is zero).
@@ -249,27 +250,20 @@ def closed_loop_simulate(state0: StateSnapshot, table: KernelTable) -> tuple[Tra
     """Receding-horizon loop: refresh the local optimal control at every node.
 
     The loop carries only x = (v_hat, s), s = y_hat - I_xi: at node j the
-    first two nodes of the remaining-horizon optimal control are -K[j] x
-    (optimal.node_forms), and x <- A x + [B0 B1] (-K[j] x) by the exact
-    one-panel step (optimal.one_panel_step), so no node calls the forward
-    layer.  Each node is a free restart from the state the discrete system
-    reaches.  Returns the closed-loop trajectory and the per-node gain.
+    remaining-horizon optimal control starts at u_j = -K[j] x, and x takes
+    the x-rows of the optimal step at z = (x, u_j) (optimal.node_forms), the
+    exact one-panel step with u_{j+1} the optimum's, so no node calls the
+    forward layer.  Each node is a free restart from the state the discrete
+    system reaches.  Returns the closed-loop trajectory and the per-node gain.
     """
-    grid = table.grid
-    i0 = state0.tau_index
-    m = grid.n_steps - i0
-    n = state0.n_modes
-    K = node_forms(table).K
-    A, B0, B1 = one_panel_step(table)
-    B = np.hstack([B0, B1])
-    u_cl = np.zeros((m + 1, 2))
-    v_cl = np.zeros((m + 1, n))
+    i0, M, n = state0.tau_index, table.grid.n_steps, state0.n_modes
+    forms = node_forms(table)
+    u_cl, v_cl = np.zeros((M - i0 + 1, 2)), np.zeros((M - i0 + 1, n))
     v_cl[0] = state0.v_hat
     x = state_coordinates(state0, table)
-    for i, j in enumerate(range(i0, grid.n_steps)):
-        u2 = -(K[j] @ x)
-        u_cl[i] = u2[:2]
-        x = A @ x + B @ u2
+    for i, j in enumerate(range(i0, M)):
+        u_cl[i] = -(forms.K[j] @ x)
+        x = forms.step[j, : 2 * n] @ np.concatenate([x, u_cl[i]])
         v_cl[i + 1] = x[:n]
     # empty horizon at T: zero gain
     return Trajectory(i0, v_cl), ControlSignal(i0, u_cl)
@@ -287,32 +281,29 @@ class BellmanReport:
     W_restart: float
 
 
-def bellman_check(state: StateSnapshot, t0_index: int, table: KernelTable) -> BellmanReport:
-    """Restart the optimization from the optimally reached state at t0.
+def bellman_check(sol: OptimalSolution, t0_index: int, table: KernelTable) -> BellmanReport:
+    """Restart the optimum sol from the coordinates x it reaches at t0 (optimal.optimal_sweep).
 
-    Reports the weighted-L2 mismatch between the restarted control and the
-    original tail, and the value telescoping residual
-    W_tau - int_tau^t0 (running cost) - W_t0.
+    By dynamic programming the restart is sol's tail but for the jump of
+    u_t0, planned by sol from its start and -K[t0] x by the restart.  Reports
+    the weighted-L2 mismatch between the restarted control and sol's tail,
+    and the telescoping residual W_tau - int_tau^t0 (running cost) - W_t0,
+    W_t0 = x^T P[t0] x.  No state is built and nothing is solved.
     """
-    i = state.tau_index
+    i = sol.u_plus.start
     if not (i <= t0_index <= table.grid.n_steps):
         raise ValueError("t0 outside [tau, T]")
-    sol = solve_optimal(state, table)
-    mid = extend_state(state, sol.u_plus, t0_index, table, trajectory=sol.v_plus)
-    sol_tail = solve_optimal(mid, table)
     k = t0_index - i
-
-    asm_tail = OperatorAssembly(table, t0_index)
-    diff = sol_tail.u_plus.samples - sol.u_plus.samples[k:]
-    tail_mismatch = float(np.sqrt(max(asm_tail.inner_U(diff, diff), 0.0)))
-
+    x = sol.x[k]
+    u_tail = optimal_sweep(table, t0_index, x)[:, x.size :]
+    W_restart = float(x @ node_forms(table).P[t0_index] @ x)
+    diff = u_tail - sol.u_plus.samples[k:]
+    tail_mismatch = float(np.sqrt(max(OperatorAssembly(table, t0_index).inner_U(diff, diff), 0.0)))
     w = table.grid.segment_weights(table.grid.n_steps - k)  # trapezoid weights on k panels
-    dens = np.sum(sol.v_plus.values[: k + 1] ** 2, axis=1) + np.sum(
-        sol.u_plus.samples[: k + 1] ** 2, axis=1
-    )
+    dens = np.sum(sol.v_plus.values[: k + 1] ** 2, axis=1) + np.sum(sol.u_plus.samples[: k + 1] ** 2, axis=1)
     running = float(np.dot(w, dens))
-    telescope = abs(sol.W - running - sol_tail.W)
-    return BellmanReport(tail_mismatch, telescope, sol.W, sol_tail.W)
+    telescope = abs(sol.W - running - W_restart)
+    return BellmanReport(tail_mismatch, telescope, sol.W, W_restart)
 
 
 # ----------------------------------------------------------------------------
@@ -366,7 +357,7 @@ def chain_rule_scan(state0: StateSnapshot, u: ControlSignal, table: KernelTable)
     term cross(S, A_theta S) enters <P'S,S> and cross(S, S') with opposite
     signs and cancels, leaving
 
-        -|v_hat|^2 + |K[j, :2] x|^2 - 2 (A D u(theta)) . C,
+        -|v_hat|^2 + |K[j] x|^2 - 2 (A D u(theta)) . C,
 
     with (C, D) = Pi[j] x the node's kernel pairings (optimal.node_forms).
     The residual is relative to 1 + ||S||^2, whose history part is carried
@@ -378,7 +369,7 @@ def chain_rule_scan(state0: StateSnapshot, u: ControlSignal, table: KernelTable)
     n = table.n_modes
     dt = table.grid.dt
     js, xj = indices[1:-1], x[0, 1:-1]
-    gain = np.einsum("jab,jb->ja", forms.K[js, :2], xj)
+    gain = np.einsum("jab,jb->ja", forms.K[js], xj)
     C = np.einsum("jab,jb->ja", forms.Pi[js, :n], xj)
     ad = u.samples[1:-1] @ table.basis.ad_coeffs.T
     formula = -np.sum(xj[:, :n] ** 2, axis=1) + np.sum(gain**2, axis=1) - 2.0 * np.sum(ad * C, axis=1)

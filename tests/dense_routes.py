@@ -133,7 +133,8 @@ def riccati_recursion(table):
     The tail cost V_j(z) = z^T S_j z weighs node j by dt and node M by dt/2,
     so S_M = (dt/2) D, D picking v and u.  Minimizing over u_{j+1} gives the
     step gain and S_j; minimizing V_j - (dt/2) z^T D z over u_j gives P[j]
-    and K[j, :2], and the step gain at (x, -K[j, :2] x) gives K[j, 2:].  Per
+    and K[j, :2], and the step gain at (x, -K[j, :2] x) gives K[j, 2:], the
+    next control the optimum plans (optimal.NodeForms keeps K[j, :2]).  Per
     record, mode and term one row R_j = e_v + rho R_{j+1} step[j] carries
     sum_{s >= 0} rho^s v_{j+s}, T_j = e_v step[M-1] ... step[j] carries node
     M, and the pairing at j is Re sum c (a_1 R_{j+1} step[j] + b_1 (R_j - rho^{M-j} T_j)).
@@ -147,9 +148,10 @@ def riccati_recursion(table):
     D = np.diag(np.r_[np.ones(n), np.zeros(n), np.ones(2)])
     P, K, Pi = np.zeros((M + 1, nx, nx)), np.zeros((M + 1, 4, nx)), np.zeros((M + 1, nx, nx))
     step = np.zeros((M + 1, nz, nz))
-    panels = (table.panel_Z, table.panel_Q)
+    # a record with no imaginary part (every interval basis) runs in real arithmetic
+    panels = [p if np.any(p.imag) else p.real for p in (table.panel_Z, table.panel_Q)]
     ev = np.eye(nz)[:n]
-    R = [np.broadcast_to(ev[:, None], (n, p.shape[2], nz)).astype(complex) for p in panels]
+    R = [np.broadcast_to(ev[:, None], (n, p.shape[2], nz)).astype(p.dtype) for p in panels]
     T = ev
     S = 0.5 * dt * D
     for j in range(M - 1, -1, -1):

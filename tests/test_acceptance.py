@@ -182,7 +182,7 @@ def test_criterion_7_bellman(basis, table):
     for k in range(5):
         st = seeded_state(800 + k)
         for t0 in (N_STEPS // 4, N_STEPS // 2):
-            rep = bellman_check(st, t0, table)
+            rep = bellman_check(solve_optimal(st, table), t0, table)
             worst_tail = max(worst_tail, rep.tail_mismatch)
             worst_tel = max(worst_tel, rep.telescope_residual)
     report(7, "restart tail-control mismatch", worst_tail, 1e-3, worst_tail <= 1e-3)
@@ -192,7 +192,7 @@ def test_criterion_7_bellman(basis, table):
     for M in (64, 128, 256):
         g = TimeGrid(T_FINAL, M)
         tab = solve_Z(basis, g)
-        tails[M] = bellman_check(seeded_state(800), M // 4, tab).tail_mismatch
+        tails[M] = bellman_check(solve_optimal(seeded_state(800), tab), M // 4, tab).tail_mismatch
     r1, r2 = tails[64] / tails[128], tails[128] / tails[256]
     order_ok = (2.5 <= r1 <= 6.0) and (2.5 <= r2 <= 6.0)
     report(7, "restart mismatch refinement order ~ 2", min(r1, r2), 2.5, order_ok)

@@ -119,9 +119,16 @@ def test_control_normal_spectrum_matches_state_side():
     assert lam_max == pytest.approx(state_side[-1], rel=1e-12)
 
 
-@pytest.mark.parametrize("n, M, start", [(3, 8, 0), (8, 64, 16), (5, 40, 39)])
-def test_lanczos_matches_the_dense_spectrum(n, M, start):
-    asm = OperatorAssembly(solve_Z(build_basis(n), TimeGrid(0.5, M)), start)
+_LANCZOS_SHAPES = [(3, 8, 0, 0.5), (8, 64, 16, 0.5), (5, 40, 39, 0.5),
+                   (4, 32, 31, 0.5), (8, 256, 255, 0.5), (8, 256, 0, 1e-4)]
+
+
+@pytest.mark.parametrize("n, M, start, T", _LANCZOS_SHAPES,
+                         ids=[f"{n}-{M}-{start}" + ("" if T == 0.5 else f"-T{T:g}") for n, M, start, T in _LANCZOS_SHAPES])
+def test_lanczos_matches_the_dense_spectrum(n, M, start, T):
+    # the last three have an eigenvector odd under the channel swap u0 <-> u1
+    # at the top, which a start even under the swap misses
+    asm = OperatorAssembly(solve_Z(build_basis(n), TimeGrid(T, M)), start)
     B = scaled_Lambda(asm)
     ref = np.linalg.eigvalsh(np.eye(B.shape[1]) + B.T @ B)[-1]
     assert asm.control_normal_max_eigenvalue() == pytest.approx(ref, rel=1e-13)

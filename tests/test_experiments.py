@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memlqr import experiments, riccati
+from memlqr import experiments, optimal, riccati
 from memlqr.config import load_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -47,23 +47,22 @@ def test_every_artifact_is_written_atomically(monkeypatch, tmp_path):
 
 
 def test_all_solves_the_optimum_once_and_scans_twice(monkeypatch, tmp_path):
-    # the optimize, dissipation and closed-loop suites share one optimum; the
+    # the optimize, bellman, dissipation and closed-loop suites share one
+    # optimum, which the bellman suite restarts without solving again; the
     # dissipation suite scans the optimum and its probes together, and the
     # chain-rule closure is the other scan
     calls = {"solve_optimal": 0, "value_scan_batch": 0}
 
-    def counted(module, name):
-        fn = getattr(module, name)
-
+    def counted(module, name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper, raising=False)
 
-    counted(experiments, "solve_optimal")
-    counted(experiments, "value_scan_batch")
-    counted(riccati, "value_scan_batch")
+    for module in (experiments, riccati):
+        counted(module, "solve_optimal", optimal.solve_optimal)
+        counted(module, "value_scan_batch", riccati.value_scan_batch)
     experiments.run_suite("all", load_config(str(QUICK)), str(tmp_path), tol_scale=50.0)
     assert calls == {"solve_optimal": 1, "value_scan_batch": 2}
 

@@ -3,7 +3,7 @@
 optimal.node_forms reads every node's value matrix P[j], first-step gain K[j]
 and kernel pairings Pi[j] off the start-0 state-side factor.  Each is checked
 here against the dense control-side route at the same node (dense_routes):
-the value form, the first-step control and the kernel pairings of H h, over
+the value form, the first two controls and the kernel pairings of H h, over
 n <= 6, M <= 48, T in [0.1, 2], always at nodes 0, M - 2 and M - 1, where
 the last-row corrections differ.  The recursion itself is set against
 dense_routes.riccati_recursion, the sweep that solves every node inside
@@ -63,7 +63,9 @@ def test_node_forms_match_the_dense_routes(case, data):
         assert np.array_equal(forms.P[j], forms.P[j].T)
         assert rel_err(x @ forms.P[j] @ x, value_form(state, state, table)) <= 1e-13
         phi, z = OperatorAssembly(table, j).apply_H(response_field(state, table))
-        assert rel_err(forms.K[j] @ x, z[:2].reshape(-1)) <= 1e-13
+        gain = forms.K[j] @ x
+        assert rel_err(gain, z[0]) <= 1e-13
+        assert rel_err(-forms.step[j, 2 * n :] @ np.concatenate([x, -gain]), z[1]) <= 1e-13
         assert rel_err(forms.Pi[j] @ x, np.concatenate(kernel_pairings(phi, table, j))) <= 1e-13
     assert not np.any(forms.P[M]) and not np.any(forms.K[M]) and not np.any(forms.Pi[M])
 
@@ -237,18 +239,22 @@ def test_stacked_gap_weights_shift_by_the_transposed_one_panel_step(n, M, T):
 @pytest.mark.parametrize("n, M", [(3, 8), (8, 256), (16, 64), (191, 64)])
 def test_recursion_matches_the_reference_sweep(n, M):
     # P and step keep their bits; K, solved after the sweep, and Pi, carried
-    # through it by the one-panel shift, move at roundoff (worst measured
-    # 3.3e-16, Pi at (8, 256); 2.3e-16 at the stiff 191 modes, where
-    # |lambda| dt = 2813)
+    # through it by the one-panel shift, move at roundoff (K measured bitwise;
+    # Pi at worst 3.3e-16 at (8, 256), 1.3e-16 at the stiff 191 modes, where
+    # |lambda| dt = 2813); the reference's next-control gain K[:, 2:] is
+    # step's last two rows at (x, -K[j] x)
     table = solve_Z(build_basis(n), TimeGrid(0.5, M))
     forms, ref = _riccati_recursion(table), riccati_recursion(table)
     assert np.array_equal(forms.P, ref.P) and np.array_equal(forms.step, ref.step)
-    assert rel_err(forms.K, ref.K) <= 1e-15 and rel_err(forms.Pi, ref.Pi) <= 1e-15
+    nx = 2 * n
+    X = np.concatenate([np.broadcast_to(np.eye(nx), (M + 1, nx, nx)), -forms.K], axis=1)  # z_j = X[j] x
+    assert rel_err(forms.K, ref.K[:, :2]) <= 1e-15 and rel_err(-forms.step[:, nx:] @ X, ref.K[:, 2:]) <= 1e-15
+    assert rel_err(forms.Pi, ref.Pi) <= 1e-15
 
 
 def test_recursion_keeps_no_history_of_the_sweep():
     # the traced peak stays within 1.5 times the forms returned (measured
-    # 1.39); a sweep that kept every S_j or the rows' history reaches 3.2
+    # 1.37); a sweep that kept every S_j or the rows' history reaches 3.2
     table = solve_Z(build_basis(16), TimeGrid(0.5, 256))
     tracemalloc.start()
     try:

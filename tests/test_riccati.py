@@ -24,9 +24,10 @@ from memlqr import (
     solve_volterra,
     state_norm_sq,
     terminal_P_check,
+    u_plus_control_side,
     value_function,
 )
-from memlqr.optimal import node_forms
+from memlqr.optimal import OperatorAssembly, node_forms
 from memlqr.riccati import _fd_derivative, value_scan_batch
 
 
@@ -273,7 +274,7 @@ def test_closed_loop_tracks_open_loop(basis):
 def test_bellman_identity_at_tau(table, basis):
     rng = np.random.default_rng(28)
     st = smooth_state(rng, basis.n_modes)
-    rep = bellman_check(st, 0, table)
+    rep = bellman_check(solve_optimal(st, table), 0, table)
     assert rep.tail_mismatch < 1e-12
     assert rep.telescope_residual < 1e-12
 
@@ -281,9 +282,54 @@ def test_bellman_identity_at_tau(table, basis):
 def test_bellman_zero_state(table, basis):
     n = basis.n_modes
     st = StateSnapshot.initial(np.zeros(n), np.zeros(n))
-    rep = bellman_check(st, 12, table)
+    rep = bellman_check(solve_optimal(st, table), 12, table)
     assert rep.tail_mismatch == 0.0
     assert rep.telescope_residual == 0.0
+
+
+@pytest.mark.parametrize("n, M, T", [(8, 256, 0.5), (3, 8, 10.0), (16, 64, 0.5)])
+def test_bellman_restart_is_the_control_side_restart_at_the_reached_coordinates(n, M, T):
+    # the restart sweeps the node forms from the optimum's x at t0; the
+    # control side solves at a state with those coordinates (measured at
+    # most 3.3e-18 on the tail and 2.3e-17 on W, relative to 1 + |value|)
+    table = solve_Z(build_basis(n), TimeGrid(T, M))
+    state = smooth_state(np.random.default_rng(n), n)
+    sol = solve_optimal(state, table)
+    for t0 in (M // 4, M // 2):
+        rep = bellman_check(sol, t0, table)
+        reached = extend_state(state, sol.u_plus, t0, table, trajectory=sol.v_plus)
+        mid = dense_routes.at_coordinates(reached, sol.x[t0], table)
+        diff = u_plus_control_side(mid, table).samples - sol.u_plus.samples[t0:]
+        tail = np.sqrt(OperatorAssembly(table, t0).inner_U(diff, diff))
+        W = value_function(mid, table)
+        assert abs(rep.tail_mismatch - tail) <= 1e-14 * (1.0 + tail)
+        assert abs(rep.W_restart - W) <= 1e-14 * (1.0 + abs(W))
+
+
+def test_bellman_builds_no_state_and_solves_nothing(monkeypatch, table, basis):
+    # the restart reads the given optimum's coordinates and sweeps the node
+    # forms: no state, no extend_state, no solve_optimal, no control-side solve
+    import memlqr.optimal as opt
+    import memlqr.riccati as ric
+
+    sol = solve_optimal(smooth_state(np.random.default_rng(36), basis.n_modes), table)
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(StateSnapshot, "__post_init__", counting("StateSnapshot", StateSnapshot.__post_init__))
+    monkeypatch.setattr(OperatorAssembly, "solve_normal_control",
+                        counting("solve_normal_control", OperatorAssembly.solve_normal_control))
+    for mod in (opt, ric):
+        for name, fn in (("extend_state", extend_state), ("solve_optimal", solve_optimal)):
+            monkeypatch.setattr(mod, name, counting(name, fn), raising=False)
+    for t0 in (0, 12, 24, table.grid.n_steps):
+        bellman_check(sol, t0, table)
+    assert calls == []
 
 
 def test_bellman_residuals_refine_at_second_order(basis):
@@ -294,7 +340,7 @@ def test_bellman_residuals_refine_at_second_order(basis):
     for M in (32, 64, 128):
         grid = TimeGrid(0.5, M)
         table = solve_Z(basis, grid)
-        rep = bellman_check(st_seed, M // 4, table)
+        rep = bellman_check(solve_optimal(st_seed, table), M // 4, table)
         tails[M] = rep.tail_mismatch
         teles[M] = rep.telescope_residual
     assert tails[128] < 5e-4
