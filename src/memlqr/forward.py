@@ -23,10 +23,10 @@ Every history sum is carried by the exact exponential recurrences of
 memlqr.kernels, so each route costs O(n M) per trajectory: the control
 responses of both routes are product_convolution's chunked scans on the
 table's first-panel records, and the Volterra route's memory term is
-volterra_trapezoid's implicit loop, one node after another.  The routes are
-causal: extend_state solves only the steps it keeps, and the values it keeps
-are those of the full solve, bit for bit, because the scan's chunks are
-anchored at the first step.
+volterra_trapezoid's implicit solve, a 2x2 block_scan per mode, as is the
+Crank-Nicolson wave.  The routes are causal: extend_state solves only the
+steps it keeps, and the values it keeps are those of the full solve, bit
+for bit, because the scans' chunks are anchored at the first step.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelTable, TimeGrid, product_convolution, volterra_trapezoid
+from .kernels import KernelTable, TimeGrid, block_scan, product_convolution, volterra_trapezoid
 from .spectral import SpectralBasis
 
 __all__ = [
@@ -250,14 +250,15 @@ def simulate_damped_wave(v0, v1, control: SmoothControl, table: KernelTable) -> 
 
     The state is lifted by the Dirichlet map, w = v - D u, so each mode obeys
     w'' = lambda (w + w') - (D u'')_n; Crank-Nicolson keeps the scheme
-    A-stable and second order.  Compatibility (v0 trace = u(0)) is the
-    caller's contract; it cannot be read off truncated coefficients.
+    A-stable and second order: x = (w, w') steps by G = (I - dt A/2)^{-1} (I + dt A/2),
+    A = [[0, 1], [lambda, lambda]], plus a known forcing, one block_scan.
+    Compatibility (v0 trace = u(0)) is the caller's contract; it cannot be
+    read off truncated coefficients.
     """
     if control.du is None or control.ddu is None:
         raise ValueError("wave simulation needs first and second control derivatives")
     grid = table.grid
     basis = table.basis
-    M = grid.n_steps
     dt = grid.dt
     t = grid.nodes
     n = basis.n_modes
@@ -265,27 +266,23 @@ def simulate_damped_wave(v0, v1, control: SmoothControl, table: KernelTable) -> 
     d = basis.dmap_coeffs
     u_s = np.array([np.asarray(control.u(s), dtype=float) for s in t])
     ddu_s = np.array([np.asarray(control.ddu(s), dtype=float) for s in t])
-    Du = u_s @ d.T
-    g = ddu_s @ d.T  # (D u'')_n samples
+    V = u_s @ d.T  # the lift D u; the scan's w is added in place
 
-    w0 = np.asarray(v0, dtype=float) - Du[0]
+    w0 = np.asarray(v0, dtype=float) - V[0]
     w1 = np.asarray(v1, dtype=float) - np.asarray(control.du(0.0), dtype=float) @ d.T
 
     lam = basis.eigenvalues
     A = np.zeros((n, 2, 2))
     A[:, 0, 1] = 1.0
     A[:, 1, :] = lam[:, None]
-    Am = np.eye(2) - 0.5 * dt * A
-    Ap = np.eye(2) + 0.5 * dt * A
-    solve_step = np.linalg.inv(Am)
-    V = np.zeros((M + 1, n))
+    solve_step = np.linalg.inv(np.eye(2) - 0.5 * dt * A)
+    G = (solve_step @ (np.eye(2) + 0.5 * dt * A)).transpose(1, 2, 0).copy()  # (2, 2, n), contiguous
+    X = np.empty((len(t), 2, n))
+    X[0] = w0, w1
+    # increments dt (I - dt A/2)^{-1} b_j, b_j = (0, -((D u'')_{j-1} + (D u'')_j) / 2)
+    np.multiply(((ddu_s[:-1] + ddu_s[1:]) @ d.T)[:, None], -0.5 * dt * solve_step[:, :, 1].T, out=X[1:])
+    V += block_scan(G, X)[:, 0]
     V[0] = v0
-    x = np.stack([w0, w1], axis=1)
-    b = np.zeros((n, 2))
-    for j in range(1, M + 1):
-        b[:, 1] = -0.5 * (g[j - 1] + g[j])
-        x = np.einsum("kab,kb->ka", solve_step, np.einsum("kab,kb->ka", Ap, x) + dt * b)
-        V[j] = x[:, 0] + Du[j]
     return Trajectory(0, V)
 
 

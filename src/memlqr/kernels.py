@@ -35,20 +35,21 @@ every kernel here is a list of (c, mu) pairs, k(t) = Re sum c e^{mu t}: one
 term for E, two for Z, four for Q.  Each history sum is a first-order
 linear recurrence per term, P_j = r P_{j-1} + inc_j with r = exp(mu dt), in
 the manner of Lubich & Schaedle (2002), exact rather than approximate.
-Where the increments are known in advance (product_convolution for the
-control responses, the explicit volterra_trapezoid for the series check)
-the recurrence runs as one chunked scan, _linear_scan: chunks of 64 steps
-anchored at step 1 run their local recurrences all at once, then a carry
-fix-up adds r^{i+1} times the previous chunk's last row to row i of every
-later chunk, one chunk after another (Blelloch, "Prefix sums and their
-applications", 1990).  The chunks depend on nothing but the step index, so
-a prefix of the increments gets the bits of the full scan's first rows and
-each density of a batch the bits it gets alone.  The implicit Volterra
-solve (the Z table, the Volterra forward route) stays a sequential loop,
-each value depending on the previous one.  Either way the cost is O(n M),
-not O(n M^2).  The per-term coefficients depend only on (lambda, dt), so
-solve_Z derives each kernel's first-panel record (c, mu, a_1, b_1) once and
-keeps those of E, Z and Q on the table.  (a_1, b_1) are the term's gap-1
+The increments are known in advance wherever the recurrence runs
+(product_convolution for the control responses, volterra_trapezoid for the
+series check), so it runs as one chunked scan, _linear_scan: chunks of 64
+steps anchored at step 1 run their local recurrences all at once, then a
+carry fix-up adds r^{i+1} times the previous chunk's last row to row i of
+every later chunk, one chunk after another (Blelloch, "Prefix sums and
+their applications", 1990).  The chunks depend on nothing but the step
+index, so a prefix of the increments gets the bits of the full scan's first
+rows and each density of a batch the bits it gets alone.  The implicit
+Volterra solve (the Z table, the Volterra forward route) couples its two
+running sums through the unknown, so its ratio is a 2x2 block per mode:
+block_scan, which memlqr.forward's Crank-Nicolson wave also runs.  The cost
+is O(n M), not O(n M^2).  The per-term coefficients depend
+only on (lambda, dt), so solve_Z derives each kernel's first-panel record
+(c, mu, a_1, b_1) once and keeps those of E, Z and Q on the table.  (a_1, b_1) are the term's gap-1
 panel weights, built from moments in which no exponential grows, so any
 grid gives finite weights.  product_convolution and product_weights (the
 panel weights of every mode at once) read a record.  Lambda's weights are
@@ -81,6 +82,7 @@ __all__ = [
     "gap_weights",
     "product_convolution",
     "volterra_trapezoid",
+    "block_scan",
 ]
 
 
@@ -247,41 +249,69 @@ def gap_weights(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 # recursive convolution: one chunked linear scan per exponential term, O(n M)
 
 
-_CHUNK = 64  # steps per _linear_scan chunk; fixed, so a row's bits depend on its step index alone
+_CHUNK = 64  # steps per scan chunk; fixed, so a row's bits depend on its step index alone
 
 
-def _linear_scan(r, inc: np.ndarray) -> np.ndarray:
-    """Solve P_j = r P_{j-1} + inc_j for j = 1..m in place and return inc, now P.
+def _chunked_scan(G, inc: np.ndarray, apply, powers) -> np.ndarray:
+    """Solve P_j = G P_{j-1} + inc_j for j = 1..m in place and return inc, now P.
 
-    inc is (m+1, ...), time first, with row 0 the start value P_0; r, real
-    or complex, broadcasts against one row and must have |r| <= 1.  The
-    chunks are the steps 1..64, 65..128, ...: every chunk runs its local
-    recurrence at once with the others, the first from P_0 and the rest
-    from zero, and then, one chunk after another, row i of a chunk gains
-    r^{i+1} times the previous chunk's last row.  A row's arithmetic
-    depends only on its step index, so the scan of the first k increments
-    is bitwise the full scan's first k rows, and each element of a batch
-    gets the bits it gets alone; up to one chunk the scan is the sequential
-    loop itself.  ValueError if some |r| > 1, whose powers in the fix-up
-    would grow.
+    inc is (m+1, ...), time first, with row 0 the start value P_0; apply(A, X)
+    applies G, or the stack powers() of G^1..G^64 (built past one chunk
+    only), to rows X.  The chunks are the steps 1..64, 65..128, ...: every
+    chunk runs its local recurrence at once with the others, the first from
+    P_0 and the rest from zero, and then, one chunk after another, row i of
+    a chunk gains G^{i+1} times the previous chunk's last row.  A row's
+    arithmetic depends only on its step index, so the scan of the first k
+    increments is bitwise the full scan's first k rows, and each element of
+    a batch gets the bits it gets alone; up to one chunk the scan is the
+    sequential loop itself.
     """
-    r = np.asarray(r)
-    if np.any(np.abs(r) > 1.0):
-        raise ValueError("_linear_scan needs |r| <= 1: the carry fix-up multiplies by r^i")
     m = inc.shape[0] - 1
     if m == 0:
         return inc
-    inc[1] += r * inc[0]
+    inc[1] += apply(G, inc[0])
     for i in range(1, min(_CHUNK, m)):
         row = inc[1 + i :: _CHUNK]
-        row += r * inc[i :: _CHUNK][: len(row)]
+        row += apply(G, inc[i :: _CHUNK][: len(row)])
     if m > _CHUNK:
-        powers = np.cumprod(np.broadcast_to(r, (_CHUNK,) + r.shape), axis=0)
-        powers = powers.reshape((_CHUNK,) + (1,) * (inc.ndim - 1 - r.ndim) + r.shape)
+        stack = powers()
         for start in range(1 + _CHUNK, m + 1, _CHUNK):
             chunk = inc[start : start + _CHUNK]
-            chunk += powers[: len(chunk)] * inc[start - 1]
+            chunk += apply(stack[: len(chunk)], inc[start - 1])
     return inc
+
+
+def _linear_scan(r, inc: np.ndarray) -> np.ndarray:
+    """_chunked_scan with a ratio r, real or complex, broadcast against a row of inc; ValueError if some |r| > 1."""
+    r = np.asarray(r)
+    if np.any(np.abs(r) > 1.0):
+        raise ValueError("_linear_scan needs |r| <= 1: the carry fix-up multiplies by r^i")
+
+    def powers():
+        stack = np.cumprod(np.broadcast_to(r, (_CHUNK,) + r.shape), axis=0)
+        return stack.reshape((_CHUNK,) + (1,) * (inc.ndim - 1 - r.ndim) + r.shape)
+
+    return _chunked_scan(r, inc, np.multiply, powers)
+
+
+def _apply_blocks(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """G X per mode for 2x2 blocks G (..., 2, 2, n) and vectors X (..., 2, n), leading axes broadcast."""
+    return G[..., 0, :] * X[..., :1, :] + G[..., 1, :] * X[..., 1:, :]
+
+
+def block_scan(G: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """_chunked_scan with a real 2x2 block G (2, 2, n) per mode on inc (m+1, 2, n); ValueError past radius 1."""
+    tr, det = G[0, 0] + G[1, 1], G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
+    if np.any((np.abs(det) > 1.0) | (np.abs(tr) > 1.0 + det)):  # Jury: z^2 - tr z + det, roots in |z| <= 1
+        raise ValueError("block_scan needs spectral radius <= 1: the carry fix-up multiplies by G^i")
+
+    def powers():
+        stack = [G]
+        for _ in range(1, _CHUNK):
+            stack.append(np.einsum("abk,bck->ack", G, stack[-1]))
+        return np.array(stack)
+
+    return _chunked_scan(G, inc, _apply_blocks, powers)
 
 
 def product_convolution(panel: np.ndarray, dt: float, density: np.ndarray) -> np.ndarray:
@@ -328,40 +358,43 @@ def volterra_trapezoid(lam: np.ndarray, N: np.ndarray, dt: float, x: np.ndarray,
 
     N is the (n, >= m+1) table of N = a e^{lam t} + b e^{-t}, a = lam/(lam+1),
     b = 1/(lam+1); x is (m+1, n), time first.  The history sum
-    sum_{l=1}^{j-1} N_{j-l} x_l is a S1 + b S2 with two running sums per
-    mode, S <- r (S + x_j) with r = e^{lam dt} and e^{-dt}; the endpoint
-    terms read the table itself.
+    sum_{l=1}^{j-1} N_{j-l} x_l is w^T S_{j-1} / dt, w = dt (a, b), with two
+    running sums per mode, S_j = r (S_{j-1} + x_j), S_0 = 0, r = e^{lam dt}
+    and e^{-dt}, scanned in place; the endpoint terms read the table itself.
 
-    With F, x[0] holds the start value and x[1:] is overwritten with the
-    implicit-trapezoid solution
+    Without F, x is a given density and the explicit trapezoid convolution
+    dt (N_j x_0 / 2 + N_0 x_j / 2 + sum) is returned, row 0 zero; S is one
+    _linear_scan.  With F, x[0] holds the start value and x[1:] is
+    overwritten with the implicit-trapezoid solution
 
-        x_j = (F_j + dt (N_j x_0 / 2 + sum)) / (1 - (dt/2) N_0),
+        x_j = (F_j + dt (N_j x_0 / 2 + sum)) / (1 - (dt/2) N_0) = alpha_j + beta^T S_{j-1},
 
-    a sequential loop, since the sum needs x up to j - 1.  Without F, x is
-    a given density and the explicit trapezoid convolution
-    dt (N_j x_0 / 2 + N_0 x_j / 2 + sum) is returned, row 0 zero; both
-    running sums are then one _linear_scan, T_j = r T_{j-1} + x_j with T_0 = 0,
-    the sum before node j being S = r T_{j-1}.
+    alpha_j the part without the sum, beta = w / (1 - (dt/2) N_0).  Then
+    S_j = diag(r) (I + 1 beta^T) S_{j-1} + r alpha_j, 1 = (1, 1): a constant
+    2x2 block per mode, so S is one block_scan, kept in this basis, since
+    the block's eigenvectors degenerate where e^{lam dt} underflows.
     """
     m = x.shape[0] - 1
-    a, b = lam / (lam + 1.0), 1.0 / (lam + 1.0)
-    r1, r2 = np.exp(lam * dt), np.exp(-dt)
-    head = 0.5 * np.ascontiguousarray(N[:, 1 : m + 1].T) * x[0]
+    r = np.stack([np.exp(lam * dt), np.full_like(lam, np.exp(-dt))])
+    w = dt * np.stack([lam / (lam + 1.0), 1.0 / (lam + 1.0)])
+    out = np.zeros_like(x) if F is None else x
+    np.multiply(N[:, 1 : m + 1].T, 0.5 * dt * x[0], out=out[1:])
+    S = np.zeros((m + 1,) + w.shape)
     if F is None:
-        T = np.zeros((m + 1, 2, x.shape[1]))
-        T[1:] = x[1:, None]
-        _linear_scan(np.stack([r1, np.full_like(r1, r2)]), T)
-        out = np.zeros_like(x)
-        out[1:] = dt * ((head + 0.5 * N[:, 0] * x[1:]) + ((a * r1) * T[:-1, 0] + (b * r2) * T[:-1, 1]))
-        return out
-    S1 = np.zeros(x.shape[1])
-    S2 = np.zeros(x.shape[1])
-    denom = 1.0 - 0.5 * dt * N[:, 0]
-    for j in range(1, m + 1):
-        x[j] = (F[j] + dt * (head[j - 1] + (a * S1 + b * S2))) / denom
-        S1 = r1 * (S1 + x[j])
-        S2 = r2 * (S2 + x[j])
-    return x
+        out[1:] += (0.5 * dt * N[:, 0]) * x[1:]
+        np.multiply(x[1:, None], r, out=S[1:])
+        _linear_scan(r, S)
+    else:
+        denom = 1.0 - 0.5 * dt * N[:, 0]
+        out[1:] += F[1:]
+        out[1:] /= denom
+        w /= denom
+        np.multiply(out[1:, None], r, out=S[1:])
+        block_scan(r[:, None] * (np.eye(2)[:, :, None] + w), S)
+    S[:-1] *= w
+    out[1:] += S[:-1, 0]
+    out[1:] += S[:-1, 1]
+    return out
 
 
 # ----------------------------------------------------------------------------
@@ -428,12 +461,12 @@ def solve_Z(basis: SpectralBasis, grid: TimeGrid) -> KernelTable:
     if np.any(np.abs(denom) < 1e-12):
         raise ValueError("implicit step coefficient vanished; dt too large for this kernel")
 
-    x = np.zeros((M + 1, n))
-    x[0] = 1.0
-    Z = np.ascontiguousarray(volterra_trapezoid(lam, N, dt, x, F=E.T).T)
     panel_E = _first_panel(e_exponential_terms, lam, dt)
     panel_Z = _first_panel(z_exponential_terms, lam, dt)
     panel_Q = _first_panel(q_exponential_terms, lam, dt)
+    x = np.zeros((M + 1, n))
+    x[0] = 1.0
+    Z = np.ascontiguousarray(volterra_trapezoid(lam, N, dt, x, F=E.T).T)
     alpha_Z, beta = product_weights(panel_Z, grid)
     Z_exact = np.zeros((n, M + 1))
     Q = np.zeros((n, M + 1))

@@ -14,8 +14,8 @@ from memlqr.optimal import OperatorAssembly
 from memlqr.riccati import feedback_gain
 
 
-# Grid sizes at and around the edges of kernels._linear_scan's 64-step chunks,
-# where its carry fix-up runs; problems() alone stays below one chunk.
+# Grid sizes at and around the edges of the 64-step chunks of kernels' scans,
+# where their carry fix-up runs; problems() alone stays below one chunk.
 CHUNK_EDGES = st.sampled_from([63, 64, 65, 130, 300])
 
 

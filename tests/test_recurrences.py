@@ -28,8 +28,8 @@ from memlqr import (
     solve_Z,
 )
 from memlqr.forward import control_field, response_field
-from memlqr.kernels import (_first_panel, _linear_scan, product_convolution, product_weights, volterra_trapezoid,
-                            z_exponential_terms)
+from memlqr.kernels import (_first_panel, _linear_scan, block_scan, product_convolution, product_weights,
+                            volterra_trapezoid, z_exponential_terms)
 
 RTOL = 1e-13
 
@@ -85,6 +85,14 @@ def sequential_scan(r, inc):
     P = inc.copy()
     for j in range(1, len(P)):
         P[j] = r * P[j - 1] + inc[j]
+    return P
+
+
+def sequential_block_scan(G, inc):
+    """P_j = G P_{j-1} + inc_j per mode, one step at a time from P_0 = inc_0; G is (2, 2, n)."""
+    P = inc.copy()
+    for j in range(1, len(P)):
+        P[j] = np.einsum("abk,bk->ak", G, P[j - 1]) + inc[j]
     return P
 
 
@@ -378,3 +386,89 @@ def test_forward_routes_match_the_dense_loops_across_chunks(case, data):
     assert np.array_equal(out.xi[start + 1 :], full[1 : j - start + 1])
     assert np.array_equal(out.v_hat, full[j - start])
     assert_close(out.xi[start:], ref[: j - start + 1])
+    v0, v1 = rng.standard_normal((2, table.n_modes))
+    assert_close(simulate_damped_wave(v0, v1, WAVE_CONTROL, table).values,
+                 reference_wave(v0, v1, WAVE_CONTROL, table))
+
+
+# ----------------------------------------------------------------------------
+# the 2x2 block scan: the implicit Volterra solve and the Crank-Nicolson wave
+
+
+def recorded_block_scans(run):
+    """(G, steps) of every block_scan that run() makes, kernels' and forward's alike."""
+    import memlqr.forward as fwd
+    import memlqr.kernels as ker
+
+    calls = []
+
+    def recording(G, inc):
+        calls.append((np.array(G), inc.shape[0] - 1))
+        return block_scan(G, inc)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (ker, fwd):
+            mp.setattr(mod, "block_scan", recording)
+        run()
+    return calls
+
+
+@pytest.fixture(scope="module")
+def blocks():
+    """The stiff grid's Volterra and wave blocks, a zero block and random non-normal contractions."""
+    basis, grid = build_basis(191), TimeGrid(0.5, 256)
+    (volterra, _), = recorded_block_scans(lambda: solve_Z(basis, grid))
+    table = solve_Z(basis, grid)
+    v0 = np.zeros(191)
+    (wave, _), = recorded_block_scans(lambda: simulate_damped_wave(v0, v0, WAVE_CONTROL, table))
+    assert np.min(np.abs(volterra[0, 0])) ** 2 == 0.0  # the powers of e^{lambda dt} underflow
+    rng = np.random.default_rng(2)
+    G = rng.standard_normal((2, 2, 5))
+    G *= 0.99 / np.max(np.abs(np.linalg.eigvals(np.moveaxis(G, -1, 0))), axis=1)
+    return [volterra, wave, np.zeros((2, 2, 3)), G]
+
+
+@pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 3 * 64 + 5])
+def test_block_scan_matches_the_sequential_loop(m, blocks):
+    # elementwise, relative to the scan of |G| over |inc|, as for the scalar scan
+    rng = np.random.default_rng(m)
+    for G in blocks:
+        inc = rng.standard_normal((m + 1,) + G.shape[1:])
+        fast, ref = block_scan(G, inc.copy()), sequential_block_scan(G, inc)
+        assert np.all(np.abs(fast - ref) <= 1e-15 * sequential_block_scan(np.abs(G), np.abs(inc)))
+
+
+def test_block_scan_prefixes_keep_the_full_scans_bits(blocks):
+    rng = np.random.default_rng(66)
+    m = 3 * 64 + 5
+    for G in blocks:
+        inc = rng.standard_normal((m + 1,) + G.shape[1:])
+        full = block_scan(G, inc.copy())
+        for k in sorted({e + d for e in (64, 128, 192) for d in (-2, -1, 0, 1, 2)} | {0, 1, m}):
+            assert np.array_equal(block_scan(G, inc[: k + 1].copy()), full[: k + 1])
+
+
+def test_block_scan_rejects_a_spectral_radius_above_one():
+    # the second block has entries below one but eigenvalues 0.9 +- 0.1 sqrt(10)
+    for G in ([[1.5, 0.0], [0.0, 0.5]], [[0.9, 1.0], [0.1, 0.9]], [[0.0, -1.01], [1.01, 0.0]]):
+        with pytest.raises(ValueError, match="spectral radius"):
+            block_scan(np.array(G)[:, :, None], np.ones((70, 2, 1)))
+    for G in (np.eye(2), -np.eye(2), [[1.0, 1.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]]):
+        assert np.all(np.isfinite(block_scan(np.array(G)[:, :, None], np.ones((70, 2, 1)))))
+
+
+@pytest.mark.parametrize("M", [40, 300])
+def test_each_implicit_route_runs_one_block_scan(M):
+    # the Z table, both Volterra solves and the wave take one scan each,
+    # over exactly the steps they return, at any M
+    basis = build_basis(4)
+    grid = TimeGrid(0.5, M)
+    table = solve_Z(basis, grid)
+    rng = np.random.default_rng(M)
+    state = random_state(rng, 0, 4)
+    u = ControlSignal(0, rng.standard_normal((M + 1, 2)))
+    v0, v1 = rng.standard_normal((2, 4))
+    for run, steps in ((lambda: solve_Z(basis, grid), M), (lambda: solve_volterra(state, u, table), M),
+                       (lambda: extend_state(state, u, M // 3, table), M // 3),
+                       (lambda: simulate_damped_wave(v0, v1, WAVE_CONTROL, table), M)):
+        assert [m for _, m in recorded_block_scans(run)] == [steps]
